@@ -4,11 +4,17 @@ On a shared VM the speed of identical work drifts by up to 2x, in phases
 of seconds to a minute, because of load the guest cannot see.  While a
 timed region runs, an interval timer interrupts it every INTERVAL_S and
 runs a fixed reference probe (small numpy arrays, a Python loop, a small
-complex matrix product: the kind of work clarklab does).  The probe's own
-time is taken out of every measured time, and a run's times are reported
-at nominal machine speed: each is multiplied by NOMINAL_PROBE_S over the
-mean probe time of the run.  The drift then cancels to within a few
-percent, and a change to clarklab cannot move the probe.
+complex matrix product: the kind of work clarklab does) twice, timing the
+second run.  The first run brings the probe's code and data back into the
+caches the program has filled, so the timed run measures the machine's
+speed on warm work, as the program runs, and not how much of the cache
+the program used.  The time of both runs is taken out of every measured
+time, and a run's times are reported at nominal machine speed: each is
+multiplied by NOMINAL_PROBE_S over the mean probe time of the run.  Over
+ten seeds, 20-second means then spread by 3% to 11% of their median.
+probecheck.py measures that
+the program's own work, threaded BLAS included, does not move the probe
+time (README.md gives the figures).
 """
 
 from __future__ import annotations
@@ -41,20 +47,13 @@ def probe() -> float:
     return acc + float(abs(b[0, 0]))
 
 
-def probe_seconds(repeats: int = 5) -> float:
-    """Mean time of the probe run back to back, for a process without a timer."""
-    start = time.perf_counter()
-    for _ in range(repeats):
-        probe()
-    return (time.perf_counter() - start) / repeats
-
-
 class Calibrator:
     """Runs the probe on a timer inside a `with` block and keeps its times.
 
-    `spent` is the total probe time so far; a caller subtracts its growth
-    over a measured interval.  Single-threaded use only: the handler runs
-    in the main thread between bytecodes.
+    `spent` is the total time of the handler so far, untimed probe runs
+    included; a caller subtracts its growth over a measured interval.
+    Single-threaded use only: the handler runs in the main thread between
+    bytecodes.
     """
 
     def __init__(self):
@@ -65,9 +64,11 @@ class Calibrator:
     def _tick(self, signum, frame):
         start = time.perf_counter()
         probe()
-        elapsed = time.perf_counter() - start
-        self.samples.append(elapsed)
-        self.spent += elapsed
+        timed = time.perf_counter()
+        probe()
+        end = time.perf_counter()
+        self.samples.append(end - timed)
+        self.spent += end - start
 
     def __enter__(self):
         self._previous = signal.signal(signal.SIGALRM, self._tick)
@@ -81,6 +82,6 @@ class Calibrator:
 
     def factor(self) -> float:
         """Nominal over measured probe time: multiply a raw time by it."""
-        if not self.samples:
-            self.samples.append(probe_seconds())
+        if not self.samples:  # the timed region was shorter than INTERVAL_S
+            self._tick(None, None)
         return NOMINAL_PROBE_S / statistics.fmean(self.samples)

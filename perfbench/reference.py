@@ -1,17 +1,16 @@
 """Dense yardstick: perturb_selfadjoint beside numpy.linalg.eigh, per call.
 
-    python3 perfbench/reference.py [--seed N] [--repeats R]
+    python3 perfbench/reference.py
 
-For each N, times both routes on the same random line models (the
-secular-line recipe) with coupling 1 and prints the median per call in ms.
-The dense route builds diag(t) + phi phi^T, calls eigh and forms the
+For each N, times both routes on the same REPEATS random line models (the
+secular-line recipe, seed SEED) with coupling 1 and prints the median per
+call in ms.  The dense route builds diag(t) + phi phi^T, calls eigh and forms the
 masses.  Times are raw, not calibrated: the two routes run back to back,
 so their ratio is the figure to read.
 """
 
 from __future__ import annotations
 
-import argparse
 import statistics
 import time
 
@@ -20,19 +19,17 @@ import run
 from workloads import _rng, _sites, _weights
 
 SIZES = (16, 32, 64, 128)
+SEED = 0
+REPEATS = 30
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--repeats", type=int, default=30)
-    args = parser.parse_args(argv)
+def main() -> int:
     cl = run.load_program()
     print(f"{'N':>5} {'perturb_selfadjoint ms':>24} {'dense eigh ms':>14}")
     for n in SIZES:
         route, dense = [], []
-        for k in range(args.repeats):
-            rng = _rng(args.seed, n, k)
+        for k in range(REPEATS):
+            rng = _rng(SEED, n, k)
             sites, weights = _sites(rng, n, "line"), _weights(rng, n)
             model = cl.rankone.CyclicOperatorModel.from_data("line", sites, weights)
             t0 = time.perf_counter()

@@ -4,7 +4,7 @@
     python3 perfbench/run.py --workload all            # every workload in turn
 
 Run from the root of a source checkout; the program is imported from
-``src/``.  One run sets up (import, inputs, warm-up) three times, then
+``src/``.  One run sets up (import, inputs, warm-up) five times, then
 repeats whole passes of the workload while another one fits in
 ``--seconds``, each pass on fresh inputs drawn from ``(seed, pass)``, and
 checks every output after its pass.  Times are calibrated to a nominal
@@ -27,23 +27,19 @@ from pathlib import Path
 import numpy as np
 
 import spans
-from calibrate import NOMINAL_PROBE_S, Calibrator, probe_seconds
+from calibrate import NOMINAL_PROBE_S, Calibrator
 from workloads import WORKLOADS, Recorder
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 SRC = ROOT / "src"
-SETUP_REPEATS = 3
-SUBPROCESS_TIMEOUT_S = 170
+SETUP_REPEATS = 5
 
-IMPORT_PROBE = ("import sys, time\n"
-                "sys.path.insert(0, sys.argv[1])\n"
-                "start = time.perf_counter()\n"
-                "import clarklab\n"
-                "elapsed = time.perf_counter() - start\n"
-                "sys.path.insert(0, sys.argv[2])\n"
-                "from calibrate import probe_seconds\n"
-                "print(elapsed, probe_seconds())\n")
+IMPORT_SCRIPT = ("import sys, time\n"
+                 "sys.path.insert(0, sys.argv[1])\n"
+                 "start = time.perf_counter()\n"
+                 "import clarklab\n"
+                 "print(time.perf_counter() - start)\n")
 
 clock = time.perf_counter
 
@@ -64,26 +60,24 @@ def load_program():
 
 
 def import_seconds() -> float:
-    """Calibrated time of `import clarklab` (numpy and scipy included) in a
-    fresh interpreter, which times the reference probe right after."""
-    out = subprocess.run([sys.executable, "-c", IMPORT_PROBE, str(SRC), str(HERE)],
+    """Time of `import clarklab` (numpy and scipy included) in a fresh
+    interpreter."""
+    out = subprocess.run([sys.executable, "-c", IMPORT_SCRIPT, str(SRC)],
                          cwd=ROOT, capture_output=True, text=True, check=True,
                          timeout=60)
-    elapsed, probe_s = (float(v) for v in out.stdout.split()[-2:])
-    return elapsed * NOMINAL_PROBE_S / probe_s
+    return float(out.stdout.split()[-1])
 
 
 def setup_seconds(workload, seed) -> tuple[float, list[str]]:
     """Median import time plus median time to build and run the warm-up
-    inputs, each calibrated by a probe timed right after it."""
+    inputs, uncalibrated."""
     imports = [import_seconds() for _ in range(SETUP_REPEATS)]
-    preps = []
-    errors = []
+    preps, errors = [], []
     for _ in range(SETUP_REPEATS):
         start = clock()
         rec = Recorder(clock)
         workload.run(workload.warmup_inputs(seed), rec)
-        preps.append((clock() - start) * NOMINAL_PROBE_S / probe_seconds())
+        preps.append(clock() - start)
         errors += rec.errors
     return statistics.median(imports) + statistics.median(preps), errors
 
@@ -162,7 +156,7 @@ def layer_metrics(tracer, plain, traced, factor):
 
 def run_one(args) -> int:
     workload = WORKLOADS[args.workload](load_program())
-    setup_s, warm_errors = setup_seconds(workload, args.seed)
+    raw_setup_s, warm_errors = setup_seconds(workload, args.seed)
     with Calibrator() as calibrator:
         tracer = spans.Tracer(calibrator) if args.trace else None
         rec = Recorder(clock, tracer, calibrator)
@@ -171,9 +165,13 @@ def run_one(args) -> int:
     factor = calibrator.factor()
     print(f"machine speed: probe {1e3 * NOMINAL_PROBE_S / factor:.3f} ms against "
           f"{1e3 * NOMINAL_PROBE_S:.3f} ms nominal; uncalibrated wall_s "
-          f"{statistics.fmean(plain):.6g} s")
+          f"{statistics.fmean(plain):.6g} s, setup_s {raw_setup_s:.6g} s")
     if tracer is None:
-        metrics = end_to_end_metrics(setup_s, plain, latencies, factor)
+        # Set-up runs just before the passes and is calibrated by the speed
+        # they measured: while this process waits for a child interpreter
+        # it is idle, and a probe run after idling reads slow.
+        metrics = end_to_end_metrics(raw_setup_s * factor, plain, latencies,
+                                     factor)
     else:
         metrics = layer_metrics(tracer, plain, traced, factor)
         tracer.write(HERE / "out" / f"trace-{workload.name}-seed{args.seed}.json")
@@ -201,8 +199,10 @@ def run_all(args) -> int:
         cmd = [sys.executable, str(Path(__file__).resolve()), "--workload", name,
                "--seed", str(args.seed), "--seconds", str(args.seconds),
                "--trace", str(args.trace)]
+        # Set-up, the last pass that may overrun --seconds and verify-all's
+        # two-worker check come on top of the passes.
         proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True,
-                              timeout=SUBPROCESS_TIMEOUT_S)
+                              timeout=2 * args.seconds + 120)
         sys.stderr.write(proc.stderr)
         lines = proc.stdout.strip().splitlines()
         print("\n".join(lines[:-1]))

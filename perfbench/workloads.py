@@ -332,7 +332,11 @@ class TwoParameter(Workload):
     The cost of model-space work grows with how close the inner function's
     zeros sit to the circle, which the random draw spreads over orders of
     magnitude; each size therefore gets one family from each of two fixed
-    bands of that radius, so every pass does comparable work.
+    bands of that radius, so every pass does comparable work.  The bands
+    lie where clarklab's model-space grid has 1024 and 4096 points, the
+    lower quartile and the median of an unrestricted N=4 draw.  A band at
+    32768 points, the N=8 median, was tried: its times did not follow the
+    calibration probe and spread too wide (README.md, "Input recipes").
     """
 
     name = "two-parameter"
