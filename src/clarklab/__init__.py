@@ -17,20 +17,17 @@ from .measures import (BorelSetSpec, CircleAtomicMeasure, LineAtomicMeasure,
                        simon_wolff_integral_circle, total_mass)
 from .herglotz import (BlaschkeProduct, HalfPlaneInner, HerglotzRational,
                        alpha_to_coupling, blaschke_eval,
-                       boundary_derivative_modulus, cauchy_rational_disk,
-                       cauchy_rational_line, cauchy_zeros_line,
-                       cayley_inverse, cayley_transfer, coupling_to_alpha,
-                       halfplane_level_set, level_set, level_set_batch,
-                       rational_derivative, rational_eval,
-                       rational_from_coefficients, residue_masses_line,
+                       boundary_derivative_modulus, cauchy_rational_line,
+                       cauchy_zeros_line, cayley_inverse, cayley_transfer,
+                       coupling_to_alpha, halfplane_level_set, level_set,
+                       level_set_batch, rational_eval, residue_masses_line,
                        secular_roots_line)
 from .rankone import (ClarkFamily, CyclicOperatorModel, aronszajn_krein_eval,
                       clark_measure, disintegration_check_circle,
                       disintegration_check_line, inner_from_selfadjoint,
                       inner_from_unitary, matrix_oracle_selfadjoint,
                       matrix_oracle_unitary, perturb_selfadjoint,
-                      perturb_unitary, simon_wolff_classify, spectral_measure,
-                      verify_clark_correspondence)
+                      perturb_unitary, simon_wolff_classify, spectral_measure)
 from .modelspace import (ModelSpace, ModelVector, build_model_space,
                          hat_conjugate, intertwine_check, knu_alpha,
                          lemma7_decompose, t_alpha_matrix, v_alpha,

@@ -1,15 +1,13 @@
-"""Exact rational Herglotz machinery and finite Blaschke products.
+"""Pole-form Herglotz transforms and finite Blaschke products.
 
 Cauchy transforms of finite atomic measures are rational functions, and all
 identities the verification suites check reduce to exact rational algebra.
-This module keeps both representations side by side:
-
-* coefficient pairs (numerator/denominator, ascending degree, denominator
-  normalized monic) -- the canonical exchange format;
-* a partial-fraction backing (pole positions + weights) attached when the
-  rational was built from a measure -- the numerically stable form used by
-  the root finders (monomial coefficients of high-degree node polynomials
-  misrepresent their roots; the partial-fraction sum does not).
+A transform is held in pole form only: the atoms (poles) and masses
+(residues) of a positive line measure.  Monomial coefficients of
+high-degree node polynomials misrepresent their roots, so none are formed:
+the zeros of an inner function are the eigenvalues of a small matrix
+(Clark / Aleksandrov: the solutions of theta = alpha are the spectrum of
+the alpha-perturbed operator).
 
 Root finding is correctness-first: the secular equation on the line uses
 monotone bisection with virtual endpoint signs (the transform has a pole of
@@ -22,214 +20,55 @@ where the angular derivative is an explicit positive sum of Poisson kernels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .errors import (ConstructionError, DomainError, PoleError, ResidueError,
                      RootFindingError)
-from .measures import CircleAtomicMeasure, LineAtomicMeasure
-
-_TRIM_REL = 1e-14
-REDUCED_TOL = 1e-10
-
-
-def _trim(coeffs: np.ndarray) -> np.ndarray:
-    c = np.asarray(coeffs, dtype=complex)
-    if c.ndim != 1 or c.size == 0:
-        raise ConstructionError("coefficient array must be 1-d and non-empty")
-    scale = np.max(np.abs(c))
-    if scale == 0.0:
-        return np.zeros(1, dtype=complex)
-    keep = np.nonzero(np.abs(c) > _TRIM_REL * scale)[0]
-    if keep.size == 0:
-        return np.zeros(1, dtype=complex)
-    return c[: keep[-1] + 1]
-
-
-def _poly_roots(coeffs: np.ndarray) -> np.ndarray:
-    c = _trim(coeffs)
-    if c.size <= 1:
-        return np.zeros(0, dtype=complex)
-    return np.roots(c[::-1])
+from .measures import LineAtomicMeasure
 
 
 @dataclass(frozen=True)
 class HerglotzRational:
-    """Rational function as a (numerator, denominator) coefficient pair.
+    """Cauchy transform sum_j weights_j / (nodes_j - z) of a positive line
+    measure, held in pole form.
 
-    Coefficients ascend in degree and the denominator is monic.  Use
-    :func:`rational_from_coefficients` (validating) or the measure
-    constructors :func:`cauchy_rational_line` / :func:`cauchy_rational_disk`
-    to build instances; the latter attach a partial-fraction backing.
+    ``nodes`` are finite and strictly increasing, ``weights`` positive, so
+    the transform maps the upper half-plane into itself.
     """
 
-    num: tuple[complex, ...]
-    den: tuple[complex, ...]
-    pf_kind: str | None = field(default=None, compare=False)
-    pf_nodes: tuple = field(default=(), compare=False)
-    pf_weights: tuple = field(default=(), compare=False)
+    nodes: tuple[float, ...]
+    weights: tuple[float, ...]
 
-    @property
-    def num_degree(self) -> int:
-        return len(self.num) - 1
-
-    @property
-    def den_degree(self) -> int:
-        return len(self.den) - 1
-
-
-def rational_from_coefficients(num: Sequence[complex], den: Sequence[complex],
-                               check_reduced: bool = True) -> HerglotzRational:
-    """Validated constructor: trims, normalizes the denominator monic, and
-    rejects common roots (within REDUCED_TOL) so near-cancellation is
-    surfaced instead of absorbed.
-
-    Degree dominance (deg num <= deg den) holds automatically for every
-    transform of a finite measure and is asserted by those constructors;
-    plain polynomials (needed as derivative results) are accepted here.
-    """
-    n = _trim(np.asarray(num, dtype=complex))
-    d = _trim(np.asarray(den, dtype=complex))
-    if np.all(d == 0.0):
-        raise ConstructionError("denominator is identically zero")
-    lead = d[-1]
-    n = n / lead
-    d = d / lead
-    if check_reduced and n.size > 1 and d.size > 1 and np.any(n != 0.0):
-        rn = _poly_roots(n)
-        rd = _poly_roots(d)
-        if rn.size and rd.size:
-            dist = np.abs(rn[:, None] - rd[None, :])
-            scale = np.maximum(1.0, np.abs(rd[None, :]))
-            if np.any(dist <= REDUCED_TOL * scale):
-                raise ConstructionError(
-                    "numerator and denominator share a root within tolerance; "
-                    "reduce the fraction first")
-    return HerglotzRational(tuple(n), tuple(d))
-
-
-def _prefix_suffix_product(factors: list[np.ndarray]) -> tuple[list, list]:
-    n = len(factors)
-    prefix = [np.ones(1, dtype=complex)] * (n + 1)
-    suffix = [np.ones(1, dtype=complex)] * (n + 1)
-    for i in range(n):
-        prefix[i + 1] = npoly.polymul(prefix[i], factors[i])
-    for i in range(n - 1, -1, -1):
-        suffix[i] = npoly.polymul(suffix[i + 1], factors[i])
-    return prefix, suffix
+    def __post_init__(self):
+        nodes = tuple(float(x) for x in self.nodes)
+        weights = tuple(float(w) for w in self.weights)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "weights", weights)
+        if len(nodes) != len(weights) or not nodes:
+            raise ConstructionError("nodes and weights must be non-empty and aligned")
+        if not all(math.isfinite(x) for x in nodes):
+            raise ConstructionError("nodes must be finite")
+        if any(b <= a for a, b in zip(nodes, nodes[1:])):
+            raise ConstructionError("nodes must be strictly increasing")
+        if not all(w > 0.0 and math.isfinite(w) for w in weights):
+            raise ConstructionError("weights must be positive and finite; "
+                                    "not the transform of a positive measure")
 
 
 def cauchy_rational_line(mu: LineAtomicMeasure) -> HerglotzRational:
-    """Cauchy transform sum m_j/(t_j - z) as a rational with line backing."""
-    t = np.asarray(mu.positions)
-    m = np.asarray(mu.masses)
-    factors = [np.array([tj, -1.0], dtype=complex) for tj in t]
-    prefix, suffix = _prefix_suffix_product(factors)
-    den = prefix[len(factors)]
-    num = np.zeros(max(1, den.size - 1), dtype=complex)
-    for j, mj in enumerate(m):
-        term = mj * npoly.polymul(prefix[j], suffix[j + 1])
-        num[: term.size] += term
-    lead = den[-1]
-    base = rational_from_coefficients(num / lead, den / lead, check_reduced=False)
-    assert base.num_degree <= base.den_degree
-    return HerglotzRational(base.num, base.den, pf_kind="line",
-                            pf_nodes=tuple(float(x) for x in t),
-                            pf_weights=tuple(float(x) for x in m))
-
-
-def cauchy_rational_disk(nu: CircleAtomicMeasure) -> HerglotzRational:
-    """Disk Cauchy transform sum m_j/(1 - conj(xi_j) z) with disk backing."""
-    xi = nu.points()
-    m = np.asarray(nu.masses)
-    factors = [np.array([1.0, -np.conj(x)], dtype=complex) for x in xi]
-    prefix, suffix = _prefix_suffix_product(factors)
-    den = prefix[len(factors)]
-    num = np.zeros(max(1, den.size - 1), dtype=complex)
-    for j, mj in enumerate(m):
-        term = mj * npoly.polymul(prefix[j], suffix[j + 1])
-        num[: term.size] += term
-    lead = den[-1]
-    base = rational_from_coefficients(num / lead, den / lead, check_reduced=False)
-    assert base.num_degree <= base.den_degree
-    return HerglotzRational(base.num, base.den, pf_kind="disk",
-                            pf_nodes=tuple(complex(x) for x in xi),
-                            pf_weights=tuple(float(x) for x in m))
+    """Cauchy transform sum m_j/(t_j - z) of a line measure, in pole form."""
+    return HerglotzRational(mu.positions, mu.masses)
 
 
 def rational_eval(f: HerglotzRational, z: complex) -> complex:
-    """Evaluate f at z.  Uses the partial-fraction backing when present."""
+    """Evaluate f at z; raises PoleError exactly at a node."""
     z = complex(z)
-    if f.pf_kind == "line":
-        t = np.asarray(f.pf_nodes)
-        if z.imag == 0.0 and any(z.real == tj for tj in f.pf_nodes):
-            raise PoleError(f"evaluation at pole {z.real}")
-        return complex(np.sum(np.asarray(f.pf_weights) / (t - z)))
-    if f.pf_kind == "disk":
-        xi = np.asarray(f.pf_nodes)
-        den = 1.0 - np.conj(xi) * z
-        if np.any(den == 0.0):
-            raise PoleError(f"evaluation at reflected pole of {z}")
-        return complex(np.sum(np.asarray(f.pf_weights) / den))
-    dval = complex(npoly.polyval(z, np.asarray(f.den)))
-    if dval == 0.0:
-        raise PoleError(f"denominator vanishes at {z}")
-    return complex(npoly.polyval(z, np.asarray(f.num))) / dval
-
-
-def rational_derivative(f: HerglotzRational) -> HerglotzRational:
-    """Quotient-rule derivative, returned in reduced form.
-
-    Common factors between (num' den - num den') and den^2 (they appear
-    exactly when the denominator has repeated roots) are cancelled by
-    pairing nearby roots; the validating constructor then re-checks the
-    result, so silent near-cancellation cannot slip through.
-    """
-    n = np.asarray(f.num)
-    d = np.asarray(f.den)
-    new_num = npoly.polysub(npoly.polymul(npoly.polyder(n), d),
-                            npoly.polymul(n, npoly.polyder(d)))
-    new_den = npoly.polymul(d, d)
-    new_num = _trim(new_num)
-    new_den = _trim(new_den)
-    if new_den.size == 1:
-        return rational_from_coefficients(new_num, new_den, check_reduced=False)
-    rn = list(_poly_roots(new_num))
-    rd = list(_poly_roots(new_den))
-    lead_n = new_num[-1] if np.any(new_num != 0.0) else 0.0
-    lead_d = new_den[-1]
-    cancel_tol = 1e-6
-    kept_d = []
-    for root_d in rd:
-        best = None
-        for i, root_n in enumerate(rn):
-            dist = abs(root_n - root_d)
-            if dist <= cancel_tol * max(1.0, abs(root_d)):
-                if best is None or dist < abs(rn[best] - root_d):
-                    best = i
-        if best is None:
-            kept_d.append(root_d)
-        else:
-            rn.pop(best)
-    if np.all(new_num == 0.0):
-        return rational_from_coefficients([0.0], [1.0], check_reduced=False)
-    num_poly = lead_n * npoly.polyfromroots(rn) if rn else np.array([lead_n])
-    den_poly = lead_d * npoly.polyfromroots(kept_d) if kept_d else np.array([lead_d])
-    return rational_from_coefficients(num_poly, den_poly)
-
-
-def rational_to_json_dict(f: HerglotzRational) -> dict:
-    return {"num": [[c.real, c.imag] for c in f.num],
-            "den": [[c.real, c.imag] for c in f.den]}
-
-
-def rational_from_json_dict(obj: dict) -> HerglotzRational:
-    num = [complex(re, im) for re, im in obj["num"]]
-    den = [complex(re, im) for re, im in obj["den"]]
-    return rational_from_coefficients(num, den)
+    if z.imag == 0.0 and any(z.real == tj for tj in f.nodes):
+        raise PoleError(f"evaluation at pole {z.real}")
+    return complex(np.sum(np.asarray(f.weights) / (np.asarray(f.nodes) - z)))
 
 
 # ---------------------------------------------------------------------------
@@ -427,25 +266,8 @@ def level_set(theta: BlaschkeProduct, alpha: complex,
 # ---------------------------------------------------------------------------
 
 def _line_pf(K: HerglotzRational) -> tuple[np.ndarray, np.ndarray]:
-    """Positions and masses backing a line Cauchy transform.
-
-    Recovers them from the coefficients when no backing is attached (poles
-    must be real and residues positive, otherwise K was not the transform
-    of a positive line measure).
-    """
-    if K.pf_kind == "line":
-        return np.asarray(K.pf_nodes, dtype=float), np.asarray(K.pf_weights, dtype=float)
-    den = np.asarray(K.den)
-    num = np.asarray(K.num)
-    poles = _poly_roots(den)
-    if np.any(np.abs(poles.imag) > 1e-9 * np.maximum(1.0, np.abs(poles))):
-        raise DomainError("denominator roots are not real; not a line transform")
-    t = np.sort(poles.real)
-    dprime = npoly.polyder(den)
-    w = -npoly.polyval(t, num) / npoly.polyval(t, dprime)
-    if np.any(np.abs(w.imag) > 1e-9 * np.maximum(1.0, np.abs(w))) or np.any(w.real <= 0.0):
-        raise DomainError("residues are not positive; not a positive measure")
-    return t, w.real
+    """Nodes and weights of a line Cauchy transform as float arrays."""
+    return np.asarray(K.nodes, dtype=float), np.asarray(K.weights, dtype=float)
 
 
 def _cauchy_line_value(t, m, x):
@@ -609,48 +431,25 @@ class HalfPlaneInner:
         return self.disk.degree
 
 
-def _mobius_compose_halfplane(p: np.ndarray, nominal_degree: int) -> np.ndarray:
-    """(z + i)^n * p((z - i)/(z + i)) as polynomial coefficients in z."""
-    out = np.zeros(1, dtype=complex)
-    lo = np.array([-1j, 1.0])   # z - i
-    hi = np.array([1j, 1.0])    # z + i
-    for k in range(nominal_degree + 1):
-        ak = p[k] if k < p.size else 0.0
-        if ak == 0.0:
-            continue
-        term = np.array([ak], dtype=complex)
-        for _ in range(k):
-            term = npoly.polymul(term, lo)
-        for _ in range(nominal_degree - k):
-            term = npoly.polymul(term, hi)
-        out = npoly.polyadd(out, term)
-    return out
-
-
 def cayley_transfer(J: HerglotzRational) -> HalfPlaneInner:
     """Half-plane inner function (1 + iJ)/(1 - iJ) of a Herglotz rational J.
 
     Orientation: |theta| < 1 wherever Im J > 0 (at J = i the value is 0, not
-    infinity).  The zeros solve J(z) = i in the upper half-plane and map to
-    disk Blaschke zeros through (z - i)/(z + i).
+    infinity).  With phi = sqrt(weights), J(z) = phi^T (diag(t) - z)^{-1} phi,
+    so the zeros -- the solutions of J(z) = i, i.e. of 1 + i J(z) = 0 -- are
+    the eigenvalues of diag(t) + i phi phi^T.  They lie in the upper
+    half-plane and map to disk Blaschke zeros through (z - i)/(z + i).
     """
-    ji = rational_eval(J, 1j)
-    if ji.imag <= 0.0:
-        raise DomainError(f"J(i) = {ji} has non-positive imaginary part; "
-                          "input is not Herglotz")
-    num = np.asarray(J.num)
-    den = np.asarray(J.den)
-    # J = i  <=>  num - i*den = 0.
-    zs = _poly_roots(npoly.polysub(num, 1j * den))
-    ws = []
-    for z in zs:
-        if z.imag <= 0.0:
-            raise DomainError(f"solution {z} of J = i left the upper half-plane")
-        ws.append((z - 1j) / (z + 1j))
-    ws_arr = np.asarray(ws, dtype=complex)
+    t, m = _line_pf(J)
+    phi = np.sqrt(m)
+    zs = np.linalg.eigvals(np.diag(t) + 1j * np.outer(phi, phi))
+    if np.any(zs.imag <= 0.0):
+        raise DomainError(f"solution {zs[np.argmin(zs.imag)]} of J = i left "
+                          "the upper half-plane")
+    ws = (zs - 1j) / (zs + 1j)
 
     for w0 in (0.0, 1.0 / 3.0, -1.0 / 3.0, 1j / 3.0, 0.2 + 0.1j):
-        if ws_arr.size == 0 or np.min(np.abs(ws_arr - w0)) > 1e-6:
+        if np.min(np.abs(ws - w0)) > 1e-6:
             anchor = complex(w0)
             break
     else:
@@ -658,21 +457,29 @@ def cayley_transfer(J: HerglotzRational) -> HalfPlaneInner:
     z0 = 1j * (1.0 + anchor) / (1.0 - anchor)
     jz0 = rational_eval(J, z0)
     target = (1.0 + 1j * jz0) / (1.0 - 1j * jz0)
-    bare = np.prod((anchor - ws_arr) / (1.0 - np.conj(ws_arr) * anchor)) if ws else 1.0
+    bare = np.prod((anchor - ws) / (1.0 - np.conj(ws) * anchor))
     c = target / bare
     c /= abs(c)
     return HalfPlaneInner(BlaschkeProduct(tuple(ws), complex(c)))
 
 
 def cayley_inverse(hp: HalfPlaneInner) -> HerglotzRational:
-    """Recover the Herglotz rational J with (1 + iJ)/(1 - iJ) = hp."""
-    pb, qb = blaschke_numerator_denominator(hp.disk)
-    n = hp.degree
-    p_hp = _mobius_compose_halfplane(pb, n)
-    q_hp = _mobius_compose_halfplane(qb, n)
-    num = -1j * npoly.polysub(p_hp, q_hp)
-    den = npoly.polyadd(p_hp, q_hp)
-    return rational_from_coefficients(num, den)
+    """Recover the Herglotz rational J with (1 + iJ)/(1 - iJ) = hp, in pole form.
+
+    The poles of J are the real solutions of hp = -1.  On the real axis
+    hp = exp(2i arctan J), whose phase grows at rate 2/w through a pole of
+    residue w; the phase of the disk transfer grows at |theta'(xi)| times
+    |dxi/dx| = 2/(1 + x^2).  So w = (1 + t^2)/|theta'((t - i)/(t + i))|.
+    J vanishes at infinity for a finite measure, so hp.disk(1) must be 1.
+    """
+    at_infinity = blaschke_eval(hp.disk, 1.0)
+    if abs(at_infinity - 1.0) > 1e-9:
+        raise DomainError(f"hp(infinity) = {at_infinity} is not 1; not the "
+                          "transfer of a finite line measure")
+    t = halfplane_level_set(hp, -1.0)
+    xi = (t - 1j) / (t + 1j)
+    w = (1.0 + t ** 2) / boundary_derivative_modulus(hp.disk, xi)
+    return HerglotzRational(tuple(t), tuple(w))
 
 
 def halfplane_level_set(hp: HalfPlaneInner, alpha: complex) -> np.ndarray:

@@ -7,15 +7,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from clarklab.errors import (ConstructionError, DomainError, PoleError)
-from clarklab.herglotz import (BlaschkeProduct, alpha_to_coupling,
-                               blaschke_eval, blaschke_derivative,
+from clarklab.herglotz import (BlaschkeProduct, HalfPlaneInner,
+                               HerglotzRational,
+                               alpha_to_coupling, blaschke_eval,
+                               blaschke_derivative,
                                boundary_derivative_modulus,
                                cauchy_rational_line,
                                cauchy_zeros_line, cayley_inverse,
                                cayley_transfer, coupling_to_alpha,
                                halfplane_level_set, level_set,
-                               level_set_batch, rational_derivative,
-                               rational_eval, rational_from_coefficients,
+                               level_set_batch, rational_eval,
                                residue_masses_line, secular_roots_line)
 from clarklab.measures import LineAtomicMeasure
 
@@ -27,12 +28,8 @@ DELTA0 = LineAtomicMeasure.from_atoms([(0.0, 1.0)])
 
 class TestRationalEval:
     def test_reciprocal(self):
-        f = rational_from_coefficients([-1.0], [0.0, 1.0])  # -1/z
+        f = cauchy_rational_line(DELTA0)  # -1/z
         assert rational_eval(f, 1j) == pytest.approx(1j)
-
-    def test_even_kernel(self):
-        f = rational_from_coefficients([1.0], [1.0, 0.0, -1.0])  # 1/(1 - z^2)
-        assert rational_eval(f, 0.0) == pytest.approx(1.0)
 
     def test_two_atom_transform(self):
         K = cauchy_rational_line(TWO_SYM)  # x / (1 - x^2)
@@ -43,61 +40,19 @@ class TestRationalEval:
         with pytest.raises(PoleError):
             rational_eval(K, 0.0)
 
-    def test_pf_matches_coefficients(self, rng):
-        mu = LineAtomicMeasure.from_atoms(
-            [(float(t), float(m)) for t, m in zip(np.linspace(-1, 1, 5),
-                                                  rng.uniform(0.1, 1, 5))])
-        K = cauchy_rational_line(mu)
-        bare = rational_from_coefficients(K.num, K.den, check_reduced=False)
-        for z in (2.3, 1j, -0.7 + 0.4j):
-            assert rational_eval(K, z) == pytest.approx(rational_eval(bare, z),
-                                                        rel=1e-10)
-
-
-class TestRationalDerivative:
-    def test_reciprocal(self):
-        f = rational_from_coefficients([-1.0], [0.0, 1.0])
-        df = rational_derivative(f)  # 1/z^2
-        assert rational_eval(df, 2.0) == pytest.approx(0.25)
-
-    def test_polynomial(self):
-        f = rational_from_coefficients([0.0, 0.0, 1.0], [1.0])
-        df = rational_derivative(f)  # 2z
-        assert rational_eval(df, 3.0) == pytest.approx(6.0)
-
-    def test_geometric(self):
-        f = rational_from_coefficients([1.0], [1.0, -1.0])
-        df = rational_derivative(f)  # 1/(1-z)^2
-        assert rational_eval(df, 0.5) == pytest.approx(4.0)
-
-    def test_finite_differences(self, rng):
-        mu = LineAtomicMeasure.from_atoms(
-            [(float(t), float(m)) for t, m in zip(np.linspace(-1, 1, 4),
-                                                  rng.uniform(0.1, 1, 4))])
-        K = cauchy_rational_line(mu)
-        dK = rational_derivative(K)
-        h = 1e-5
-        for _ in range(20):
-            z = complex(rng.uniform(-3, 3), rng.uniform(0.5, 3))
-            fd = (rational_eval(K, z + h) - rational_eval(K, z - h)) / (2 * h)
-            assert rational_eval(dK, z) == pytest.approx(fd, rel=1e-6)
-
 
 class TestRationalConstruction:
-    def test_common_root_rejected(self):
-        # (z - 1) / (z - 1)(z + 2)
-        with pytest.raises(ConstructionError):
-            rational_from_coefficients([-1.0, 1.0], [-2.0, 1.0, 1.0])
-
-    def test_polynomials_accepted(self):
-        # derivative results may be plain polynomials
-        f = rational_from_coefficients([0.0, 0.0, 1.0], [1.0])
-        assert rational_eval(f, 3.0) == pytest.approx(9.0)
-
-    def test_monic_normalization(self):
-        f = rational_from_coefficients([2.0], [4.0, 2.0])
-        assert f.den[-1] == 1.0
-        assert rational_eval(f, 0.0) == pytest.approx(0.5)
+    def test_pole_form_validated(self):
+        for nodes, weights in [((0.0, 0.0), (0.5, 0.5)),
+                               ((1.0, 0.0), (0.5, 0.5)),
+                               ((0.0, math.inf), (0.5, 0.5)),
+                               ((math.nan,), (1.0,)),
+                               ((0.0,), (0.0,)),
+                               ((0.0,), (math.nan,)),
+                               ((0.0, 1.0), (1.0,)),
+                               ((), ())]:
+            with pytest.raises(ConstructionError):
+                HerglotzRational(nodes, weights)
 
 
 class TestBlaschke:
@@ -303,13 +258,17 @@ class TestCayley:
                                                   rng.uniform(0.2, 1, 4))])
         J = cauchy_rational_line(mu)
         back = cayley_inverse(cayley_transfer(J))
-        assert np.asarray(back.num) == pytest.approx(np.asarray(J.num), abs=1e-10)
-        assert np.asarray(back.den) == pytest.approx(np.asarray(J.den), abs=1e-10)
+        assert back.nodes == pytest.approx(J.nodes, abs=1e-10)
+        assert back.weights == pytest.approx(J.weights, abs=1e-10)
 
     def test_non_herglotz_rejected(self):
-        antiherglotz = rational_from_coefficients([1.0], [0.0, 1.0])  # 1/z
+        with pytest.raises(ConstructionError):
+            HerglotzRational((0.0,), (-1.0,))  # 1/z
+
+    def test_inverse_needs_unit_value_at_infinity(self):
+        # (z - i)/(z + i) times -1 is -1 at infinity: J would have a pole there
         with pytest.raises(DomainError):
-            cayley_transfer(antiherglotz)
+            cayley_inverse(HalfPlaneInner(BlaschkeProduct((0j,), -1.0)))
 
     def test_level_set_relabeling(self):
         # secular root of the scalar model at lam = 3 is {3}

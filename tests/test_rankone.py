@@ -7,8 +7,8 @@ import pytest
 from clarklab.errors import ConstructionError, DomainError, PoleError
 from clarklab.herglotz import (BlaschkeProduct, blaschke_eval,
                                boundary_derivative_modulus,
-                               cauchy_rational_line, coupling_to_alpha,
-                               halfplane_level_set, rational_from_coefficients)
+                               cauchy_rational_line, cayley_transfer,
+                               coupling_to_alpha, halfplane_level_set)
 from clarklab.measures import (BorelSetSpec, LineAtomicMeasure,
                                cauchy_transform_disk, poisson_integral_disk,
                                total_mass)
@@ -20,14 +20,14 @@ from clarklab.rankone import (ClarkFamily, CyclicOperatorModel,
                               matrix_oracle_selfadjoint, matrix_oracle_unitary,
                               model_from_json_dict, model_to_json_dict,
                               perturb_selfadjoint, perturb_unitary,
-                              simon_wolff_classify, spectral_measure,
-                              verify_clark_correspondence)
-from clarklab.scenarios import random_model
+                              simon_wolff_classify, spectral_measure)
+from clarklab.scenarios import CHECKS, DEFAULT_TOLERANCES, random_model
 
 SCALAR_LINE = CyclicOperatorModel.from_data("line", [0.0], [1.0])
 TWO_LINE = CyclicOperatorModel.from_data("line", [-1.0, 1.0], [0.5, 0.5])
 SCALAR_CIRCLE = CyclicOperatorModel.from_data("circle", [0.0], [1.0])
 TWO_CIRCLE = CyclicOperatorModel.from_data("circle", [0.0, math.pi], [0.5, 0.5])
+DELTA0 = LineAtomicMeasure.from_atoms([(0.0, 1.0)])
 Z1 = BlaschkeProduct((0j,), 1.0)
 Z2 = BlaschkeProduct((0j, 0j), 1.0)
 
@@ -71,18 +71,18 @@ class TestAronszajnKrein:
 
     def test_scalar_shift(self):
         # K0 = -1/z perturbs to the transform of a point mass at lam
-        K0 = rational_from_coefficients([-1.0], [0.0, 1.0])
+        K0 = cauchy_rational_line(DELTA0)
         for lam in (2.0, -0.7):
             for z in (1j, 0.5 + 0.2j):
                 assert aronszajn_krein_eval(K0, lam, z) == pytest.approx(
                     1.0 / (lam - z), rel=1e-13)
 
     def test_worked_value(self):
-        K0 = rational_from_coefficients([-1.0], [0.0, 1.0])
+        K0 = cauchy_rational_line(DELTA0)
         assert aronszajn_krein_eval(K0, 2.0, 1j) == pytest.approx((2 + 1j) / 5)
 
     def test_pole(self):
-        K0 = rational_from_coefficients([-1.0], [0.0, 1.0])
+        K0 = cauchy_rational_line(DELTA0)
         # 1 + lam*K0(z) = 0 at z = lam
         with pytest.raises((PoleError, ZeroDivisionError)):
             aronszajn_krein_eval(K0, 2.0, 2.0)
@@ -110,10 +110,13 @@ class TestPerturbSelfadjoint:
             assert total_mass(perturb_selfadjoint(TWO_LINE, lam)) == pytest.approx(
                 1.0, abs=1e-10)
 
-    @pytest.mark.parametrize("n", [2, 8, 32])
-    @pytest.mark.parametrize("lam", [0.1, -1.0, 10.0])
+    @pytest.mark.parametrize("n", [2, 8, 32, 192, 256, 512])
+    @pytest.mark.parametrize("lam", [0.1, -0.1, 1.0, -1.0, 10.0, -10.0])
     def test_oracle_equivalence(self, n, lam):
-        for seed in range(3):
+        # At N=192 the seeds 10**6 + 49 and 10**6 + 111 give node polynomials
+        # whose monomial coefficients exceed 1e14 times the leading one, so a
+        # coefficient form of the transform cannot represent them.
+        for seed in (0, 1, 2, 10**6 + 49, 10**6 + 111):
             model = random_model(seed, n, "line")
             got = perturb_selfadjoint(model, lam)
             want = matrix_oracle_selfadjoint(model, lam)
@@ -152,6 +155,16 @@ class TestInnerFromUnitary:
             assert cauchy_transform_disk(nu, z) * (
                 1.0 - blaschke_eval(theta, z)) == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize("n", [16, 32, 48, 128])
+    def test_defining_identity_at_scale(self, n):
+        zs = 0.9 * np.exp(2j * np.pi * np.arange(32) / 32.0)
+        for seed in range(3):
+            model = random_model(seed, n, "circle")
+            theta = inner_from_unitary(model)
+            nu = spectral_measure(model)
+            k = np.array([cauchy_transform_disk(nu, z) for z in zs])
+            assert np.max(np.abs(k * (1.0 - blaschke_eval(theta, zs)) - 1.0)) <= 1e-10
+
     def test_line_model_rejected(self):
         with pytest.raises(DomainError):
             inner_from_unitary(TWO_LINE)
@@ -185,6 +198,19 @@ class TestPerturbUnitary:
                 assert dm < 1e-8
                 assert total_mass(got) == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize("n", [16, 32, 48])
+    def test_clark_and_perturb_against_dense_oracle(self, n, rng):
+        for seed in range(3):
+            model = random_model(seed, n, "circle")
+            theta = inner_from_unitary(model)
+            for alpha in np.exp(2j * np.pi * rng.uniform(0, 1, 4)):
+                want = matrix_oracle_unitary(model, alpha)
+                for got in (clark_measure(theta, alpha),
+                            perturb_unitary(model, alpha)):
+                    da, dm = circle_measure_deviation(got, want)
+                    assert da <= 1e-9
+                    assert dm <= 1e-8
+
 
 class TestInnerFromSelfadjoint:
     def test_scalar_transfer(self):
@@ -210,6 +236,18 @@ class TestInnerFromSelfadjoint:
             atoms = perturb_selfadjoint(model, lam).positions
             pts = halfplane_level_set(hp, coupling_to_alpha(lam))
             assert np.sort(pts) == pytest.approx(np.asarray(atoms), abs=1e-8)
+
+    @pytest.mark.parametrize("n", [24, 32, 64])
+    def test_transfer_against_dense_oracle(self, n):
+        # Evaluates hp at the oracle's eigenvalues, so the half-plane level
+        # set (a separate root finder) is not under test here.
+        for seed in range(3):
+            model = random_model(seed, n, "line")
+            hp = cayley_transfer(cauchy_rational_line(spectral_measure(model)))
+            phi = model.cyclic_vector()
+            for lam in (0.1, -0.1, 1.0, -1.0, 10.0, -10.0):
+                x = np.linalg.eigvalsh(np.diag(model.sites) + lam * np.outer(phi, phi))
+                assert np.max(np.abs(hp.eval(x) - coupling_to_alpha(lam))) <= 1e-8
 
 
 class TestClarkMeasure:
@@ -283,25 +321,34 @@ class TestClarkFamily:
 
 
 class TestCorrespondence:
-    def test_scalar(self):
-        report = verify_clark_correspondence(SCALAR_CIRCLE, [1j])
-        assert report["pass"]
-        assert report["max_atom_deviation"] < 1e-12
+    """Clark family vs. unitary perturbation vs. dense oracle, through the
+    scenario check that verify-all runs."""
 
-    def test_two_atom_random_alphas(self, rng):
-        alphas = np.exp(2j * np.pi * rng.uniform(0, 1, 16))
-        report = verify_clark_correspondence(TWO_CIRCLE, alphas,
-                                             include_oracle=True)
-        assert report["pass"]
-        assert report["max_atom_deviation"] < 1e-9
+    @staticmethod
+    def _records(model, alpha_count):
+        spec = {"models": [model_to_json_dict(model)], "alpha_count": alpha_count}
+        records = CHECKS["clark_correspondence"](7, 0, spec, DEFAULT_TOLERANCES)
+        return {rec.check: rec for rec in records}
+
+    def test_scalar(self):
+        recs = self._records(SCALAR_CIRCLE, 1)
+        assert all(rec.passed for rec in recs.values())
+        assert recs["clark_correspondence.atoms"].observed < 1e-12
+
+    def test_two_atom_random_alphas(self):
+        recs = self._records(TWO_CIRCLE, 16)
+        assert all(rec.passed for rec in recs.values())
+        assert recs["clark_correspondence.atoms"].observed < 1e-9
 
     def test_mass_sums(self, rng):
         model = random_model(31, 16, "circle")
-        alphas = np.exp(2j * np.pi * rng.uniform(0, 1, 8))
-        report = verify_clark_correspondence(model, alphas, include_oracle=True)
-        for entry in report["per_alpha"]:
-            for s in entry["mass_sums"]:
-                assert s == pytest.approx(1.0, abs=1e-9)
+        recs = self._records(model, 8)
+        assert all(rec.passed for rec in recs.values())
+        theta = inner_from_unitary(model)
+        for alpha in np.exp(2j * np.pi * rng.uniform(0, 1, 8)):
+            for mu in (clark_measure(theta, alpha), perturb_unitary(model, alpha),
+                       matrix_oracle_unitary(model, alpha)):
+                assert total_mass(mu) == pytest.approx(1.0, abs=1e-9)
 
 
 class TestDisintegrationLine:
