@@ -12,9 +12,10 @@ the alpha-perturbed operator).
 Root finding is correctness-first: the secular equation on the line uses
 monotone bisection with virtual endpoint signs (the transform has a pole of
 known sign at each atom, so intervals never need endpoint evaluation),
-followed by Newton polish; boundary level sets of Blaschke products start
-from companion-matrix eigenvalues and polish with Newton on the circle,
-where the angular derivative is an explicit positive sum of Poisson kernels.
+followed by Newton polish.  Boundary level sets of a Blaschke product are
+the spectra of unitaries built from its unitary realization, polished by
+Newton in the boundary angle (whose derivative is an explicit positive sum of
+Poisson kernels) and checked against the branches of the boundary phase.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .errors import (ConstructionError, DomainError, PoleError, ResidueError,
                      RootFindingError)
@@ -113,6 +113,23 @@ class BlaschkeProduct:
         return len(self.zeros)
 
 
+# 0 is not an anchor: theta(0) = 0 is common.
+_ANCHORS = (0.37 + 0.11j, 0.21 - 0.33j, -0.29 + 0.17j, 0.05 + 0.41j)
+
+
+def _blaschke_with_value(zeros, value_at) -> BlaschkeProduct:
+    """The Blaschke product with these zeros whose value at the first anchor
+    w0 clear of them is value_at(w0), up to normalizing |c| = 1."""
+    zeros = np.asarray(zeros, dtype=complex)
+    for w0 in _ANCHORS:
+        if np.min(np.abs(zeros - w0)) > 1e-6:
+            break
+    else:
+        raise ConstructionError("no anchor point clear of the Blaschke zeros")
+    c = complex(value_at(w0)) / complex(_blaschke_eval_array(zeros, 1.0, w0))
+    return BlaschkeProduct(tuple(zeros), c / abs(c))
+
+
 def _blaschke_eval_array(zeros, c, z):
     z = np.asarray(z, dtype=complex)
     out = np.full(z.shape, c, dtype=complex)
@@ -170,17 +187,6 @@ def boundary_derivative_modulus(theta: BlaschkeProduct, xi):
     return out
 
 
-def blaschke_numerator_denominator(theta: BlaschkeProduct
-                                   ) -> tuple[np.ndarray, np.ndarray]:
-    """theta = P/Q with P = c prod(z - z_j), Q = prod(1 - conj(z_j) z)."""
-    p = np.array([theta.c], dtype=complex)
-    q = np.array([1.0], dtype=complex)
-    for zj in theta.zeros:
-        p = npoly.polymul(p, np.array([-zj, 1.0]))
-        q = npoly.polymul(q, np.array([1.0, -np.conj(zj)]))
-    return p, q
-
-
 def blaschke_to_json_dict(theta: BlaschkeProduct) -> dict:
     return {"zeros": [[z.real, z.imag] for z in theta.zeros],
             "c": [theta.c.real, theta.c.imag]}
@@ -199,66 +205,90 @@ def _require_unimodular(alpha: complex, tol: float = 1e-9) -> complex:
     return alpha / abs(alpha)
 
 
-def _companion_stack(coeffs: np.ndarray) -> np.ndarray:
-    """Companion matrices for a stack of ascending coefficient rows."""
-    m, deg1 = coeffs.shape
-    n = deg1 - 1
-    comp = np.zeros((m, n, n), dtype=complex)
-    idx = np.arange(n - 1)
-    comp[:, idx + 1, idx] = 1.0
-    comp[:, :, -1] = -coeffs[:, :-1] / coeffs[:, -1:]
-    return comp
+# Newton stops at |theta(xi) - alpha| <= max(1e-12, 4 eps (N + 2 pi |theta'|)):
+# rounding of the N-factor product plus theta's change over one ulp of angle.
+_LEVEL_SET_TOL = 1e-12
+_LEVEL_SET_MAX_NEWTON = 50
 
 
-def level_set_batch(theta: BlaschkeProduct, alphas, polish_tol: float = 1e-12,
-                    max_newton: int = 50) -> np.ndarray:
+def _unitary_realization(theta: BlaschkeProduct):
+    """(A, B, C, D) with theta(z) = D + z C (I - z A)^{-1} B and the block
+    matrix [[A, B], [C, D]] unitary: a cascade of one unitary section per
+    zero, in stored order."""
+    n = theta.degree
+    a_mat = np.zeros((n, n), dtype=complex)
+    b = np.zeros(n, dtype=complex)
+    c = np.zeros(n, dtype=complex)
+    d = 1.0 + 0.0j
+    for k, ak in enumerate(theta.zeros):
+        sk = math.sqrt(1.0 - abs(ak) ** 2)
+        a_mat[k, :k] = sk * c[:k]
+        a_mat[k, k] = ak.conjugate()
+        b[k] = sk * d
+        c[:k] *= -ak
+        c[k] = sk
+        d *= -ak
+    return a_mat, b, theta.c * c, theta.c * d
+
+
+def level_set_batch(theta: BlaschkeProduct, alphas) -> np.ndarray:
     """Boundary level sets {theta = alpha} for many alphas at once.
 
     Returns an (len(alphas), degree) array of unimodular points, each row
-    sorted by angle.  Roots come from companion-matrix eigenvalues of
-    P - alpha Q and are polished by Newton in the boundary angle; the
-    iteration divides by |theta'| which is strictly positive on the circle.
+    sorted by angle.  theta(xi) = alpha exactly when conj(xi) is an
+    eigenvalue of the unitary W = A + B C / (alpha - D) of the unitary
+    realization (|D| = |theta(0)| < 1).  The eigenvalues are polished by
+    Newton in the boundary angle, dividing by |theta'| > 0.  The boundary
+    phase arg c + N t - 2 sum_j arg(1 - conj(z_j) e^{it}) increases by
+    2 pi N over [0, 2 pi), so the sorted points must lie in N consecutive
+    branches of it; a repeated or missing point raises RootFindingError.
     """
     if theta.degree == 0:
         raise DomainError("level sets need a nonconstant inner function")
     alphas = np.asarray([_require_unimodular(a) for a in np.atleast_1d(alphas)],
                         dtype=complex)
-    p, q = blaschke_numerator_denominator(theta)
-    n = theta.degree
-    coeffs = np.zeros((alphas.size, n + 1), dtype=complex)
-    coeffs[:, : p.size] = p
-    coeffs[:, : q.size] -= alphas[:, None] * q
-    roots = np.linalg.eigvals(_companion_stack(coeffs))
-    t = np.angle(roots)
+    a_mat, b, c, d = _unitary_realization(theta)
+    w = a_mat + np.outer(b, c) / (alphas - d)[:, None, None]
+    t = -np.angle(np.linalg.eigvals(w))
 
-    converged = np.zeros(t.shape, dtype=bool)
-    for _ in range(max_newton):
+    n = theta.degree
+    for _ in range(_LEVEL_SET_MAX_NEWTON):
         xi = np.exp(1j * t)
         vals = _blaschke_eval_array(theta.zeros, theta.c, xi)
-        resid = np.angle(np.conj(alphas)[:, None] * vals)
-        converged = np.abs(vals - alphas[:, None]) <= polish_tol
+        deriv = boundary_derivative_modulus(theta, xi)
+        resid = np.abs(vals - alphas[:, None])
+        floor = np.maximum(_LEVEL_SET_TOL, 4.0 * np.finfo(float).eps
+                           * (n + 2.0 * math.pi * deriv))
+        converged = resid <= floor
         if np.all(converged):
             break
-        deriv = boundary_derivative_modulus(theta, xi)
-        step = np.where(converged, 0.0, resid / deriv)
-        t = t - step
+        step = np.angle(np.conj(alphas)[:, None] * vals) / deriv
+        t = t - np.where(converged, 0.0, step)
     else:
-        xi = np.exp(1j * t)
-        vals = _blaschke_eval_array(theta.zeros, theta.c, xi)
-        worst = np.max(np.abs(vals - alphas[:, None]))
-        if worst > 1e-9:
-            raise RootFindingError(
-                f"level-set Newton polish stalled at residual {worst:.3e}")
+        worst = np.unravel_index(np.argmax(resid / floor), resid.shape)
+        raise RootFindingError(
+            f"level-set Newton polish stalled at residual {resid[worst]:.3e} "
+            f"(floor {floor[worst]:.3e}) for degree {n}")
 
+    t = np.sort(t % (2.0 * math.pi), axis=1)
     xi = np.exp(1j * t)
-    order = np.argsort(np.angle(xi) % (2.0 * math.pi), axis=1)
-    return np.take_along_axis(xi, order, axis=1)
+    phase = np.angle(theta.c) + n * t - np.angle(alphas)[:, None]
+    for zj in theta.zeros:
+        phase -= 2.0 * np.angle(1.0 - np.conj(zj) * xi)
+    branch = np.round(phase / (2.0 * math.pi))
+    gaps = np.diff(branch, axis=1) != 1.0
+    if np.any(gaps):
+        row, k = np.argwhere(gaps)[0]
+        raise RootFindingError(
+            f"degree-{n} level set at alpha = {alphas[row]:.6f}: consecutive "
+            f"points lie in phase branches {int(branch[row, k])} and "
+            f"{int(branch[row, k + 1])}; each branch must hold one point")
+    return xi
 
 
-def level_set(theta: BlaschkeProduct, alpha: complex,
-              polish_tol: float = 1e-12) -> np.ndarray:
+def level_set(theta: BlaschkeProduct, alpha: complex) -> np.ndarray:
     """All degree(theta) boundary solutions of theta(xi) = alpha, sorted by angle."""
-    return level_set_batch(theta, [alpha], polish_tol=polish_tol)[0]
+    return level_set_batch(theta, [alpha])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -448,19 +478,11 @@ def cayley_transfer(J: HerglotzRational) -> HalfPlaneInner:
                           "the upper half-plane")
     ws = (zs - 1j) / (zs + 1j)
 
-    for w0 in (0.0, 1.0 / 3.0, -1.0 / 3.0, 1j / 3.0, 0.2 + 0.1j):
-        if np.min(np.abs(ws - w0)) > 1e-6:
-            anchor = complex(w0)
-            break
-    else:
-        raise ConstructionError("no anchor point clear of the Blaschke zeros")
-    z0 = 1j * (1.0 + anchor) / (1.0 - anchor)
-    jz0 = rational_eval(J, z0)
-    target = (1.0 + 1j * jz0) / (1.0 - 1j * jz0)
-    bare = np.prod((anchor - ws) / (1.0 - np.conj(ws) * anchor))
-    c = target / bare
-    c /= abs(c)
-    return HalfPlaneInner(BlaschkeProduct(tuple(ws), complex(c)))
+    def value_at(w0):
+        jz0 = rational_eval(J, 1j * (1.0 + w0) / (1.0 - w0))
+        return (1.0 + 1j * jz0) / (1.0 - 1j * jz0)
+
+    return HalfPlaneInner(_blaschke_with_value(ws, value_at))
 
 
 def cayley_inverse(hp: HalfPlaneInner) -> HerglotzRational:
@@ -489,13 +511,8 @@ def halfplane_level_set(hp: HalfPlaneInner, alpha: complex) -> np.ndarray:
     appears only for alpha = hp(infinity)).
     """
     pts = level_set(hp.disk, alpha)
-    xs = []
-    for xi in pts:
-        if abs(xi - 1.0) <= 1e-9:
-            continue
-        x = 1j * (1.0 + xi) / (1.0 - xi)
-        xs.append(x.real)
-    return np.sort(np.asarray(xs))
+    pts = pts[np.abs(pts - 1.0) > 1e-9]
+    return np.sort((1j * (1.0 + pts) / (1.0 - pts)).real)
 
 
 def coupling_to_alpha(lam: float) -> complex:

@@ -31,6 +31,7 @@ import scipy.linalg
 
 from .errors import (ConstructionError, DomainError, PoleError, ResidueError)
 from .herglotz import (BlaschkeProduct, HalfPlaneInner, HerglotzRational,
+                       _blaschke_with_value, _require_unimodular,
                        blaschke_eval, boundary_derivative_modulus,
                        cauchy_rational_line, cauchy_zeros_line,
                        cayley_transfer, level_set, level_set_batch,
@@ -228,29 +229,10 @@ def inner_from_unitary(model: CyclicOperatorModel,
     nu1 = spectral_measure(model)
     roots = np.linalg.eigvals(rank_one_unitary_update(
         model.dense(), model.cyclic_vector(), 0.0))
-    zeros = []
-    for r in roots:
-        if abs(r) <= 1e-10:
-            r = 0.0 + 0.0j
-        if abs(r) > 1.0 - 1e-12:
-            raise ConstructionError(
-                f"inner-function zero {r} escaped the open disk")
-        zeros.append(complex(r))
-
-    anchor = None
-    for z0 in (0.37 + 0.11j, 0.21 - 0.33j, -0.29 + 0.17j, 0.05 + 0.41j):
-        if min(abs(z0 - zj) for zj in zeros) > 1e-6:
-            anchor = z0
-            break
-    if anchor is None:
-        raise ConstructionError("no anchor point clear of the zeros")
-    target = 1.0 - 1.0 / cauchy_transform_disk(nu1, anchor)
-    bare = 1.0 + 0.0j
-    for zj in zeros:
-        bare *= (anchor - zj) / (1.0 - np.conj(zj) * anchor)
-    c = target / bare
-    c /= abs(c)
-    theta = BlaschkeProduct(tuple(zeros), complex(c))
+    # BlaschkeProduct rejects a zero that escaped the open disk.
+    zeros = np.where(np.abs(roots) <= 1e-10, 0.0, roots)
+    theta = _blaschke_with_value(
+        zeros, lambda w0: 1.0 - 1.0 / cauchy_transform_disk(nu1, w0))
 
     sample = 0.6 * np.exp(2j * np.pi * np.arange(16) / 16.0)
     kvals = np.array([cauchy_transform_disk(nu1, z) for z in sample])
@@ -295,10 +277,7 @@ def perturb_unitary(model: CyclicOperatorModel, alpha: complex
     """
     if model.kind != "circle":
         raise DomainError("unitary perturbation needs a circle model")
-    alpha = complex(alpha)
-    if abs(abs(alpha) - 1.0) > 1e-9:
-        raise DomainError(f"|alpha| = {abs(alpha)} is not unimodular")
-    alpha /= abs(alpha)
+    alpha = _require_unimodular(alpha)
     nu1 = spectral_measure(model)
     if abs(alpha - 1.0) < 1e-14:
         return nu1

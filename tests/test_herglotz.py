@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from clarklab.errors import (ConstructionError, DomainError, PoleError)
+from clarklab.errors import (ConstructionError, DomainError, PoleError,
+                             RootFindingError)
 from clarklab.herglotz import (BlaschkeProduct, HalfPlaneInner,
                                HerglotzRational,
                                alpha_to_coupling, blaschke_eval,
@@ -19,6 +20,9 @@ from clarklab.herglotz import (BlaschkeProduct, HalfPlaneInner,
                                level_set_batch, rational_eval,
                                residue_masses_line, secular_roots_line)
 from clarklab.measures import LineAtomicMeasure
+from clarklab.rankone import (inner_from_unitary, rank_one_unitary_update,
+                              spectral_measure)
+from clarklab.scenarios import random_model
 
 from conftest import line_measures
 
@@ -136,6 +140,32 @@ class TestLevelSet:
     def test_constant_rejected(self):
         with pytest.raises(DomainError):
             level_set(BlaschkeProduct((), 1.0), 1.0)
+
+    def test_repeated_phase_branch_rejected(self, monkeypatch):
+        # Two eigenvalue starts on one point polish to one root: the level
+        # set then misses a branch of the boundary phase and must raise.
+        eigvals = np.linalg.eigvals
+
+        def doubled(a):
+            lam = eigvals(a)
+            lam[..., 1] = lam[..., 0]
+            return lam
+
+        monkeypatch.setattr(np.linalg, "eigvals", doubled)
+        theta = BlaschkeProduct((0.3 + 0.2j, -0.5j, 0.1, -0.6 + 0.1j), 1j)
+        with pytest.raises(RootFindingError, match="phase branch"):
+            level_set(theta, cmath.exp(0.7j))
+
+    def test_degree_512_against_dense_eigenvalues(self):
+        # |theta'| reaches 1e8 here, so most points cannot get within 1e-12
+        # of alpha in binary64; the polish stops at the attainable floor.
+        model = random_model(0, 512, "circle")
+        alpha = cmath.exp(2.1j)
+        got = np.angle(level_set(inner_from_unitary(model), alpha)) % (2 * np.pi)
+        want = np.sort(np.angle(np.linalg.eigvals(rank_one_unitary_update(
+            model.dense(), model.cyclic_vector(), alpha))) % (2 * np.pi))
+        dist = np.abs(got - want)
+        assert np.max(np.minimum(dist, 2 * np.pi - dist)) <= 1e-9
 
 
 class TestSecular:
@@ -256,10 +286,13 @@ class TestCayley:
         mu = LineAtomicMeasure.from_atoms(
             [(float(t), float(m)) for t, m in zip(np.linspace(-1, 1, 4),
                                                   rng.uniform(0.2, 1, 4))])
-        J = cauchy_rational_line(mu)
-        back = cayley_inverse(cayley_transfer(J))
-        assert back.nodes == pytest.approx(J.nodes, abs=1e-10)
-        assert back.weights == pytest.approx(J.weights, abs=1e-10)
+        measures = [mu] + [spectral_measure(random_model(seed, n, "line"))
+                           for n in (4, 24, 64, 256) for seed in range(3)]
+        for mu in measures:
+            J = cauchy_rational_line(mu)
+            back = cayley_inverse(cayley_transfer(J))
+            assert back.nodes == pytest.approx(J.nodes, abs=1e-10)
+            assert back.weights == pytest.approx(J.weights, abs=1e-10)
 
     def test_non_herglotz_rejected(self):
         with pytest.raises(ConstructionError):

@@ -1,5 +1,7 @@
 """Library checks raise typed errors; none may rely on ``assert``, which
-``python -O`` strips."""
+``python -O`` strips.  Transforms and inner functions are held in pole or
+zero form only; monomial coefficients misrepresent high-degree roots, so the
+library forms none."""
 
 import ast
 from pathlib import Path
@@ -15,4 +17,29 @@ def test_no_assert_in_library():
         tree = ast.parse(path.read_text(), filename=str(path))
         offenders += [f"{path.relative_to(PACKAGE)}:{node.lineno}"
                       for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert offenders == []
+
+
+MONOMIAL = {"roots", "poly", "polyval", "polynomial"}
+
+
+def test_no_monomial_coefficients_in_library():
+    offenders = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                bad = any(a.name.startswith("numpy.polynomial") for a in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                bad = (node.module or "").startswith("numpy.polynomial") or (
+                    node.module == "numpy"
+                    and any(a.name in MONOMIAL for a in node.names))
+            elif isinstance(node, ast.Call):
+                f = node.func
+                bad = (isinstance(f, ast.Attribute) and f.attr in MONOMIAL
+                       and isinstance(f.value, ast.Name)
+                       and f.value.id in ("np", "numpy"))
+            else:
+                bad = False
+            if bad:
+                offenders.append(f"{path.relative_to(PACKAGE)}:{node.lineno}")
     assert offenders == []

@@ -198,7 +198,7 @@ class TestPerturbUnitary:
                 assert dm < 1e-8
                 assert total_mass(got) == pytest.approx(1.0, abs=1e-10)
 
-    @pytest.mark.parametrize("n", [16, 32, 48])
+    @pytest.mark.parametrize("n", [16, 32, 48, 64, 128])
     def test_clark_and_perturb_against_dense_oracle(self, n, rng):
         for seed in range(3):
             model = random_model(seed, n, "circle")
@@ -248,6 +248,18 @@ class TestInnerFromSelfadjoint:
             for lam in (0.1, -0.1, 1.0, -1.0, 10.0, -10.0):
                 x = np.linalg.eigvalsh(np.diag(model.sites) + lam * np.outer(phi, phi))
                 assert np.max(np.abs(hp.eval(x) - coupling_to_alpha(lam))) <= 1e-8
+
+    @pytest.mark.parametrize("n", [24, 64, 128])
+    def test_level_set_against_dense_oracle(self, n):
+        for seed in range(3):
+            model = random_model(seed, n, "line")
+            hp = inner_from_selfadjoint(model)
+            phi = model.cyclic_vector()
+            for lam in (0.1, -0.1, 1.0, -1.0, 10.0, -10.0):
+                x = np.linalg.eigvalsh(np.diag(model.sites) + lam * np.outer(phi, phi))
+                pts = halfplane_level_set(hp, coupling_to_alpha(lam))
+                assert pts.shape == x.shape
+                assert np.all(np.abs(pts - x) <= 1e-8 * (1.0 + np.abs(x)))
 
 
 class TestClarkMeasure:
