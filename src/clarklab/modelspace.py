@@ -11,10 +11,14 @@ which is orthonormal in closed form (repeated zeros give the confluent
 variant automatically) and reduces to the monomials {1, z, ..., z^{N-1}}
 when theta = z^N.
 
-Inner products are boundary means over a uniform grid whose size is chosen
-from the decay rate of the integrands' Fourier tails (set by the largest
-zero modulus), so they are spectrally exact; the Gram matrix is verified to
-be the identity at construction.
+Inner products need no boundary grid.  With Theta = theta^2 (degree 2N),
+Clark's theorem makes the normalized boundary kernels at a level set
+{Theta = beta} an orthonormal basis of K_Theta, with ||k_eta||^2 = |Theta'(eta)|
+(D. Clark, J. Anal. Math. 25, 1972).  So the 2N-node quadrature
+<p, q> = sum_eta p(eta) conj(q(eta)) / |Theta'(eta)| is exact for p, q in
+K_Theta.  That covers every use here: K_theta, theta * K_theta and the
+product of two elements of K_theta all lie in K_Theta.  The basis Gram
+matrix is verified to be the identity in this quadrature at construction.
 
 The operator content:
 
@@ -44,8 +48,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstructionError, DomainError, ResidueError
-from .herglotz import (BlaschkeProduct, blaschke_eval, blaschke_to_json_dict,
-                       boundary_derivative_modulus)
+from .herglotz import (BlaschkeProduct, _unitary_realization, blaschke_eval,
+                       blaschke_to_json_dict, boundary_derivative_modulus,
+                       level_set)
 from .measures import CircleAtomicMeasure, TWO_PI
 from .rankone import clark_measure
 
@@ -70,38 +75,26 @@ def tm_basis_values(zeros: tuple[complex, ...], z) -> np.ndarray:
     return out
 
 
-def _auto_grid_size(zeros) -> int:
-    rho = max((abs(z) for z in zeros), default=0.0)
-    if rho < 0.5:
-        return 512
-    need = math.log(1e-15 * (1.0 - rho)) / math.log(rho)
-    return int(min(1 << 22, max(512, 1 << int(need).bit_length())))
-
-
 @dataclass(frozen=True)
 class ModelSpace:
-    """Immutable model-space context: basis data on a boundary grid."""
+    """Immutable model-space context: basis data at the Clark nodes."""
 
     theta: BlaschkeProduct
     fingerprint: str
-    grid: np.ndarray          # (M,) unimodular grid points
-    basis: np.ndarray         # (N, M) boundary values of the TM basis
-    theta_values: np.ndarray  # (M,) boundary values of theta
+    grid: np.ndarray          # (2N,) nodes: the level set {theta^2 = -1}
+    weights: np.ndarray       # (2N,) 1 / |(theta^2)'| at the nodes
+    basis: np.ndarray         # (N, 2N) TM basis values at the nodes
+    theta_values: np.ndarray  # (2N,) theta at the nodes
     basis_at_zero: np.ndarray  # (N,)
 
     @property
     def dimension(self) -> int:
         return self.basis.shape[0]
 
-    # -- linear algebra over the boundary grid --------------------------------
-
-    def inner(self, f_vals: np.ndarray, g_vals: np.ndarray) -> complex:
-        """H^2 inner product <f, g> as a boundary mean."""
-        return complex(np.mean(f_vals * np.conj(g_vals)))
-
     def project(self, f_vals: np.ndarray) -> np.ndarray:
-        """Coefficients <f, e_k> of the model-space projection of f."""
-        return (self.basis.conj() @ f_vals) / self.grid.size
+        """Coefficients <f, e_k> from the values of f at the nodes; exact
+        for f in the model space of theta^2."""
+        return self.basis.conj() @ (self.weights * f_vals)
 
     def vector(self, coeffs) -> "ModelVector":
         coeffs = np.asarray(coeffs, dtype=complex)
@@ -145,27 +138,28 @@ class ModelVector:
         return math.sqrt(math.fsum(abs(c) ** 2 for c in self.coeffs))
 
 
-def build_model_space(theta: BlaschkeProduct, grid_size: int | None = None
-                      ) -> ModelSpace:
-    """Construct the model space of theta with a verified orthonormal basis."""
+def build_model_space(theta: BlaschkeProduct) -> ModelSpace:
+    """Construct the model space of theta with a verified orthonormal basis.
+
+    The nodes are the level set {theta^2 = -1} and the weights
+    1/|(theta^2)'| there (Clark's theorem; see the module docstring).
+    """
     if theta.degree < 1:
         raise DomainError("model space needs a nonconstant inner function")
-    m = grid_size or _auto_grid_size(theta.zeros)
-    for _ in range(3):
-        grid = np.exp(2j * np.pi * np.arange(m) / m)
-        basis = tm_basis_values(theta.zeros, grid)
-        gram = basis @ basis.conj().T / m
-        defect = float(np.max(np.abs(gram - np.eye(theta.degree))))
-        if defect <= GRAM_TOL:
-            theta_values = blaschke_eval(theta, grid)
-            at_zero = tm_basis_values(theta.zeros, np.array(0.0 + 0.0j))
-            return ModelSpace(theta=theta, fingerprint=theta_fingerprint(theta),
-                              grid=grid, basis=basis, theta_values=theta_values,
-                              basis_at_zero=at_zero.reshape(-1))
-        m *= 4
-    raise ConstructionError(
-        f"basis Gram defect {defect:.3e} > {GRAM_TOL} even at grid size {m // 4}; "
-        "zeros too close to the boundary")
+    square = BlaschkeProduct(theta.zeros + theta.zeros, theta.c ** 2)
+    nodes = level_set(square, -1.0)
+    weights = 1.0 / boundary_derivative_modulus(square, nodes)
+    basis = tm_basis_values(theta.zeros, nodes)
+    gram = (basis * weights) @ basis.conj().T
+    defect = float(np.max(np.abs(gram - np.eye(theta.degree))))
+    if defect > GRAM_TOL:
+        raise ConstructionError(
+            f"basis Gram defect {defect:.3e} > {GRAM_TOL} in the Clark quadrature")
+    at_zero = tm_basis_values(theta.zeros, np.array(0.0 + 0.0j))
+    return ModelSpace(theta=theta, fingerprint=theta_fingerprint(theta),
+                      grid=nodes, weights=weights, basis=basis,
+                      theta_values=blaschke_eval(theta, nodes),
+                      basis_at_zero=at_zero.reshape(-1))
 
 
 def vector_to_json_dict(vec: ModelVector) -> dict:
@@ -191,18 +185,17 @@ def t_alpha_matrix(ms: ModelSpace, alpha: complex,
 
     f -> z*(f - (f, theta/z) theta/z) + (f, theta/z) alpha in the TM basis.
     Requires theta(0) = 0 (so theta/z and the constants live in the space).
+    In the TM basis this is conj(A + B C / (alpha - D)) for the unitary
+    realization (A, B, C, D) of theta; its eigenvalues are the level set
+    {theta = alpha}.
     """
     _require_theta_vanishes_at_zero(ms)
     alpha = complex(alpha)
     if abs(abs(alpha) - 1.0) > 1e-9:
         raise DomainError(f"|alpha| = {abs(alpha)} is not unimodular")
     alpha /= abs(alpha)
-    m = ms.grid.size
-    shift = np.einsum("m,km,jm->jk", ms.grid, ms.basis, ms.basis.conj()) / m
-    backshifted = ms.theta_values / ms.grid
-    v = (ms.basis.conj() @ backshifted) / m
-    u = np.conj(ms.basis_at_zero)
-    t = shift + alpha * np.outer(u, np.conj(v))
+    a_mat, b, c, d = _unitary_realization(ms.theta)
+    t = np.conj(a_mat + np.outer(b, c) / (alpha - d))
     defect = np.linalg.norm(t.conj().T @ t - np.eye(ms.dimension), 2)
     if defect > unitarity_tol:
         raise ConstructionError(
@@ -214,28 +207,18 @@ def v_alpha(ms: ModelSpace, alpha: complex, values_at_atoms,
             mu: CircleAtomicMeasure | None = None) -> ModelVector:
     """Clark operator: values of f at the atoms of mu_alpha -> model vector.
 
-    The image is K(f mu_alpha) / K(mu_alpha) = K(f mu_alpha) * (1 - conj(alpha) theta);
-    near an atom the kernel/zero pair is evaluated by its analytic limit so
-    grid points may sit arbitrarily close to (or exactly on) an atom.
+    The image is K(f mu_alpha) / K(mu_alpha) = sum_j f_j m_j k_j with the
+    reproducing kernel k_j(z) = (1 - conj(alpha) theta(z)) / (1 - conj(xi_j) z)
+    of the model space at the atom xi_j, whose TM coefficients are
+    conj(e_k(xi_j)).
     """
     alpha = complex(alpha)
     mu = mu if mu is not None else clark_measure(ms.theta, alpha)
     vals = np.asarray(values_at_atoms, dtype=complex)
     if vals.shape != (len(mu),):
         raise DomainError(f"expected {len(mu)} atom values, got {vals.shape}")
-    atoms = mu.points()
-    masses = np.asarray(mu.masses)
-    one_minus = 1.0 - np.conj(alpha) * ms.theta_values
-    f_vals = np.zeros(ms.grid.size, dtype=complex)
-    for xi_j, m_j, f_j in zip(atoms, masses, vals):
-        den = 1.0 - np.conj(xi_j) * ms.grid
-        near = np.abs(den) < 1e-9
-        bracket = np.empty_like(den)
-        bracket[~near] = one_minus[~near] / den[~near]
-        if np.any(near):
-            bracket[near] = boundary_derivative_modulus(ms.theta, ms.grid[near])
-        f_vals += f_j * m_j * bracket
-    return ms.vector(ms.project(f_vals))
+    kernels = np.conj(tm_basis_values(ms.theta.zeros, mu.points()))
+    return ms.vector(kernels @ (vals * np.asarray(mu.masses)))
 
 
 def v_alpha_star(ms: ModelSpace, alpha: complex, vec: ModelVector,
@@ -249,21 +232,18 @@ def v_alpha_star(ms: ModelSpace, alpha: complex, vec: ModelVector,
 def intertwine_check(ms: ModelSpace, alpha: complex) -> float:
     """Spectral-norm residual of T_alpha = V_alpha Y_alpha V_alpha^*.
 
-    Y_alpha is multiplication by the atom positions on L^2(mu_alpha); the
-    Clark operator is assembled column by column from the normalized point
-    masses.
+    Y_alpha is multiplication by the atom positions on L^2(mu_alpha).  The
+    Clark operator sends the normalized point mass at the atom xi_j to the
+    normalized kernel sqrt(m_j) k_j (see ``v_alpha``), so its matrix has
+    columns sqrt(m_j) conj(e_k(xi_j)).
     """
     alpha = complex(alpha)
     mu = clark_measure(ms.theta, alpha)
     n = ms.dimension
     if len(mu) != n:
         raise ResidueError(f"Clark measure has {len(mu)} atoms, expected {n}")
-    masses = np.asarray(mu.masses)
-    v_mat = np.zeros((n, n), dtype=complex)
-    for j in range(n):
-        values = np.zeros(n, dtype=complex)
-        values[j] = 1.0 / math.sqrt(masses[j])
-        v_mat[:, j] = ms.coefficients(v_alpha(ms, alpha, values, mu=mu))
+    v_mat = (np.conj(tm_basis_values(ms.theta.zeros, mu.points()))
+             * np.sqrt(np.asarray(mu.masses)))
     y = np.diag(mu.points())
     t = t_alpha_matrix(ms, alpha)
     return float(np.linalg.norm(t - v_mat @ y @ v_mat.conj().T, 2))
@@ -279,8 +259,8 @@ def hat_conjugate(ms: ModelSpace, vec: ModelVector,
     return ms.vector(ms.project(ms.theta_values * np.conj(f_vals)))
 
 
-# Deterministic off-grid boundary samples for residual checks: a golden-angle
-# sequence never resonates with the uniform quadrature grid.
+# Deterministic boundary samples for residual checks: a golden-angle
+# sequence, independent of the Clark nodes the projections are computed at.
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -294,9 +274,10 @@ def lemma7_decompose(ms: ModelSpace, vec: ModelVector,
     """Split f0 * hat(f0) = g + theta * h with g, h in the model space.
 
     f0 = f - f(0).  The product lies in the model space of theta^2, which is
-    the orthogonal sum of the space and theta times it, so g and h are exact
-    orthogonal projections; the boundary identity is re-verified on 64
-    off-grid samples.
+    the orthogonal sum of the space and theta times it, so g and h are its
+    orthogonal projections, computed exactly by the Clark quadrature of
+    theta^2; the boundary identity is re-verified on 64 boundary samples
+    away from the nodes.
     """
     f0_coeff = ms.coefficients(vec) - ms.eval_vector(vec, 0.0) * np.conj(ms.basis_at_zero)
     f0 = ms.vector(f0_coeff)

@@ -26,6 +26,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import ConstructionError, CyclicityError, DomainError
 from .herglotz import BlaschkeProduct, blaschke_eval
@@ -69,15 +70,22 @@ def curve_sample(curve: AnalyticCurve, xi: complex) -> np.ndarray:
     return point
 
 
-def krylov_is_cyclic(matrix: np.ndarray, vector: np.ndarray,
-                     rel_tol: float = 1e-10) -> bool:
-    """Cyclicity via the Krylov matrix rank (smallest/largest singular value)."""
-    n = matrix.shape[0]
-    cols = [np.asarray(vector, dtype=complex)]
-    for _ in range(n - 1):
-        cols.append(matrix @ cols[-1])
-    s = np.linalg.svd(np.column_stack(cols), compute_uv=False)
-    return bool(s[-1] > rel_tol * s[0])
+CYCLIC_TOL = 1e-10
+
+
+def is_cyclic(matrix: np.ndarray, vector: np.ndarray) -> bool:
+    """Whether ``vector`` is cyclic for the unitary ``matrix``: its
+    eigenvalues are pairwise distinct and |q_j^H v| > CYCLIC_TOL ||v|| for
+    every column q_j of the complex Schur basis (an eigenbasis, as in
+    ``unitary_spectral_measure``).  A Krylov-matrix rank test would be
+    conditioned like a Vandermonde matrix and fail from N of about 28."""
+    t, q = scipy.linalg.schur(np.asarray(matrix, dtype=complex), output="complex")
+    angles = np.sort(np.angle(np.diag(t)))
+    gaps = np.diff(np.append(angles, angles[0] + TWO_PI))
+    v = np.asarray(vector, dtype=complex)
+    components = np.abs(q.conj().T @ v)
+    return bool(np.min(gaps) > CYCLIC_TOL
+                and np.min(components) > CYCLIC_TOL * np.linalg.norm(v))
 
 
 @dataclass(frozen=True)
@@ -103,7 +111,7 @@ class RankNPerturbationFamily:
                 raise ConstructionError(f"vector {i} has shape {v.shape}")
             if abs(np.linalg.norm(v) - 1.0) > 1e-12:
                 raise ConstructionError(f"vector {i} is not a unit vector")
-            if not krylov_is_cyclic(u, v):
+            if not is_cyclic(u, v):
                 raise CyclicityError(f"vector {i} is not cyclic for the base")
 
     @property
@@ -143,7 +151,7 @@ def recursive_unitary(family: RankNPerturbationFamily, alphas,
     u = family.base.dense()
     eye = np.eye(family.base.dimension)
     for k, (alpha_k, phi_k) in enumerate(zip(alphas, family.vectors)):
-        if check_cyclicity and k > 0 and not krylov_is_cyclic(u, phi_k):
+        if check_cyclicity and k > 0 and not is_cyclic(u, phi_k):
             raise CyclicityError(f"vector {k} lost cyclicity at stage {k}")
         u = rank_one_unitary_update(u, phi_k, alpha_k)
         defect = np.linalg.norm(u.conj().T @ u - eye, 2)

@@ -26,7 +26,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .errors import ScenarioError
+from .errors import ClarkLabError, ScenarioError
 from .herglotz import BlaschkeProduct, blaschke_eval, blaschke_from_json_dict
 from .measures import (BorelSetSpec, LineAtomicMeasure, TWO_PI,
                        cauchy_transform_disk, measure_from_json_dict,
@@ -639,7 +639,8 @@ def run_scenario(source, workers: int = 1) -> RunReport:
     """Execute every check in the scenario; deterministic for a fixed seed.
 
     Records are assembled in check order regardless of completion order, so
-    the report is identical for any worker count.
+    the report is identical for any worker count.  A ClarkLabError raised
+    by a check becomes one failed record; a ScenarioError propagates.
     """
     scenario = load_scenario(source)
 
@@ -647,7 +648,14 @@ def run_scenario(source, workers: int = 1) -> RunReport:
         idx, chk = pair
         handler = CHECKS[chk["check"]]
         start = time.perf_counter()
-        records = handler(scenario.seed, idx, chk, scenario.tolerances)
+        try:
+            records = handler(scenario.seed, idx, chk, scenario.tolerances)
+        except ScenarioError:
+            raise
+        except ClarkLabError as exc:
+            params = {"index": idx, "error": type(exc).__name__,
+                      "message": str(exc)}
+            records = [CheckRecord(chk["check"], params, None, None, 0.0, False)]
         elapsed = (time.perf_counter() - start) * 1e3
         for rec in records:
             rec.wall_ms = elapsed / max(1, len(records))

@@ -7,16 +7,18 @@ import pytest
 from clarklab.errors import ConstructionError, CyclicityError, DomainError
 from clarklab.herglotz import BlaschkeProduct, blaschke_eval
 from clarklab.measures import BorelSetSpec, cauchy_transform_disk, total_mass
-from clarklab.rankone import CyclicOperatorModel, rank_one_unitary_update
+from clarklab.rankone import (CyclicOperatorModel, rank_one_unitary_update,
+                              unitary_spectral_measure)
 from clarklab.rankn import (AnalyticCurve, RankNPerturbationFamily,
                             curve_disintegration_check, curve_sample,
                             family_from_json_dict, family_model_space,
                             family_to_json_dict, herglotz_positivity_check,
-                            knu_alpha_beta, krylov_is_cyclic,
+                            is_cyclic, knu_alpha_beta,
                             orthogonal_collapse_matrix, phi_density,
                             recursive_unitary, spectral_measure_of_vector,
                             theorem4_axis_criterion, theorem9_nullset_check)
-from clarklab.scenarios import random_family, _rng
+from clarklab.scenarios import (random_family, random_model,
+                                random_orthogonal_unit_vector, _rng)
 
 Z1 = BlaschkeProduct((0j,), 1.0)
 
@@ -42,8 +44,21 @@ class TestFamily:
 
     def test_krylov_rank_detects(self):
         u = BASE.dense()
-        assert krylov_is_cyclic(u, PHI1)
-        assert not krylov_is_cyclic(u, np.array([1.0, 0.0]))
+        assert is_cyclic(u, PHI1)
+        assert not is_cyclic(u, np.array([1.0, 0.0]))
+        # a repeated eigenvalue leaves no vector cyclic
+        q, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(3, 3))
+                            + 1j * np.random.default_rng(4).normal(size=(3, 3)))
+        repeated = q @ np.diag([1.0, 1.0, -1.0]) @ q.conj().T
+        assert not is_cyclic(repeated, np.ones(3) / math.sqrt(3.0))
+
+    @pytest.mark.parametrize("n, seeds", [(32, (0, 6, 9)), (64, (1, 4, 9))])
+    def test_cyclic_vector_accepted_at_scale(self, n, seeds):
+        # a Krylov-rank test rejects these cyclic vectors (weights of at
+        # least 3e-5, site gaps of at least 4.6e-3)
+        for seed in seeds:
+            model = random_model(seed, n, "circle")
+            assert is_cyclic(model.dense(), model.cyclic_vector())
 
     def test_json_round_trip(self):
         back = family_from_json_dict(family_to_json_dict(FAMILY2))
@@ -133,6 +148,32 @@ class TestTwoParameterTransform:
             dev = max(dev, abs(cauchy_transform_disk(nu, z)
                                - knu_alpha_beta(ms, f, alpha, beta, z)))
         assert dev <= 1e-8
+
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    def test_against_staged_oracle_at_scale(self, n):
+        # the largest zero of each base inner function has 1 - |z| between
+        # 2.7e-3 and 5.2e-6
+        for seed in range(3):
+            base = random_model(seed, n, "circle")
+            phi1 = base.cyclic_vector().astype(complex)
+            rng = _rng(seed, n)
+            fam = RankNPerturbationFamily(
+                base, (phi1, random_orthogonal_unit_vector(rng, phi1)))
+            ms, f = family_model_space(fam)
+            assert ms.grid.size == 2 * n
+            alphas = np.exp(2j * np.pi * rng.uniform(0, 1, 4))
+            betas = np.exp(2j * np.pi * rng.uniform(0, 1, 4))
+            zs = 0.7 * np.sqrt(rng.uniform(0, 1, 4)) * np.exp(
+                2j * np.pi * rng.uniform(0, 1, 4))
+            dev = 0.0
+            for alpha in alphas:
+                for beta in betas:
+                    u = recursive_unitary(fam, [alpha, beta])
+                    nu = unitary_spectral_measure(u, fam.vectors[1])
+                    for z in zs:
+                        dev = max(dev, abs(cauchy_transform_disk(nu, z)
+                                           - knu_alpha_beta(ms, f, alpha, beta, z)))
+            assert dev <= 1e-8, (n, seed, dev)
 
 
 class TestCurves:

@@ -7,8 +7,9 @@ from importlib import resources
 import numpy as np
 import pytest
 
+from clarklab import scenarios
 from clarklab.cli import main
-from clarklab.errors import ScenarioError
+from clarklab.errors import ResidueError, ScenarioError
 from clarklab.scenarios import (load_scenario, random_model, report_to_json,
                                 run_scenario)
 
@@ -155,6 +156,28 @@ class TestCli:
         scen.write_text(json.dumps(failing))
         assert main(["run", str(scen)]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+    def test_raising_check_becomes_failed_record(self, tmp_path, monkeypatch,
+                                                 capsys):
+        def broken(seed, idx, spec, tol):
+            raise ResidueError("mass defect 1.0e-3")
+
+        monkeypatch.setitem(scenarios.CHECKS, "simon_wolff", broken)
+        reports = [report_to_json(run_scenario(SMOKE, workers=w))
+                   for w in (1, 2)]
+        assert reports[0] == reports[1]
+        records = json.loads(reports[0])["records"]
+        failed = [r for r in records if not r["pass"]]
+        assert len(failed) == 1
+        assert failed[0]["check"] == "simon_wolff"
+        assert failed[0]["parameters"] == {"index": 2, "error": "ResidueError",
+                                           "message": "mass defect 1.0e-3"}
+        # the checks after the raising one still ran
+        assert any(r["check"].startswith("modelspace.") for r in records)
+        scen = tmp_path / "s.json"
+        scen.write_text(json.dumps(SMOKE))
+        assert main(["run", str(scen)]) == 1
+        assert "FAIL simon_wolff" in capsys.readouterr().out
 
     def test_entry_point_installed(self):
         proc = subprocess.run([sys.executable, "-m", "clarklab.cli", "--help"],
