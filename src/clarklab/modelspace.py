@@ -36,6 +36,11 @@ The operator content:
   which is the orthogonal sum of the space and theta times it);
 * ``knu_alpha``        -- the closed-form transform of |f|^2 d(mu_alpha)
   assembled from g, h and the hat data.
+
+The transforms of one vector f share everything but the evaluation point:
+f(0) and the coefficients of f0, hat(f0), g and h are computed (and the
+split verified) once per (space, vector), kept on the model space, and each
+transform then costs one Takenaka-Malmquist pass over an array of points.
 """
 
 from __future__ import annotations
@@ -43,12 +48,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConstructionError, DomainError, ResidueError
-from .herglotz import (BlaschkeProduct, _unitary_realization, blaschke_eval,
+from .herglotz import (BlaschkeProduct, _require_unimodular,
+                       _unitary_realization, blaschke_eval,
                        blaschke_to_json_dict, boundary_derivative_modulus,
                        level_set)
 from .measures import CircleAtomicMeasure, TWO_PI
@@ -63,16 +69,22 @@ def theta_fingerprint(theta: BlaschkeProduct) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
+def _tm_pass(zeros, z) -> tuple[np.ndarray, np.ndarray]:
+    """Takenaka-Malmquist basis values and the running products
+    prod_{j<=k} (z - z_j)/(1 - conj(z_j) z), both of shape (N,) + shape(z);
+    the last running product is theta(z) / c."""
+    zarr = np.asarray(z, dtype=complex)
+    a = np.asarray(zeros, dtype=complex).reshape((-1,) + (1,) * zarr.ndim)
+    den = 1.0 - np.conj(a) * zarr
+    running = np.cumprod((zarr - a) / den, axis=0)
+    basis = np.sqrt(1.0 - np.abs(a) ** 2) / den
+    basis[1:] *= running[:-1]
+    return basis, running
+
+
 def tm_basis_values(zeros: tuple[complex, ...], z) -> np.ndarray:
     """Takenaka-Malmquist basis values, shape (N,) + shape(z)."""
-    zarr = np.asarray(z, dtype=complex)
-    out = np.empty((len(zeros),) + zarr.shape, dtype=complex)
-    carry = np.ones(zarr.shape, dtype=complex)
-    for k, zk in enumerate(zeros):
-        den = 1.0 - np.conj(zk) * zarr
-        out[k] = math.sqrt(1.0 - abs(zk) ** 2) / den * carry
-        carry = carry * (zarr - zk) / den
-    return out
+    return _tm_pass(zeros, z)[0]
 
 
 @dataclass(frozen=True)
@@ -86,6 +98,9 @@ class ModelSpace:
     basis: np.ndarray         # (N, 2N) TM basis values at the nodes
     theta_values: np.ndarray  # (2N,) theta at the nodes
     basis_at_zero: np.ndarray  # (N,)
+    # _TransformContext per ModelVector, filled by _transform_context
+    _contexts: dict = field(default_factory=dict, init=False, repr=False,
+                            compare=False)
 
     @property
     def dimension(self) -> int:
@@ -196,7 +211,8 @@ def t_alpha_matrix(ms: ModelSpace, alpha: complex,
     alpha /= abs(alpha)
     a_mat, b, c, d = _unitary_realization(ms.theta)
     t = np.conj(a_mat + np.outer(b, c) / (alpha - d))
-    defect = np.linalg.norm(t.conj().T @ t - np.eye(ms.dimension), 2)
+    # Frobenius bounds the spectral norm from above: a stricter check
+    defect = np.linalg.norm(t.conj().T @ t - np.eye(ms.dimension), "fro")
     if defect > unitarity_tol:
         raise ConstructionError(
             f"perturbed shift is not unitary: defect {defect:.3e}")
@@ -298,27 +314,72 @@ def lemma7_decompose(ms: ModelSpace, vec: ModelVector,
     return g, h
 
 
-def knu_alpha(ms: ModelSpace, vec: ModelVector, alpha: complex, z: complex) -> complex:
-    """Closed-form Cauchy transform of |f|^2 d(mu_alpha) at z, |z| < 1.
+@dataclass(frozen=True)
+class _TransformContext:
+    """The point-independent data of the transforms of one vector f.
+
+    ``coeffs`` holds the TM coefficients of f0 = f - f(0), hat(f0), g and h
+    as rows, with f0 * hat(f0) = g + theta h verified by
+    ``lemma7_decompose`` when the context is built.
+    """
+
+    f_at_zero: complex
+    coeffs: np.ndarray  # (4, N)
+    zeros: np.ndarray   # (N,) zeros of theta
+    theta_c: complex    # front constant of theta
+
+    def values(self, z):
+        """f0, hat(f0), g, h and theta at z, from one TM pass."""
+        basis, running = _tm_pass(self.zeros, z)
+        f0, f0_hat, g, h = np.tensordot(self.coeffs, basis, axes=(1, 0))
+        return f0, f0_hat, g, h, self.theta_c * running[-1]
+
+
+def _transform_context(ms: ModelSpace, vec: ModelVector) -> _TransformContext:
+    """The transform context of vec, built and verified once per model
+    space; a failed split raises and caches nothing."""
+    ctx = ms._contexts.get(vec)
+    if ctx is None:
+        f_at_zero = ms.eval_vector(vec, 0.0)
+        f0 = ms.vector(ms.coefficients(vec) - f_at_zero * np.conj(ms.basis_at_zero))
+        f0_hat = hat_conjugate(ms, f0)
+        g, h = lemma7_decompose(ms, vec)
+        coeffs = np.array([v.coeffs for v in (f0, f0_hat, g, h)], dtype=complex)
+        ctx = _TransformContext(f_at_zero, coeffs,
+                                np.asarray(ms.theta.zeros, dtype=complex),
+                                ms.theta.c)
+        ms._contexts[vec] = ctx
+    return ctx
+
+
+def _require_in_disk(z) -> np.ndarray:
+    zarr = np.asarray(z, dtype=complex)
+    if np.any(np.abs(zarr) >= 1.0):
+        raise DomainError(
+            f"|z| = {np.max(np.abs(zarr))} not inside the unit disk")
+    return zarr
+
+
+def _shaped_like(z, values):
+    """A complex for scalar z, else the array of values."""
+    if np.ndim(z) == 0:
+        return complex(values)
+    return values
+
+
+def knu_alpha(ms: ModelSpace, vec: ModelVector, alpha: complex, z):
+    """Closed-form Cauchy transform of |f|^2 d(mu_alpha) at z, |z| < 1
+    (a scalar or an array of points).
 
     Assembles (g + alpha h + f(0) hat(f0) + alpha conj(f(0)) f0
     + alpha |f(0)|^2) / (alpha - theta); for f(0) = 0 this reduces to
     (g + alpha h)/(alpha - theta).
     """
-    z = complex(z)
-    if abs(z) >= 1.0:
-        raise DomainError(f"|z| = {abs(z)} not inside the unit disk")
-    alpha = complex(alpha)
-    if abs(abs(alpha) - 1.0) > 1e-9:
-        raise DomainError(f"|alpha| = {abs(alpha)} is not unimodular")
-    alpha /= abs(alpha)
-    f0_val = ms.eval_vector(vec, 0.0)
-    f0_coeff = ms.coefficients(vec) - f0_val * np.conj(ms.basis_at_zero)
-    f0 = ms.vector(f0_coeff)
-    f0_hat = hat_conjugate(ms, f0)
-    g, h = lemma7_decompose(ms, vec)
-    numerator = (ms.eval_vector(g, z) + alpha * ms.eval_vector(h, z)
-                 + f0_val * ms.eval_vector(f0_hat, z)
-                 + alpha * np.conj(f0_val) * ms.eval_vector(f0, z)
-                 + alpha * abs(f0_val) ** 2)
-    return complex(numerator / (alpha - blaschke_eval(ms.theta, z)))
+    zarr = _require_in_disk(z)
+    alpha = _require_unimodular(alpha)
+    ctx = _transform_context(ms, vec)
+    f0, f0_hat, g, h, theta = ctx.values(zarr)
+    a = ctx.f_at_zero
+    numerator = (g + alpha * h + a * f0_hat + alpha * np.conj(a) * f0
+                 + alpha * abs(a) ** 2)
+    return _shaped_like(z, numerator / (alpha - theta))

@@ -26,16 +26,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConstructionError, CyclicityError, DomainError
 from .herglotz import BlaschkeProduct, blaschke_eval
 from .measures import (BorelSetSpec, CircleAtomicMeasure, TWO_PI, measure_of,
                        simon_wolff_integral_circle)
-from .modelspace import ModelSpace, ModelVector, build_model_space, lemma7_decompose, v_alpha
-from .rankone import (CyclicOperatorModel, inner_from_unitary,
-                      rank_one_unitary_update, spectral_measure,
-                      unitary_spectral_measure)
+from .modelspace import (ModelSpace, ModelVector, _require_in_disk,
+                         _shaped_like, _transform_context, build_model_space,
+                         v_alpha)
+from .rankone import (CyclicOperatorModel, _unitary_eigenbasis,
+                      inner_from_unitary, rank_one_unitary_update,
+                      spectral_measure, unitary_spectral_measure)
 from .quadrature import integrate_line, vectorize_scalar
 
 
@@ -76,11 +77,11 @@ CYCLIC_TOL = 1e-10
 def is_cyclic(matrix: np.ndarray, vector: np.ndarray) -> bool:
     """Whether ``vector`` is cyclic for the unitary ``matrix``: its
     eigenvalues are pairwise distinct and |q_j^H v| > CYCLIC_TOL ||v|| for
-    every column q_j of the complex Schur basis (an eigenbasis, as in
+    every column q_j of an orthonormal eigenbasis (as in
     ``unitary_spectral_measure``).  A Krylov-matrix rank test would be
     conditioned like a Vandermonde matrix and fail from N of about 28."""
-    t, q = scipy.linalg.schur(np.asarray(matrix, dtype=complex), output="complex")
-    angles = np.sort(np.angle(np.diag(t)))
+    evals, q = _unitary_eigenbasis(np.asarray(matrix, dtype=complex))
+    angles = np.sort(np.angle(evals))
     gaps = np.diff(np.append(angles, angles[0] + TWO_PI))
     v = np.asarray(vector, dtype=complex)
     components = np.abs(q.conj().T @ v)
@@ -154,7 +155,8 @@ def recursive_unitary(family: RankNPerturbationFamily, alphas,
         if check_cyclicity and k > 0 and not is_cyclic(u, phi_k):
             raise CyclicityError(f"vector {k} lost cyclicity at stage {k}")
         u = rank_one_unitary_update(u, phi_k, alpha_k)
-        defect = np.linalg.norm(u.conj().T @ u - eye, 2)
+        # Frobenius bounds the spectral norm from above: a stricter check
+        defect = np.linalg.norm(u.conj().T @ u - eye, "fro")
         if defect > unitarity_tol:
             raise ConstructionError(
                 f"stage {k + 1} not unitary: defect {defect:.3e}")
@@ -197,39 +199,34 @@ def family_model_space(family: RankNPerturbationFamily,
     return ms, f
 
 
-def _gh_eval(ms: ModelSpace, vec: ModelVector, z):
-    g, h = lemma7_decompose(ms, vec)
-    return ms.eval_vector(g, z), ms.eval_vector(h, z)
-
-
-def _require_vanishing_at_zero(ms: ModelSpace, vec: ModelVector, tol: float = 1e-8):
-    f0 = ms.eval_vector(vec, 0.0)
-    if abs(f0) > tol:
-        raise DomainError(f"f(0) = {f0} must vanish (orthogonal second vector)")
+def _vanishing_context(ms: ModelSpace, vec: ModelVector, tol: float = 1e-8):
+    """The transform context of vec, which must have f(0) = 0."""
+    ctx = _transform_context(ms, vec)
+    if abs(ctx.f_at_zero) > tol:
+        raise DomainError(
+            f"f(0) = {ctx.f_at_zero} must vanish (orthogonal second vector)")
+    return ctx
 
 
 def knu_alpha_beta(ms: ModelSpace, vec: ModelVector, alpha: complex,
-                   beta: complex, z: complex) -> complex:
-    """Two-parameter transform beta W / (1 + (beta - 1) W) at z, |z| < 1,
-    with W = (g + alpha h)/(alpha - theta); requires f(0) = 0."""
-    z = complex(z)
-    if abs(z) >= 1.0:
-        raise DomainError(f"|z| = {abs(z)} not inside the unit disk")
+                   beta: complex, z):
+    """Two-parameter transform beta W / (1 + (beta - 1) W) at z, |z| < 1
+    (a scalar or an array of points), with W = (g + alpha h)/(alpha - theta);
+    requires f(0) = 0."""
+    zarr = _require_in_disk(z)
     alpha = complex(alpha)
     beta = complex(beta)
     for name, val in (("alpha", alpha), ("beta", beta)):
         if abs(abs(val) - 1.0) > 1e-9:
             raise DomainError(f"|{name}| = {abs(val)} is not unimodular")
-    _require_vanishing_at_zero(ms, vec)
-    gz, hz = _gh_eval(ms, vec, z)
-    w = (gz + alpha * hz) / (alpha - blaschke_eval(ms.theta, z))
-    den = 1.0 + (beta - 1.0) * w
-    return complex(beta * w / den)
+    _, _, g, h, theta = _vanishing_context(ms, vec).values(zarr)
+    w = (g + alpha * h) / (alpha - theta)
+    return _shaped_like(z, beta * w / (1.0 + (beta - 1.0) * w))
 
 
-def phi_density(ms: ModelSpace, vec: ModelVector, curve: AnalyticCurve,
-                z: complex) -> complex:
-    """Closed-form curve-average density function phi at z.
+def phi_density(ms: ModelSpace, vec: ModelVector, curve: AnalyticCurve, z):
+    """Closed-form curve-average density function phi at z (a scalar or an
+    array of points).
 
     phi(z) = W0 / (conj(I2(0)) + (1 - conj(I2(0))) W0) with
     W0 = (conj(I1(0)) g + h)/(1 - conj(I1(0)) theta): the value at the
@@ -239,12 +236,12 @@ def phi_density(ms: ModelSpace, vec: ModelVector, curve: AnalyticCurve,
     """
     if curve.n != 2:
         raise DomainError("closed-form density is available for 2-component curves")
-    _require_vanishing_at_zero(ms, vec)
-    c1 = blaschke_eval(curve.components[0], 0.0)
-    c2 = blaschke_eval(curve.components[1], 0.0)
-    gz, hz = _gh_eval(ms, vec, z)
-    w0 = (np.conj(c1) * gz + hz) / (1.0 - np.conj(c1) * blaschke_eval(ms.theta, z))
-    return complex(w0 / (np.conj(c2) + (1.0 - np.conj(c2)) * w0))
+    ctx = _vanishing_context(ms, vec)
+    c1 = np.conj(blaschke_eval(curve.components[0], 0.0))
+    c2 = np.conj(blaschke_eval(curve.components[1], 0.0))
+    _, _, g, h, theta = ctx.values(np.asarray(z, dtype=complex))
+    w0 = (c1 * g + h) / (1.0 - c1 * theta)
+    return _shaped_like(z, w0 / (c2 + (1.0 - c2) * w0))
 
 
 def herglotz_positivity_check(ms: ModelSpace, vec: ModelVector, alphas,
@@ -254,17 +251,11 @@ def herglotz_positivity_check(ms: ModelSpace, vec: ModelVector, alphas,
     The fraction is the transform of a probability measure, so the minimum
     must exceed 1/2 everywhere inside the disk.
     """
-    _require_vanishing_at_zero(ms, vec)
-    g, h = lemma7_decompose(ms, vec)
-    zs = np.asarray(zs, dtype=complex)
-    gz = np.asarray([ms.eval_vector(g, z) for z in zs])
-    hz = np.asarray([ms.eval_vector(h, z) for z in zs])
-    tz = np.asarray([blaschke_eval(ms.theta, z) for z in zs])
-    smallest = math.inf
-    for alpha in np.asarray(alphas, dtype=complex):
-        vals = (np.conj(alpha) * gz + hz) / (1.0 - np.conj(alpha) * tz)
-        smallest = min(smallest, float(np.min(vals.real)))
-    return smallest
+    _, _, g, h, theta = _vanishing_context(ms, vec).values(
+        np.asarray(zs, dtype=complex))
+    ca = np.conj(np.asarray(alphas, dtype=complex)).reshape((-1,) + (1,) * g.ndim)
+    vals = (ca * g + h) / (1.0 - ca * theta)
+    return float(np.min(vals.real, initial=math.inf))
 
 
 @dataclass(frozen=True)
@@ -307,8 +298,7 @@ def curve_disintegration_check(family: RankNPerturbationFamily,
                                tol=0.25 * tol * TWO_PI)
 
     def rhs_integrand(s_arr: np.ndarray) -> np.ndarray:
-        zs = np.exp(1j * np.asarray(s_arr))
-        vals = np.array([phi_density(ms, f, curve, z) for z in zs])
+        vals = phi_density(ms, f, curve, np.exp(1j * np.asarray(s_arr)))
         return 2.0 * vals.real - 1.0
 
     rhs = 0.0

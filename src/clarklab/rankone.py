@@ -23,11 +23,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (ConstructionError, DomainError, PoleError, ResidueError)
 from .herglotz import (BlaschkeProduct, HalfPlaneInner, HerglotzRational,
@@ -57,6 +56,9 @@ class CyclicOperatorModel:
     kind: str
     sites: tuple[float, ...]
     weights: tuple[float, ...]
+    # inner_from_unitary(self), built on first use by _model_theta
+    _theta: BlaschkeProduct | None = field(default=None, init=False,
+                                           repr=False, compare=False)
 
     @classmethod
     def from_data(cls, kind: str, sites: Iterable[float],
@@ -174,21 +176,43 @@ def simon_wolff_classify(mu: LineAtomicMeasure, probes: Sequence[float]) -> list
 # Unitary family and the inner-function dictionary
 # ---------------------------------------------------------------------------
 
+def _unitary_eigenbasis(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and an orthonormal eigenbasis (the columns of Q) of a
+    unitary matrix U.
+
+    With gamma in the middle of the widest gap of the spectrum, V = e^{-i gamma} U
+    keeps its eigenvalues at least half that gap away from 1, so the Cayley
+    transform i (I - V)^{-1} (I + V) is a well-conditioned Hermitian matrix
+    with the same eigenvectors (eigenvalue -cot(phi/2) for e^{i phi}).
+    Hermitian ``eigh`` of it returns an orthonormal basis even for
+    clustered eigenvalues, and the eigenvalues of U are read back as the
+    Rayleigh quotients q^H U q.
+    """
+    n = matrix.shape[0]
+    angles = np.sort(np.angle(np.linalg.eigvals(matrix)))
+    gaps = np.diff(np.append(angles, angles[0] + TWO_PI))
+    widest = int(np.argmax(gaps))
+    v = np.exp(-1j * (angles[widest] + 0.5 * gaps[widest])) * matrix
+    eye = np.eye(n)
+    cayley = 1j * np.linalg.solve(eye - v, eye + v)
+    _, q = np.linalg.eigh(0.5 * (cayley + cayley.conj().T))
+    return np.sum(q.conj() * (matrix @ q), axis=0), q
+
+
 def unitary_spectral_measure(matrix: np.ndarray, vector: np.ndarray,
                              unitarity_tol: float = 1e-9) -> CircleAtomicMeasure:
     """Spectral measure of ``vector`` for a unitary matrix.
 
-    Uses a complex Schur decomposition: for a normal matrix the Schur factor
-    is diagonal and the Schur basis is a genuinely orthonormal eigenbasis,
-    which keeps masses accurate even for clustered eigenvalues.
+    Uses the orthonormal eigenbasis of ``_unitary_eigenbasis``, which keeps
+    masses accurate even for clustered eigenvalues.
     """
     matrix = np.asarray(matrix, dtype=complex)
     n = matrix.shape[0]
-    defect = np.linalg.norm(matrix.conj().T @ matrix - np.eye(n), 2)
+    # Frobenius bounds the spectral norm from above: a stricter check
+    defect = np.linalg.norm(matrix.conj().T @ matrix - np.eye(n), "fro")
     if defect > unitarity_tol:
         raise DomainError(f"matrix is not unitary: ||U*U - I|| = {defect:.3e}")
-    t, q = scipy.linalg.schur(matrix, output="complex")
-    evals = np.diag(t)
+    evals, q = _unitary_eigenbasis(matrix)
     masses = np.abs(q.conj().T @ np.asarray(vector, dtype=complex)) ** 2
     angles = np.angle(evals) % TWO_PI
     return CircleAtomicMeasure.from_atoms(zip(angles, masses))
@@ -246,6 +270,13 @@ def inner_from_unitary(model: CyclicOperatorModel,
     return theta
 
 
+def _model_theta(model: CyclicOperatorModel) -> BlaschkeProduct:
+    """``inner_from_unitary(model)``, built once per model instance."""
+    if model._theta is None:
+        object.__setattr__(model, "_theta", inner_from_unitary(model))
+    return model._theta
+
+
 def inner_from_selfadjoint(model: CyclicOperatorModel) -> HalfPlaneInner:
     """Half-plane inner function of the line model via the conformal transfer.
 
@@ -281,8 +312,7 @@ def perturb_unitary(model: CyclicOperatorModel, alpha: complex
     nu1 = spectral_measure(model)
     if abs(alpha - 1.0) < 1e-14:
         return nu1
-    theta = inner_from_unitary(model)
-    pts = level_set(theta, alpha)
+    pts = level_set(_model_theta(model), alpha)
     k, kp = _disk_transform_and_derivative(nu1, pts)
     residues = -np.conj(pts) * alpha * k / ((alpha - 1.0) * kp)
     if np.max(np.abs(residues.imag)) > 1e-8:

@@ -484,9 +484,8 @@ def _check_positivity_bounds(seed, idx, spec, tol) -> list[CheckRecord]:
         for j, cspec in enumerate(spec.get("curves", [])):
             curve, clabel = _resolve_curve(cspec, _rng(seed, idx, i, j))
             bound = 1.0 / (1.0 - abs(blaschke_eval(curve.components[1], 0.0)))
-            worst = 0.0
-            for z in zs:
-                worst = max(worst, abs(phi_density(ms, f, curve, z)))
+            worst = float(np.max(np.abs(phi_density(ms, f, curve, zs)),
+                                 initial=0.0))
             excess = worst - bound
             params_c = {"family": label, "curve": clabel, "index": i}
             records.append(CheckRecord("positivity.phi_bound", params_c,

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from clarklab import modelspace
 from clarklab.measures import CircleAtomicMeasure, LineAtomicMeasure
 
 hypothesis.settings.register_profile(
@@ -58,3 +59,17 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in RESULTS:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def split_calls(monkeypatch):
+    """The calls of modelspace.lemma7_decompose made through its module."""
+    calls = []
+    original = modelspace.lemma7_decompose
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(modelspace, "lemma7_decompose", counted)
+    return calls

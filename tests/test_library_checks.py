@@ -1,7 +1,8 @@
 """Library checks raise typed errors; none may rely on ``assert``, which
 ``python -O`` strips.  Transforms and inner functions are held in pole or
 zero form only; monomial coefficients misrepresent high-degree roots, so the
-library forms none."""
+library forms none.  The library needs numpy alone; scipy is a test-only
+dependency."""
 
 import ast
 from pathlib import Path
@@ -41,5 +42,20 @@ def test_no_monomial_coefficients_in_library():
             else:
                 bad = False
             if bad:
+                offenders.append(f"{path.relative_to(PACKAGE)}:{node.lineno}")
+    assert offenders == []
+
+
+def test_no_scipy_in_library():
+    offenders = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name == "scipy" or name.startswith("scipy.") for name in names):
                 offenders.append(f"{path.relative_to(PACKAGE)}:{node.lineno}")
     assert offenders == []

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from clarklab import modelspace
 from clarklab.errors import DomainError
 from clarklab.herglotz import BlaschkeProduct, blaschke_eval
 from clarklab.measures import cauchy_transform_disk, CircleAtomicMeasure
@@ -45,6 +46,25 @@ class TestBasis:
             vals = tm_basis_values(theta.zeros, z)
             for k in range(n):
                 assert vals[k] == pytest.approx(z ** k)
+
+    def test_matches_product_loop(self, rng):
+        # the running products of one pass against the zero-by-zero loop;
+        # only the order of the rounding differs
+        theta = BlaschkeProduct(tuple(_random_theta(5, 7).zeros) + (0.3 + 0.4j,) * 2,
+                                cmath.exp(0.4j))
+        z = 0.98 * np.sqrt(rng.uniform(0, 1, (3, 5))) * np.exp(
+            2j * np.pi * rng.uniform(0, 1, (3, 5)))
+        expected = np.empty((theta.degree,) + z.shape, dtype=complex)
+        carry = np.ones(z.shape, dtype=complex)
+        for k, zk in enumerate(theta.zeros):
+            den = 1.0 - np.conj(zk) * z
+            expected[k] = math.sqrt(1.0 - abs(zk) ** 2) / den * carry
+            carry = carry * (z - zk) / den
+        basis, running = modelspace._tm_pass(theta.zeros, z)
+        np.testing.assert_allclose(basis, expected, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(theta.c * running[-1], blaschke_eval(theta, z),
+                                   rtol=1e-13, atol=0.0)
+        assert np.array_equal(tm_basis_values(theta.zeros, z), basis)
 
     def test_gram_identity(self):
         theta = BlaschkeProduct((0j, 0.5 + 0j), 1.0)
@@ -323,6 +343,38 @@ class TestKnuAlpha:
             weighted = CircleAtomicMeasure.from_atoms(zip(mu.angles, weights))
             assert knu_alpha(ms, f, alpha, z) == pytest.approx(
                 cauchy_transform_disk(weighted, z), abs=1e-9)
+
+
+class TestTransformContext:
+    def _space_and_vector(self, rng):
+        theta = _random_theta(22, 6)
+        ms = build_model_space(theta)
+        c = rng.normal(size=6) + 1j * rng.normal(size=6)
+        return ms, ms.vector(c / np.linalg.norm(c))
+
+    def test_one_split_per_vector(self, rng, split_calls):
+        ms, f = self._space_and_vector(rng)
+        for alpha in np.exp(2j * np.pi * rng.uniform(0, 1, 16)):
+            knu_alpha(ms, f, alpha, 0.3 - 0.2j)
+        assert len(split_calls) == 1
+        knu_alpha(ms, ms.vector(2.0 * np.asarray(f.coeffs)), 1.0, 0.1)
+        assert len(split_calls) == 2
+
+    def test_array_equals_scalar(self, rng):
+        ms, f = self._space_and_vector(rng)
+        zs = 0.9 * np.sqrt(rng.uniform(0, 1, 16)) * np.exp(
+            2j * np.pi * rng.uniform(0, 1, 16))
+        alpha = complex(np.exp(1.1j))
+        batch = knu_alpha(ms, f, alpha, zs)
+        assert batch.shape == zs.shape
+        scalar = np.array([knu_alpha(ms, f, alpha, z) for z in zs])
+        np.testing.assert_allclose(batch, scalar, rtol=1e-14, atol=0.0)
+        assert isinstance(knu_alpha(ms, f, alpha, zs[0]), complex)
+
+    def test_point_outside_disk_rejected(self, rng):
+        ms, f = self._space_and_vector(rng)
+        with pytest.raises(DomainError):
+            knu_alpha(ms, f, 1.0, np.array([0.1, 1.0]))
 
 
 class TestIdentities:

@@ -1,10 +1,14 @@
 import cmath
+import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
-from clarklab.errors import ConstructionError, CyclicityError, DomainError
+from clarklab.errors import (ConstructionError, CyclicityError, DomainError,
+                             ResidueError)
 from clarklab.herglotz import BlaschkeProduct, blaschke_eval
 from clarklab.measures import BorelSetSpec, cauchy_transform_disk, total_mass
 from clarklab.rankone import (CyclicOperatorModel, rank_one_unitary_update,
@@ -59,6 +63,31 @@ class TestFamily:
         for seed in seeds:
             model = random_model(seed, n, "circle")
             assert is_cyclic(model.dense(), model.cyclic_vector())
+
+    def test_verdicts_match_schur_oracle(self):
+        # the Schur-basis form of the test on the inputs above
+        scipy_linalg = pytest.importorskip("scipy.linalg")
+
+        def schur_verdict(matrix, vector):
+            t, q = scipy_linalg.schur(matrix, output="complex")
+            angles = np.sort(np.angle(np.diag(t)))
+            gaps = np.diff(np.append(angles, angles[0] + 2 * np.pi))
+            components = np.abs(q.conj().T @ vector)
+            return bool(np.min(gaps) > 1e-10 and np.min(components)
+                        > 1e-10 * np.linalg.norm(vector))
+
+        q, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(3, 3))
+                            + 1j * np.random.default_rng(4).normal(size=(3, 3)))
+        repeated = q @ np.diag([1.0, 1.0, -1.0]) @ q.conj().T
+        cases = [(BASE.dense(), PHI1), (BASE.dense(), np.array([1.0, 0.0])),
+                 (repeated, np.ones(3) / math.sqrt(3.0))]
+        for n, seeds in ((32, (0, 6, 9)), (64, (1, 4, 9))):
+            for seed in seeds:
+                model = random_model(seed, n, "circle")
+                cases.append((model.dense(), model.cyclic_vector()))
+        verdicts = [is_cyclic(m, v) for m, v in cases]
+        assert verdicts == [schur_verdict(m, v.astype(complex)) for m, v in cases]
+        assert verdicts == [True, False, False] + [True] * 6
 
     def test_json_round_trip(self):
         back = family_from_json_dict(family_to_json_dict(FAMILY2))
@@ -174,6 +203,64 @@ class TestTwoParameterTransform:
                         dev = max(dev, abs(cauchy_transform_disk(nu, z)
                                            - knu_alpha_beta(ms, f, alpha, beta, z)))
             assert dev <= 1e-8, (n, seed, dev)
+
+
+class TestPreparedTransform:
+    def test_one_split_for_many_calls(self, rng, split_calls):
+        ms, f = family_model_space(random_family(_rng(8), 5, 2))
+        for _ in range(64):
+            alpha, beta = np.exp(2j * np.pi * rng.uniform(0, 1, 2))
+            z = 0.7 * math.sqrt(rng.uniform()) * cmath.exp(2j * math.pi * rng.uniform())
+            knu_alpha_beta(ms, f, alpha, beta, z)
+        assert len(split_calls) == 1
+        curve = AnalyticCurve((_moebius(0.3 + 0.2j), _moebius(0.5, -1.0)))
+        phi_density(ms, f, curve, 0.2)
+        herglotz_positivity_check(ms, f, [1.0, -1.0], [0.1, 0.5j])
+        assert len(split_calls) == 1
+
+    def test_failed_split_raises_every_call(self, split_calls):
+        ms, f = family_model_space(random_family(_rng(8), 5, 2))
+        # weights off by 1% make g and h 1% too large, which the boundary
+        # residual check of the split catches
+        broken = dataclasses.replace(ms, weights=1.01 * ms.weights)
+        for _ in range(3):
+            with pytest.raises(ResidueError):
+                knu_alpha_beta(broken, f, 1j, -1.0, 0.3)
+        with pytest.raises(ResidueError):
+            herglotz_positivity_check(broken, f, [1.0], [0.3])
+        assert len(split_calls) == 4
+        assert broken._contexts == {}
+
+    def test_context_freed_with_space(self):
+        ms, f = family_model_space(random_family(_rng(8), 5, 2))
+        knu_alpha_beta(ms, f, 1j, -1.0, 0.3)
+        ref = weakref.ref(ms)
+        del ms
+        gc.collect()
+        assert ref() is None
+
+    def test_arrays_equal_scalars(self, rng):
+        ms, f = family_model_space(random_family(_rng(9), 6, 2))
+        zs = 0.95 * np.sqrt(rng.uniform(0, 1, 24)) * np.exp(
+            2j * np.pi * rng.uniform(0, 1, 24))
+        alpha, beta = complex(np.exp(0.7j)), complex(np.exp(2.9j))
+        batch = knu_alpha_beta(ms, f, alpha, beta, zs)
+        scalar = np.array([knu_alpha_beta(ms, f, alpha, beta, z) for z in zs])
+        np.testing.assert_allclose(batch, scalar, rtol=1e-14, atol=0.0)
+        assert isinstance(knu_alpha_beta(ms, f, alpha, beta, zs[0]), complex)
+
+        curve = AnalyticCurve((_moebius(0.3 + 0.2j), _moebius(0.5, -1.0)))
+        circle = np.exp(2j * np.pi * rng.uniform(0, 1, 8))
+        for points in (zs, circle):
+            batch = phi_density(ms, f, curve, points)
+            scalar = np.array([phi_density(ms, f, curve, z) for z in points])
+            np.testing.assert_allclose(batch, scalar, rtol=1e-14, atol=0.0)
+
+        alphas = np.exp(2j * np.pi * rng.uniform(0, 1, 5))
+        smallest = min(herglotz_positivity_check(ms, f, [a], [z])
+                       for a in alphas for z in zs)
+        assert herglotz_positivity_check(ms, f, alphas, zs) == pytest.approx(
+            smallest, rel=1e-14)
 
 
 class TestCurves:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from clarklab import rankone
 from clarklab.errors import ConstructionError, DomainError, PoleError
 from clarklab.herglotz import (BlaschkeProduct, blaschke_eval,
                                boundary_derivative_modulus,
@@ -20,7 +21,8 @@ from clarklab.rankone import (ClarkFamily, CyclicOperatorModel,
                               matrix_oracle_selfadjoint, matrix_oracle_unitary,
                               model_from_json_dict, model_to_json_dict,
                               perturb_selfadjoint, perturb_unitary,
-                              simon_wolff_classify, spectral_measure)
+                              rank_one_unitary_update, simon_wolff_classify,
+                              spectral_measure, _unitary_eigenbasis)
 from clarklab.scenarios import CHECKS, DEFAULT_TOLERANCES, random_model
 
 SCALAR_LINE = CyclicOperatorModel.from_data("line", [0.0], [1.0])
@@ -210,6 +212,83 @@ class TestPerturbUnitary:
                     da, dm = circle_measure_deviation(got, want)
                     assert da <= 1e-9
                     assert dm <= 1e-8
+
+
+    def test_inner_function_built_once_per_model(self, monkeypatch):
+        calls = []
+        original = rankone.inner_from_unitary
+
+        def counted(model, *args, **kwargs):
+            calls.append(model)
+            return original(model, *args, **kwargs)
+
+        monkeypatch.setattr(rankone, "inner_from_unitary", counted)
+        model = random_model(7, 8, "circle")
+        for alpha in np.exp(2j * np.pi * np.arange(1, 17) / 17.0):
+            perturb_unitary(model, alpha)
+        assert len(calls) == 1
+        # the cached inner function is not part of the model's value
+        twin = CyclicOperatorModel.from_data("circle", model.sites, model.weights)
+        assert twin == model and hash(twin) == hash(model)
+        assert model_to_json_dict(twin) == model_to_json_dict(model)
+
+
+def _check_eigenbasis(u, lam, q, tol=1e-12):
+    n = u.shape[0]
+    assert np.max(np.abs(q.conj().T @ q - np.eye(n))) <= tol
+    assert np.max(np.abs(q @ np.diag(lam) @ q.conj().T - u)) <= tol
+
+
+def _same_points(a, b, tol=1e-12):
+    """Every point of a within tol of a point of b, and the other way."""
+    dist = np.abs(np.asarray(a)[:, None] - np.asarray(b)[None, :])
+    return np.max(np.min(dist, axis=0)) <= tol and np.max(np.min(dist, axis=1)) <= tol
+
+
+class TestUnitaryEigenbasis:
+    @pytest.mark.parametrize("n", [1, 8, 64, 256])
+    def test_reconstructs_perturbed_models(self, n):
+        for seed in range(2):
+            model = random_model(seed, n, "circle")
+            u = rank_one_unitary_update(model.dense(), model.cyclic_vector(),
+                                        cmath.exp(0.7j))
+            lam, q = _unitary_eigenbasis(u)
+            _check_eigenbasis(u, lam, q)
+
+    def _conjugated(self, eigenvalues, seed=0):
+        n = len(eigenvalues)
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        return q @ np.diag(eigenvalues) @ q.conj().T
+
+    def test_close_eigenvalues(self):
+        ev = np.exp(1j * np.array([0.3, 0.3 + 1e-9, 1.7, 2.9, 4.0, 5.5]))
+        u = self._conjugated(ev)
+        lam, q = _unitary_eigenbasis(u)
+        _check_eigenbasis(u, lam, q)
+        assert _same_points(lam, ev)
+
+    def test_eigenvalues_at_plus_and_minus_one(self):
+        ev = np.array([1.0, -1.0, 1j, -1j, cmath.exp(1e-9j), -cmath.exp(1e-9j)])
+        u = self._conjugated(ev, seed=1)
+        lam, q = _unitary_eigenbasis(u)
+        _check_eigenbasis(u, lam, q)
+        assert _same_points(lam, ev)
+        _check_eigenbasis(np.diag(ev), *_unitary_eigenbasis(np.diag(ev)))
+
+    def test_masses_match_schur_oracle(self):
+        scipy_linalg = pytest.importorskip("scipy.linalg")
+        model = random_model(3, 128, "circle")
+        v = model.cyclic_vector().astype(complex)
+        u = rank_one_unitary_update(model.dense(), v, cmath.exp(2.2j))
+        lam, q = _unitary_eigenbasis(u)
+        t, qs = scipy_linalg.schur(u, output="complex")
+        order = np.argsort(np.angle(lam))
+        order_s = np.argsort(np.angle(np.diag(t)))
+        assert np.angle(lam[order]) == pytest.approx(
+            np.angle(np.diag(t)[order_s]), abs=1e-12)
+        assert (np.abs(q.conj().T @ v) ** 2)[order] == pytest.approx(
+            (np.abs(qs.conj().T @ v) ** 2)[order_s], abs=1e-12)
 
 
 class TestInnerFromSelfadjoint:
