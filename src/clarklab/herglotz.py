@@ -9,13 +9,15 @@ the zeros of an inner function are the eigenvalues of a small matrix
 (Clark / Aleksandrov: the solutions of theta = alpha are the spectrum of
 the alpha-perturbed operator).
 
-Root finding is correctness-first: the secular equation on the line uses
-monotone bisection with virtual endpoint signs (the transform has a pole of
-known sign at each atom, so intervals never need endpoint evaluation),
-followed by Newton polish.  Boundary level sets of a Blaschke product are
-the spectra of unitaries built from its unitary realization, polished by
-Newton in the boundary angle (whose derivative is an explicit positive sum of
-Poisson kernels) and checked against the branches of the boundary phase.
+Root finding is correctness-first: each root of the secular equation on the
+line has a bracket known in closed form (the gap between two atoms, or an
+interval beside the atoms sized by the total mass), and one Newton iteration
+on the secular function times the distances to the neighbouring atoms, which
+cancels their poles, shrinks that bracket until the step is at rounding
+level.  Boundary level sets of a Blaschke product are the spectra of
+unitaries built from its unitary realization, polished by Newton in the
+boundary angle (whose derivative is an explicit positive sum of Poisson
+kernels) and checked against the branches of the boundary phase.
 """
 
 from __future__ import annotations
@@ -201,7 +203,7 @@ def blaschke_from_json_dict(obj: dict) -> BlaschkeProduct:
 def _require_unimodular(alpha: complex, tol: float = 1e-9) -> complex:
     alpha = complex(alpha)
     if abs(abs(alpha) - 1.0) > tol:
-        raise DomainError(f"|alpha| = {abs(alpha)} is not unimodular")
+        raise DomainError(f"|{alpha}| = {abs(alpha)} is not unimodular")
     return alpha / abs(alpha)
 
 
@@ -300,75 +302,95 @@ def _line_pf(K: HerglotzRational) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(K.nodes, dtype=float), np.asarray(K.weights, dtype=float)
 
 
-def _cauchy_line_value(t, m, x):
-    """K(x) for an array of real probes, one row per probe."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    return np.sum(m[None, :] / (t[None, :] - x[:, None]), axis=1)
+# Newton stops within a step of 2 eps times the bracket's magnitude; the
+# residual-floor postcondition decides whether the cap was reached in vain.
+_SECULAR_MAX_NEWTON = 64
 
 
-def _bisect_interior(t, m, target, iters: int = 64) -> np.ndarray:
-    """One root of K = target strictly inside each gap (t_j, t_{j+1}).
+def _secular_solve(t, m, target) -> np.ndarray:
+    """All real roots of K(x) = target, ascending: one in each gap
+    (t_j, t_{j+1}) and, for target != 0, one outside the atoms.
 
-    K increases from -inf to +inf across every gap, so the endpoint signs
-    are known without evaluation and bisection cannot fail.
+    With M the total mass, M/(x - t_1) <= |K(x)| <= M/(x - t_N) above the
+    atoms and the mirrored bounds below them give the outside root a closed
+    bracket (Bunch, Nielsen & Sorensen, Numer. Math. 31, 1978): above for
+    target < 0, below for target > 0.  Newton runs on
+    h(x) = (x - a)(b - x)(K(x) - target), where a < root < b are the atoms
+    next to the root (factor 1 where there is none): their terms enter h as
+    -m_a (b - x) + m_b (x - a), so h has no pole in the bracket.  The sign
+    of h is that of K - target, which shrinks the bracket; a step that
+    leaves it is replaced by the midpoint.
     """
-    lo = t[:-1].copy()
-    hi = t[1:].copy()
-    if lo.size == 0:
-        return lo
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        gmid = _cauchy_line_value(t, m, mid) - target
-        above = gmid > 0.0
-        hi = np.where(above, mid, hi)
-        lo = np.where(above, lo, mid)
-    return 0.5 * (lo + hi)
-
-
-def _bisect_outside(t, m, target) -> float:
-    """The single root of K = target outside the atom range.
-
-    target < 0 puts it above the top atom, target > 0 below the bottom one.
-    """
-    # K - target increases across either outside bracket: from -inf at the
-    # pole-side end (target < 0, above the atoms) or from -target < 0 at the
-    # far end (target > 0, below the atoms) up through zero.
-    span = max(1.0, t[-1] - t[0])
-    total = float(np.sum(m))
-    if target < 0.0:
-        lo = t[-1]
-        hi = lo + max(span, -total / target)
-        for _ in range(200):
-            if _cauchy_line_value(t, m, [hi])[0] - target > 0.0:
-                break
-            hi = lo + 2.0 * (hi - lo)
+    n = t.size
+    lo, hi = t[:-1].copy(), t[1:].copy()
+    below = np.arange(n - 1)  # index of the atom below each root, or -1
+    if target != 0.0:
+        reach = math.fsum(m) / abs(target)
+        if target < 0.0:
+            lo = np.append(lo, max(t[-1], t[0] + reach))
+            hi = np.append(hi, t[-1] + reach)
+            below = np.arange(n)
         else:
-            raise RootFindingError(
-                f"no sign change above {t[-1]} for target {target}")
-    else:
-        hi = t[0]
-        lo = hi - max(span, total / target)
-        for _ in range(200):
-            if _cauchy_line_value(t, m, [lo])[0] - target < 0.0:
-                break
-            lo = hi - 2.0 * (hi - lo)
-        else:
-            raise RootFindingError(
-                f"no sign change below {t[0]} for target {target}")
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        g = _cauchy_line_value(t, m, [mid])[0] - target
-        if g > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+            lo = np.insert(lo, 0, t[0] - reach)
+            hi = np.insert(hi, 0, min(t[0], t[-1] - reach))
+            below = np.arange(-1, n - 1)
+    above = below + 1
+    has_a, has_b = below >= 0, above < n
+    below, above = np.maximum(below, 0), np.minimum(above, n - 1)
+    eps = np.finfo(float).eps
+    tol = 2.0 * eps * np.maximum(np.abs(lo), np.abs(hi))
+
+    x = 0.5 * (lo + hi)
+    todo = np.arange(x.size)
+    for _ in range(_SECULAR_MAX_NEWTON):
+        if todo.size == 0:
+            break
+        xs, a, b = x[todo], below[todo], above[todo]
+        pa, pb = has_a[todo], has_b[todo]
+        rows = np.arange(todo.size)
+        with np.errstate(divide="ignore"):
+            recip = 1.0 / (t[None, :] - xs[:, None])
+        recip[rows[pa], a[pa]] = 0.0
+        recip[rows[pb], b[pb]] = 0.0
+        rest = recip @ m - target
+        rest_prime = np.square(recip, out=recip) @ m
+        u = np.where(pa, xs - t[a], 1.0)
+        v = np.where(pb, t[b] - xs, 1.0)
+        ma, mb = pa * m[a], pb * m[b]
+        h = u * v * rest - ma * v + mb * u
+        dh = (pa * v - pb * u) * rest + u * v * rest_prime + ma * pb + mb * pa
+        lo[todo] = np.where(h < 0.0, xs, lo[todo])
+        hi[todo] = np.where(h > 0.0, xs, hi[todo])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = xs - h / dh
+        inside = (step >= lo[todo]) & (step <= hi[todo])
+        x[todo] = np.where(inside, step, 0.5 * (lo[todo] + hi[todo]))
+        todo = todo[np.abs(x[todo] - xs) > tol[todo]]
+
+    # Attainable floor in binary64: summation noise plus the jump of K
+    # across one ulp of root position (K' can be huge next to a pole).  A
+    # root on an atom has an infinite residual and fails.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        recip = 1.0 / (t[None, :] - x[:, None])
+        resid = np.abs(recip @ m - target)
+        kp = np.square(recip) @ m
+        noise = eps * (32.0 * (np.abs(recip) @ m)
+                       + 4.0 * kp * (1.0 + np.abs(x)))
+        allowed = np.maximum(1e-12 * abs(target), noise)
+        excess = np.where(np.isfinite(resid), resid - allowed, np.inf)
+    if np.any(excess > 0.0):
+        worst = int(np.argmax(excess))
+        raise RootFindingError(
+            f"secular root at {x[worst]} has residual {resid[worst]:.3e} "
+            f"(allowed {allowed[worst]:.3e}); interlacing bracket "
+            f"may be violated")
+    return x
 
 
 def cauchy_zeros_line(K: HerglotzRational) -> np.ndarray:
     """The N-1 real zeros of the transform, one strictly inside each gap."""
     t, m = _line_pf(K)
-    return _bisect_interior(t, m, 0.0)
+    return _secular_solve(t, m, 0.0)
 
 
 def secular_roots_line(K: HerglotzRational, lam: float) -> np.ndarray:
@@ -376,40 +398,16 @@ def secular_roots_line(K: HerglotzRational, lam: float) -> np.ndarray:
 
     Exactly one root lies strictly between consecutive atoms; the remaining
     root sits above the top atom for lam > 0 and below the bottom atom for
-    lam < 0.  Each root is bisected into its bracket and Newton-polished to
-    |K(x) + 1/lam| <= 1e-12 * |1/lam| (up to the evaluation noise floor of
-    the transform itself).
+    lam < 0, within a bracket of closed form.  Each root is found by Newton
+    on the secular function times the distances to its neighbouring atoms,
+    kept inside its bracket, to |K(x) + 1/lam| <= 1e-12 * |1/lam| (up to the
+    evaluation noise floor of the transform itself).
     """
     lam = float(lam)
     if lam == 0.0:
         raise DomainError("secular equation needs a nonzero coupling")
     t, m = _line_pf(K)
-    target = -1.0 / lam
-    interior = _bisect_interior(t, m, target)
-    outside = _bisect_outside(t, m, target)
-    roots = np.sort(np.concatenate([interior, [outside]]))
-
-    for _ in range(4):
-        g = _cauchy_line_value(t, m, roots) - target
-        kp = np.sum(m[None, :] / (t[None, :] - roots[:, None]) ** 2, axis=1)
-        roots = roots - g / kp
-
-    resid = np.abs(_cauchy_line_value(t, m, roots) - target)
-    # Attainable floor in binary64: summation noise plus the jump of K
-    # across one ulp of root position (K' can be huge next to a pole).
-    kp = np.sum(m[None, :] / (t[None, :] - roots[:, None]) ** 2, axis=1)
-    eps = np.finfo(float).eps
-    noise = eps * (32.0 * np.sum(np.abs(m[None, :] / (t[None, :] - roots[:, None])),
-                                 axis=1)
-                   + 4.0 * kp * (1.0 + np.abs(roots)))
-    allowed = np.maximum(1e-12 * abs(target), noise)
-    if np.any(resid > allowed):
-        worst = int(np.argmax(resid - allowed))
-        raise RootFindingError(
-            f"secular root at {roots[worst]} has residual {resid[worst]:.3e} "
-            f"(allowed {allowed[worst]:.3e}); interlacing bracket "
-            f"may be violated")
-    return roots
+    return _secular_solve(t, m, -1.0 / lam)
 
 
 def residue_masses_line(K: HerglotzRational, lam: float, roots) -> np.ndarray:

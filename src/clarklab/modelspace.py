@@ -205,10 +205,7 @@ def t_alpha_matrix(ms: ModelSpace, alpha: complex,
     {theta = alpha}.
     """
     _require_theta_vanishes_at_zero(ms)
-    alpha = complex(alpha)
-    if abs(abs(alpha) - 1.0) > 1e-9:
-        raise DomainError(f"|alpha| = {abs(alpha)} is not unimodular")
-    alpha /= abs(alpha)
+    alpha = _require_unimodular(alpha)
     a_mat, b, c, d = _unitary_realization(ms.theta)
     t = np.conj(a_mat + np.outer(b, c) / (alpha - d))
     # Frobenius bounds the spectral norm from above: a stricter check

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstructionError, CyclicityError, DomainError
-from .herglotz import BlaschkeProduct, blaschke_eval
+from .herglotz import BlaschkeProduct, _require_unimodular, blaschke_eval
 from .measures import (BorelSetSpec, CircleAtomicMeasure, TWO_PI, measure_of,
                        simon_wolff_integral_circle)
 from .modelspace import (ModelSpace, ModelVector, _require_in_disk,
@@ -60,10 +60,7 @@ class AnalyticCurve:
 
 def curve_sample(curve: AnalyticCurve, xi: complex) -> np.ndarray:
     """The torus point (I_1(xi), ..., I_n(xi)) for unimodular xi."""
-    xi = complex(xi)
-    if abs(abs(xi) - 1.0) > 1e-9:
-        raise DomainError(f"|xi| = {abs(xi)} is not unimodular")
-    xi /= abs(xi)
+    xi = _require_unimodular(xi)
     point = np.array([blaschke_eval(c, xi) for c in curve.components])
     defect = np.max(np.abs(np.abs(point) - 1.0))
     if defect > 1e-10:
@@ -146,9 +143,7 @@ def recursive_unitary(family: RankNPerturbationFamily, alphas,
     alphas = np.atleast_1d(np.asarray(alphas, dtype=complex))
     if alphas.shape != (family.n,):
         raise DomainError(f"expected {family.n} parameters, got {alphas.shape}")
-    if np.any(np.abs(np.abs(alphas) - 1.0) > 1e-9):
-        raise DomainError("all parameters must be unimodular")
-    alphas = alphas / np.abs(alphas)
+    alphas = np.array([_require_unimodular(a) for a in alphas])
     u = family.base.dense()
     eye = np.eye(family.base.dimension)
     for k, (alpha_k, phi_k) in enumerate(zip(alphas, family.vectors)):
@@ -214,11 +209,8 @@ def knu_alpha_beta(ms: ModelSpace, vec: ModelVector, alpha: complex,
     (a scalar or an array of points), with W = (g + alpha h)/(alpha - theta);
     requires f(0) = 0."""
     zarr = _require_in_disk(z)
-    alpha = complex(alpha)
-    beta = complex(beta)
-    for name, val in (("alpha", alpha), ("beta", beta)):
-        if abs(abs(val) - 1.0) > 1e-9:
-            raise DomainError(f"|{name}| = {abs(val)} is not unimodular")
+    alpha = _require_unimodular(alpha)
+    beta = _require_unimodular(beta)
     _, _, g, h, theta = _vanishing_context(ms, vec).values(zarr)
     w = (g + alpha * h) / (alpha - theta)
     return _shaped_like(z, beta * w / (1.0 + (beta - 1.0) * w))

@@ -216,6 +216,27 @@ class TestSecular:
         assert np.all(resid <= 1e-11 * abs(1.0 / lam)
                       + 1e-12 * np.sum(m / (t[None, :] - roots[:, None]) ** 2, axis=1))
 
+    @pytest.mark.parametrize("lam", [1e-3, -1e-3, 1e3, -1e3])
+    @pytest.mark.parametrize("t, m", [
+        ([0.5], [2.0]),
+        ([-1.0, 0.0, 1e-9, 1.0], [0.25] * 4),
+        (np.arange(8.0), np.logspace(-12, 0, 8)),
+        # the roots next to the 1e-12 masses sit about one ulp from them
+        (np.arange(8.0), np.logspace(0, -12, 8)),
+        (1e6 + np.array([0.0, 1.0]), [0.5, 0.5]),
+    ], ids=["single", "close-atoms", "small-masses-first",
+            "small-masses-last", "far-atoms"])
+    def test_hard_inputs_against_eigvalsh(self, t, m, lam):
+        t = np.asarray(t, dtype=float)
+        m = np.asarray(m, dtype=float)
+        roots = secular_roots_line(HerglotzRational(tuple(t), tuple(m)), lam)
+        phi = np.sqrt(m)
+        want = np.linalg.eigvalsh(np.diag(t) + lam * np.outer(phi, phi))
+        assert np.max(np.abs(roots - want)) <= 1e-9 * (1.0 + abs(lam))
+        interior = roots[:-1] if lam > 0 else roots[1:]
+        assert np.all((interior > t[:-1]) & (interior < t[1:]))
+        assert roots[-1] > t[-1] if lam > 0 else roots[0] < t[0]
+
 
 class TestResidues:
     def test_scalar_mass(self):
@@ -256,6 +277,17 @@ class TestCauchyZeros:
         t = np.asarray(mu.positions)
         assert zeros.shape == (len(t) - 1,)
         assert np.all((zeros > t[:-1]) & (zeros < t[1:]))
+
+    def test_single_atom_and_symmetric_atoms(self):
+        assert cauchy_zeros_line(cauchy_rational_line(DELTA0)).size == 0
+        # K(x) = 2x (0.1/(4 - x^2) + 0.3/(1 - x^2)) vanishes at 0 exactly
+        K = HerglotzRational((-2.0, -1.0, 1.0, 2.0), (0.1, 0.3, 0.3, 0.1))
+        zeros = cauchy_zeros_line(K)
+        t = np.asarray(K.nodes)
+        assert zeros[1] == 0.0
+        assert zeros[2] == -zeros[0]
+        assert np.all((zeros > t[:-1]) & (zeros < t[1:]))
+        assert np.all(np.abs([rational_eval(K, x) for x in zeros]) <= 1e-15)
 
 
 class TestCayley:

@@ -164,6 +164,17 @@ class TestTwoParameterTransform:
         ms, f = family_model_space(FAMILY2)
         assert knu_alpha_beta(ms, f, 1.0, 1j, 0.0) == pytest.approx(1.0, abs=1e-12)
 
+    def test_parameters_normalized(self):
+        # within the 1e-9 unimodular tolerance the parameters are projected
+        # onto the circle, as in knu_alpha
+        ms, f = family_model_space(random_family(_rng(8), 5, 2))
+        alpha, beta, z = cmath.exp(0.4j), cmath.exp(2.3j), 0.3 + 0.2j
+        off = 1.0 + 5e-10
+        assert abs(knu_alpha_beta(ms, f, off * alpha, off * beta, z)
+                   - knu_alpha_beta(ms, f, alpha, beta, z)) <= 1e-14
+        with pytest.raises(DomainError):
+            knu_alpha_beta(ms, f, alpha, 1.01 * beta, z)
+
     def test_against_oracle_grid(self, rng):
         fam = random_family(_rng(8), 5, 2)
         ms, f = family_model_space(fam)

@@ -112,13 +112,15 @@ class TestPerturbSelfadjoint:
             assert total_mass(perturb_selfadjoint(TWO_LINE, lam)) == pytest.approx(
                 1.0, abs=1e-10)
 
-    @pytest.mark.parametrize("n", [2, 8, 32, 192, 256, 512])
-    @pytest.mark.parametrize("lam", [0.1, -0.1, 1.0, -1.0, 10.0, -10.0])
+    @pytest.mark.parametrize("lam, n", [
+        (lam, n) for lam in (0.1, -0.1, 1.0, -1.0, 10.0, -10.0)
+        for n in (2, 8, 32, 192, 256, 512)] + [(1.0, 1024), (-1.0, 1024)])
     def test_oracle_equivalence(self, n, lam):
         # At N=192 the seeds 10**6 + 49 and 10**6 + 111 give node polynomials
         # whose monomial coefficients exceed 1e14 times the leading one, so a
         # coefficient form of the transform cannot represent them.
-        for seed in (0, 1, 2, 10**6 + 49, 10**6 + 111):
+        seeds = (0,) if n > 512 else (0, 1, 2, 10**6 + 49, 10**6 + 111)
+        for seed in seeds:
             model = random_model(seed, n, "line")
             got = perturb_selfadjoint(model, lam)
             want = matrix_oracle_selfadjoint(model, lam)
