@@ -2,12 +2,14 @@
 
 Cauchy transforms of finite atomic measures are rational functions, and all
 identities the verification suites check reduce to exact rational algebra.
-A transform is held in pole form only: the atoms (poles) and masses
-(residues) of a positive line measure.  Monomial coefficients of
-high-degree node polynomials misrepresent their roots, so none are formed:
-the zeros of an inner function are the eigenvalues of a small matrix
-(Clark / Aleksandrov: the solutions of theta = alpha are the spectrum of
-the alpha-perturbed operator).
+A transform is held in pole form only, and a line measure is its own
+transform in that form: the secular and Cayley routes take and return a
+``LineAtomicMeasure``, whose atoms are the poles and whose masses are the
+residues, and ``measures.cauchy_transform_line`` evaluates it.  Monomial
+coefficients of high-degree node polynomials misrepresent their roots, so
+none are formed: the zeros of an inner function are the eigenvalues of a
+small matrix (Clark / Aleksandrov: the solutions of theta = alpha are the
+spectrum of the alpha-perturbed operator).
 
 Root finding is correctness-first: each root of the secular equation on the
 line has a bracket known in closed form (the gap between two atoms, or an
@@ -29,48 +31,16 @@ import numpy as np
 
 from .errors import (ConstructionError, DomainError, PoleError, ResidueError,
                      RootFindingError)
-from .measures import LineAtomicMeasure
+from .measures import LineAtomicMeasure, cauchy_transform_line
 
 
-@dataclass(frozen=True)
-class HerglotzRational:
-    """Cauchy transform sum_j weights_j / (nodes_j - z) of a positive line
-    measure, held in pole form.
+def cauchy_rational_line(mu: LineAtomicMeasure) -> LineAtomicMeasure:
+    """Cauchy transform sum m_j/(t_j - z) of a line measure, in pole form.
 
-    ``nodes`` are finite and strictly increasing, ``weights`` positive, so
-    the transform maps the upper half-plane into itself.
+    A line measure is its own transform in pole form, so mu is returned as
+    it is; evaluate the transform with ``measures.cauchy_transform_line``.
     """
-
-    nodes: tuple[float, ...]
-    weights: tuple[float, ...]
-
-    def __post_init__(self):
-        nodes = tuple(float(x) for x in self.nodes)
-        weights = tuple(float(w) for w in self.weights)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
-        if len(nodes) != len(weights) or not nodes:
-            raise ConstructionError("nodes and weights must be non-empty and aligned")
-        if not all(math.isfinite(x) for x in nodes):
-            raise ConstructionError("nodes must be finite")
-        if any(b <= a for a, b in zip(nodes, nodes[1:])):
-            raise ConstructionError("nodes must be strictly increasing")
-        if not all(w > 0.0 and math.isfinite(w) for w in weights):
-            raise ConstructionError("weights must be positive and finite; "
-                                    "not the transform of a positive measure")
-
-
-def cauchy_rational_line(mu: LineAtomicMeasure) -> HerglotzRational:
-    """Cauchy transform sum m_j/(t_j - z) of a line measure, in pole form."""
-    return HerglotzRational(mu.positions, mu.masses)
-
-
-def rational_eval(f: HerglotzRational, z: complex) -> complex:
-    """Evaluate f at z; raises PoleError exactly at a node."""
-    z = complex(z)
-    if z.imag == 0.0 and any(z.real == tj for tj in f.nodes):
-        raise PoleError(f"evaluation at pole {z.real}")
-    return complex(np.sum(np.asarray(f.weights) / (np.asarray(f.nodes) - z)))
+    return mu
 
 
 # ---------------------------------------------------------------------------
@@ -297,9 +267,11 @@ def level_set(theta: BlaschkeProduct, alpha: complex) -> np.ndarray:
 # Secular equation on the line
 # ---------------------------------------------------------------------------
 
-def _line_pf(K: HerglotzRational) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of a line Cauchy transform as float arrays."""
-    return np.asarray(K.nodes, dtype=float), np.asarray(K.weights, dtype=float)
+def _line_pf(mu: LineAtomicMeasure) -> tuple[np.ndarray, np.ndarray]:
+    """Poles and residues of a line Cauchy transform as float arrays."""
+    if not mu.positions:
+        raise DomainError("the transform of the zero measure has no poles")
+    return np.asarray(mu.positions), np.asarray(mu.masses)
 
 
 # Newton stops within a step of 2 eps times the bracket's magnitude; the
@@ -387,14 +359,16 @@ def _secular_solve(t, m, target) -> np.ndarray:
     return x
 
 
-def cauchy_zeros_line(K: HerglotzRational) -> np.ndarray:
-    """The N-1 real zeros of the transform, one strictly inside each gap."""
-    t, m = _line_pf(K)
+def cauchy_zeros_line(mu: LineAtomicMeasure) -> np.ndarray:
+    """The N-1 real zeros of the Cauchy transform of mu, one strictly inside
+    each gap."""
+    t, m = _line_pf(mu)
     return _secular_solve(t, m, 0.0)
 
 
-def secular_roots_line(K: HerglotzRational, lam: float) -> np.ndarray:
-    """All N real solutions of K(x) = -1/lam, sorted ascending.
+def secular_roots_line(mu: LineAtomicMeasure, lam: float) -> np.ndarray:
+    """All N real solutions of K(x) = -1/lam, sorted ascending, with K the
+    Cauchy transform of mu.
 
     Exactly one root lies strictly between consecutive atoms; the remaining
     root sits above the top atom for lam > 0 and below the bottom atom for
@@ -406,11 +380,11 @@ def secular_roots_line(K: HerglotzRational, lam: float) -> np.ndarray:
     lam = float(lam)
     if lam == 0.0:
         raise DomainError("secular equation needs a nonzero coupling")
-    t, m = _line_pf(K)
+    t, m = _line_pf(mu)
     return _secular_solve(t, m, -1.0 / lam)
 
 
-def residue_masses_line(K: HerglotzRational, lam: float, roots) -> np.ndarray:
+def residue_masses_line(mu: LineAtomicMeasure, lam: float, roots) -> np.ndarray:
     """Masses 1/(lam^2 K'(x)) of the perturbed measure at the secular roots.
 
     All masses are positive and must sum to the unperturbed total mass
@@ -419,7 +393,7 @@ def residue_masses_line(K: HerglotzRational, lam: float, roots) -> np.ndarray:
     lam = float(lam)
     if lam == 0.0:
         raise DomainError("residues need a nonzero coupling")
-    t, m = _line_pf(K)
+    t, m = _line_pf(mu)
     roots = np.asarray(roots, dtype=float)
     kp = np.sum(m[None, :] / (t[None, :] - roots[:, None]) ** 2, axis=1)
     if np.any(kp < 1e-14):
@@ -459,16 +433,17 @@ class HalfPlaneInner:
         return self.disk.degree
 
 
-def cayley_transfer(J: HerglotzRational) -> HalfPlaneInner:
-    """Half-plane inner function (1 + iJ)/(1 - iJ) of a Herglotz rational J.
+def cayley_transfer(mu: LineAtomicMeasure) -> HalfPlaneInner:
+    """Half-plane inner function (1 + iJ)/(1 - iJ) of the Cauchy transform J
+    of mu.
 
     Orientation: |theta| < 1 wherever Im J > 0 (at J = i the value is 0, not
-    infinity).  With phi = sqrt(weights), J(z) = phi^T (diag(t) - z)^{-1} phi,
+    infinity).  With phi = sqrt(masses), J(z) = phi^T (diag(t) - z)^{-1} phi,
     so the zeros -- the solutions of J(z) = i, i.e. of 1 + i J(z) = 0 -- are
     the eigenvalues of diag(t) + i phi phi^T.  They lie in the upper
     half-plane and map to disk Blaschke zeros through (z - i)/(z + i).
     """
-    t, m = _line_pf(J)
+    t, m = _line_pf(mu)
     phi = np.sqrt(m)
     zs = np.linalg.eigvals(np.diag(t) + 1j * np.outer(phi, phi))
     if np.any(zs.imag <= 0.0):
@@ -477,14 +452,15 @@ def cayley_transfer(J: HerglotzRational) -> HalfPlaneInner:
     ws = (zs - 1j) / (zs + 1j)
 
     def value_at(w0):
-        jz0 = rational_eval(J, 1j * (1.0 + w0) / (1.0 - w0))
+        jz0 = cauchy_transform_line(mu, 1j * (1.0 + w0) / (1.0 - w0))
         return (1.0 + 1j * jz0) / (1.0 - 1j * jz0)
 
     return HalfPlaneInner(_blaschke_with_value(ws, value_at))
 
 
-def cayley_inverse(hp: HalfPlaneInner) -> HerglotzRational:
-    """Recover the Herglotz rational J with (1 + iJ)/(1 - iJ) = hp, in pole form.
+def cayley_inverse(hp: HalfPlaneInner) -> LineAtomicMeasure:
+    """Recover the line measure whose Cauchy transform J has
+    (1 + iJ)/(1 - iJ) = hp.
 
     The poles of J are the real solutions of hp = -1.  On the real axis
     hp = exp(2i arctan J), whose phase grows at rate 2/w through a pole of
@@ -499,7 +475,7 @@ def cayley_inverse(hp: HalfPlaneInner) -> HerglotzRational:
     t = halfplane_level_set(hp, -1.0)
     xi = (t - 1j) / (t + 1j)
     w = (1.0 + t ** 2) / boundary_derivative_modulus(hp.disk, xi)
-    return HerglotzRational(tuple(t), tuple(w))
+    return LineAtomicMeasure(tuple(t), tuple(w))
 
 
 def halfplane_level_set(hp: HalfPlaneInner, alpha: complex) -> np.ndarray:

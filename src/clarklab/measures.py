@@ -70,11 +70,29 @@ def _validated_atoms(atoms: Iterable[tuple[float, float]], what: str
     return _merge_sorted_atoms(pairs)
 
 
+def _float_fields(measure, locations: str) -> tuple[float, ...]:
+    """Coerce the location and mass fields of a frozen measure to tuples of
+    floats in place, check the masses positive and finite, and return the
+    locations."""
+    locs = tuple(map(float, getattr(measure, locations)))
+    masses = tuple(map(float, measure.masses))
+    object.__setattr__(measure, locations, locs)
+    object.__setattr__(measure, "masses", masses)
+    if len(locs) != len(masses):
+        raise ConstructionError(f"{locations} and masses differ in length")
+    if not all(0.0 < m < math.inf for m in masses):
+        raise ConstructionError("all masses must be positive and finite")
+    return locs
+
+
 @dataclass(frozen=True)
 class LineAtomicMeasure:
     """Finite positive atomic measure on the real line.
 
-    ``positions`` are strictly increasing, all ``masses`` positive.
+    ``positions`` are finite and strictly increasing, all ``masses``
+    positive and finite.  The measure is also its own Cauchy transform
+    sum_j m_j / (t_j - z), held in pole form: the atoms are the poles and
+    the masses the residues.
     """
 
     positions: tuple[float, ...]
@@ -86,11 +104,10 @@ class LineAtomicMeasure:
         return cls(tuple(p for p, _ in pairs), tuple(m for _, m in pairs))
 
     def __post_init__(self):
-        if len(self.positions) != len(self.masses):
-            raise ConstructionError("positions and masses differ in length")
-        if any(m <= 0.0 for m in self.masses):
-            raise ConstructionError("all masses must be positive")
-        if any(b <= a for a, b in zip(self.positions, self.positions[1:])):
+        positions = _float_fields(self, "positions")
+        if not all(math.isfinite(t) for t in positions):
+            raise ConstructionError("positions must be finite")
+        if any(b <= a for a, b in zip(positions, positions[1:])):
             raise ConstructionError("positions must be strictly increasing; "
                                     "use from_atoms() to sort and merge")
 
@@ -102,7 +119,8 @@ class LineAtomicMeasure:
 class CircleAtomicMeasure:
     """Finite positive atomic measure on the unit circle.
 
-    Atom locations are angles in [0, 2*pi), strictly increasing.
+    Atom locations are angles in [0, 2*pi), strictly increasing; all
+    ``masses`` positive and finite.
     """
 
     angles: tuple[float, ...]
@@ -122,14 +140,11 @@ class CircleAtomicMeasure:
         return cls(tuple(p for p, _ in pairs), tuple(m for _, m in pairs))
 
     def __post_init__(self):
-        if len(self.angles) != len(self.masses):
-            raise ConstructionError("angles and masses differ in length")
-        if any(m <= 0.0 for m in self.masses):
-            raise ConstructionError("all masses must be positive")
-        if any(a < 0.0 or a >= TWO_PI for a in self.angles):
+        angles = _float_fields(self, "angles")
+        if not all(0.0 <= a < TWO_PI for a in angles):
             raise ConstructionError("angles must lie in [0, 2*pi); "
                                     "use from_atoms() to wrap")
-        if any(b <= a for a, b in zip(self.angles, self.angles[1:])):
+        if any(b <= a for a, b in zip(angles, angles[1:])):
             raise ConstructionError("angles must be strictly increasing; "
                                     "use from_atoms() to sort and merge")
 

@@ -282,18 +282,14 @@ def _offgrid_samples(count: int = 64) -> np.ndarray:
     return np.exp(1j * angles)
 
 
-def lemma7_decompose(ms: ModelSpace, vec: ModelVector,
-                     residual_tol: float = 1e-9) -> tuple[ModelVector, ModelVector]:
-    """Split f0 * hat(f0) = g + theta * h with g, h in the model space.
+# Bound on the boundary residual |f0 hat(f0) - g - theta h| of the split.
+_SPLIT_RESIDUAL_TOL = 1e-9
 
-    f0 = f - f(0).  The product lies in the model space of theta^2, which is
-    the orthogonal sum of the space and theta times it, so g and h are its
-    orthogonal projections, computed exactly by the Clark quadrature of
-    theta^2; the boundary identity is re-verified on 64 boundary samples
-    away from the nodes.
-    """
-    f0_coeff = ms.coefficients(vec) - ms.eval_vector(vec, 0.0) * np.conj(ms.basis_at_zero)
-    f0 = ms.vector(f0_coeff)
+
+def _split(ms: ModelSpace, vec: ModelVector, residual_tol: float):
+    """f(0), f0, hat(f0), g and h of the Lemma 7 split of vec, verified."""
+    f_at_zero = ms.eval_vector(vec, 0.0)
+    f0 = ms.vector(ms.coefficients(vec) - f_at_zero * np.conj(ms.basis_at_zero))
     f0_hat = hat_conjugate(ms, f0)
     p_vals = ms.boundary_values(f0) * ms.boundary_values(f0_hat)
     g = ms.vector(ms.project(p_vals))
@@ -308,7 +304,21 @@ def lemma7_decompose(ms: ModelSpace, vec: ModelVector,
         raise ResidueError(
             f"product decomposition residual {worst:.3e} exceeds {residual_tol}; "
             "basis conditioning insufficient")
-    return g, h
+    return f_at_zero, f0, f0_hat, g, h
+
+
+def lemma7_decompose(ms: ModelSpace, vec: ModelVector,
+                     residual_tol: float = _SPLIT_RESIDUAL_TOL
+                     ) -> tuple[ModelVector, ModelVector]:
+    """Split f0 * hat(f0) = g + theta * h with g, h in the model space.
+
+    f0 = f - f(0).  The product lies in the model space of theta^2, which is
+    the orthogonal sum of the space and theta times it, so g and h are its
+    orthogonal projections, computed exactly by the Clark quadrature of
+    theta^2; the boundary identity is re-verified on 64 boundary samples
+    away from the nodes.
+    """
+    return _split(ms, vec, residual_tol)[3:]
 
 
 @dataclass(frozen=True)
@@ -316,7 +326,7 @@ class _TransformContext:
     """The point-independent data of the transforms of one vector f.
 
     ``coeffs`` holds the TM coefficients of f0 = f - f(0), hat(f0), g and h
-    as rows, with f0 * hat(f0) = g + theta h verified by
+    as rows, with f0 * hat(f0) = g + theta h verified as in
     ``lemma7_decompose`` when the context is built.
     """
 
@@ -337,11 +347,8 @@ def _transform_context(ms: ModelSpace, vec: ModelVector) -> _TransformContext:
     space; a failed split raises and caches nothing."""
     ctx = ms._contexts.get(vec)
     if ctx is None:
-        f_at_zero = ms.eval_vector(vec, 0.0)
-        f0 = ms.vector(ms.coefficients(vec) - f_at_zero * np.conj(ms.basis_at_zero))
-        f0_hat = hat_conjugate(ms, f0)
-        g, h = lemma7_decompose(ms, vec)
-        coeffs = np.array([v.coeffs for v in (f0, f0_hat, g, h)], dtype=complex)
+        f_at_zero, *parts = _split(ms, vec, _SPLIT_RESIDUAL_TOL)
+        coeffs = np.array([v.coeffs for v in parts], dtype=complex)
         ctx = _TransformContext(f_at_zero, coeffs,
                                 np.asarray(ms.theta.zeros, dtype=complex),
                                 ms.theta.c)

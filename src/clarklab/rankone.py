@@ -29,15 +29,15 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import (ConstructionError, DomainError, PoleError, ResidueError)
-from .herglotz import (BlaschkeProduct, HalfPlaneInner, HerglotzRational,
+from .herglotz import (BlaschkeProduct, HalfPlaneInner,
                        _blaschke_with_value, _require_unimodular,
                        blaschke_eval, boundary_derivative_modulus,
-                       cauchy_rational_line, cauchy_zeros_line,
-                       cayley_transfer, level_set, level_set_batch,
-                       rational_eval, residue_masses_line, secular_roots_line)
+                       cauchy_zeros_line, cayley_transfer, level_set,
+                       level_set_batch, residue_masses_line,
+                       secular_roots_line)
 from .measures import (BorelSetSpec, CircleAtomicMeasure, LineAtomicMeasure,
-                       TWO_PI, cauchy_transform_disk, measure_of,
-                       simon_wolff_integral)
+                       TWO_PI, cauchy_transform_disk, cauchy_transform_line,
+                       measure_of, simon_wolff_integral)
 from .quadrature import integrate_circle, integrate_line, vectorize_scalar
 
 WEIGHT_SUM_TOL = 1e-12
@@ -119,9 +119,10 @@ def spectral_measure(model: CyclicOperatorModel):
     return CircleAtomicMeasure.from_atoms(atoms)
 
 
-def aronszajn_krein_eval(K0: HerglotzRational, lam: float, z: complex) -> complex:
-    """Perturbed transform K0(z) / (1 + lam K0(z))."""
-    val = rational_eval(K0, z)
+def aronszajn_krein_eval(mu0: LineAtomicMeasure, lam: float, z: complex) -> complex:
+    """Perturbed transform K0(z) / (1 + lam K0(z)), K0 the Cauchy transform
+    of mu0."""
+    val = cauchy_transform_line(mu0, z)
     den = 1.0 + lam * val
     if den == 0.0:
         raise PoleError(f"1 + lam*K0 vanishes at {z}")
@@ -143,9 +144,8 @@ def perturb_selfadjoint(model: CyclicOperatorModel, lam: float) -> LineAtomicMea
     mu0 = spectral_measure(model)
     if lam == 0.0:
         return mu0
-    K0 = cauchy_rational_line(mu0)
-    roots = secular_roots_line(K0, lam)
-    masses = residue_masses_line(K0, lam, roots)
+    roots = secular_roots_line(mu0, lam)
+    masses = residue_masses_line(mu0, lam, roots)
     return LineAtomicMeasure.from_atoms(zip(roots, masses))
 
 
@@ -285,7 +285,7 @@ def inner_from_selfadjoint(model: CyclicOperatorModel) -> HalfPlaneInner:
     """
     if model.kind != "line":
         raise DomainError("inner_from_selfadjoint needs a line model")
-    return cayley_transfer(cauchy_rational_line(spectral_measure(model)))
+    return cayley_transfer(spectral_measure(model))
 
 
 def _disk_transform_and_derivative(nu: CircleAtomicMeasure, z):
@@ -412,14 +412,13 @@ def disintegration_check_line(model: CyclicOperatorModel, borel: BorelSetSpec,
     if borel.space != "line":
         raise DomainError("line disintegration needs a line Borel set")
     mu0 = spectral_measure(model)
-    K = cauchy_rational_line(mu0)
 
     breakpoints = [0.0]
     for a, b in borel.pieces:
         for endpoint in (a, b):
             if any(endpoint == t for t in mu0.positions):
                 continue
-            kval = rational_eval(K, endpoint).real
+            kval = cauchy_transform_line(mu0, endpoint).real
             if kval != 0.0:
                 breakpoints.append(-1.0 / kval)
 
@@ -429,9 +428,9 @@ def disintegration_check_line(model: CyclicOperatorModel, borel: BorelSetSpec,
     value, err = integrate_line(vectorize_scalar(integrand), -window, window,
                                 tol=0.5 * tol, breakpoints=breakpoints)
 
-    zeros = cauchy_zeros_line(K)
-    roots_plus = secular_roots_line(K, window)
-    roots_minus = secular_roots_line(K, -window)
+    zeros = cauchy_zeros_line(mu0)
+    roots_plus = secular_roots_line(mu0, window)
+    roots_minus = secular_roots_line(mu0, -window)
     tail = 0.0
     for r, zero in zip(roots_plus[:-1], zeros):
         tail += borel.intersect_interval_length(r, zero)

@@ -657,7 +657,7 @@ def run_scenario(source, workers: int = 1) -> RunReport:
             records = [CheckRecord(chk["check"], params, None, None, 0.0, False)]
         elapsed = (time.perf_counter() - start) * 1e3
         for rec in records:
-            rec.wall_ms = elapsed / max(1, len(records))
+            rec.wall_ms = elapsed
         return records
 
     items = list(enumerate(scenario.checks))

@@ -63,13 +63,14 @@ def pytest_terminal_summary(terminalreporter):
 
 @pytest.fixture
 def split_calls(monkeypatch):
-    """The calls of modelspace.lemma7_decompose made through its module."""
+    """The Lemma 7 splits, the calls of modelspace._split made through its
+    module (lemma7_decompose and the transform context both split there)."""
     calls = []
-    original = modelspace.lemma7_decompose
+    original = modelspace._split
 
     def counted(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(modelspace, "lemma7_decompose", counted)
+    monkeypatch.setattr(modelspace, "_split", counted)
     return calls

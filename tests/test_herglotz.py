@@ -6,10 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from clarklab.errors import (ConstructionError, DomainError, PoleError,
-                             RootFindingError)
+from clarklab.errors import ConstructionError, DomainError, RootFindingError
 from clarklab.herglotz import (BlaschkeProduct, HalfPlaneInner,
-                               HerglotzRational,
                                alpha_to_coupling, blaschke_eval,
                                blaschke_derivative,
                                boundary_derivative_modulus,
@@ -17,9 +15,9 @@ from clarklab.herglotz import (BlaschkeProduct, HalfPlaneInner,
                                cauchy_zeros_line, cayley_inverse,
                                cayley_transfer, coupling_to_alpha,
                                halfplane_level_set, level_set,
-                               level_set_batch, rational_eval,
-                               residue_masses_line, secular_roots_line)
-from clarklab.measures import LineAtomicMeasure
+                               level_set_batch, residue_masses_line,
+                               secular_roots_line)
+from clarklab.measures import LineAtomicMeasure, cauchy_transform_line
 from clarklab.rankone import (inner_from_unitary, rank_one_unitary_update,
                               spectral_measure)
 from clarklab.scenarios import random_model
@@ -30,33 +28,18 @@ TWO_SYM = LineAtomicMeasure.from_atoms([(-1.0, 0.5), (1.0, 0.5)])
 DELTA0 = LineAtomicMeasure.from_atoms([(0.0, 1.0)])
 
 
-class TestRationalEval:
-    def test_reciprocal(self):
-        f = cauchy_rational_line(DELTA0)  # -1/z
-        assert rational_eval(f, 1j) == pytest.approx(1j)
+class TestLineTransform:
+    def test_measure_is_its_own_transform(self):
+        assert cauchy_rational_line(TWO_SYM) is TWO_SYM
 
-    def test_two_atom_transform(self):
-        K = cauchy_rational_line(TWO_SYM)  # x / (1 - x^2)
-        assert rational_eval(K, 2.0) == pytest.approx(-2.0 / 3.0)
-
-    def test_pole_error(self):
-        K = cauchy_rational_line(DELTA0)
-        with pytest.raises(PoleError):
-            rational_eval(K, 0.0)
-
-
-class TestRationalConstruction:
-    def test_pole_form_validated(self):
-        for nodes, weights in [((0.0, 0.0), (0.5, 0.5)),
-                               ((1.0, 0.0), (0.5, 0.5)),
-                               ((0.0, math.inf), (0.5, 0.5)),
-                               ((math.nan,), (1.0,)),
-                               ((0.0,), (0.0,)),
-                               ((0.0,), (math.nan,)),
-                               ((0.0, 1.0), (1.0,)),
-                               ((), ())]:
-            with pytest.raises(ConstructionError):
-                HerglotzRational(nodes, weights)
+    def test_zero_measure_has_no_poles(self):
+        zero = LineAtomicMeasure((), ())
+        for route in (lambda: secular_roots_line(zero, 1.0),
+                      lambda: cauchy_zeros_line(zero),
+                      lambda: residue_masses_line(zero, 1.0, []),
+                      lambda: cayley_transfer(zero)):
+            with pytest.raises(DomainError):
+                route()
 
 
 class TestBlaschke:
@@ -170,31 +153,26 @@ class TestLevelSet:
 
 class TestSecular:
     def test_scalar(self):
-        K = cauchy_rational_line(DELTA0)
-        assert secular_roots_line(K, 3.0) == pytest.approx([3.0])
+        assert secular_roots_line(DELTA0, 3.0) == pytest.approx([3.0])
 
     def test_two_atom_closed_form(self):
         # -1/x = ... K(x) = x/(1-x^2) = -1/3  <=>  x^2 - 3x - 1 = 0
-        K = cauchy_rational_line(TWO_SYM)
-        roots = secular_roots_line(K, 3.0)
+        roots = secular_roots_line(TWO_SYM, 3.0)
         want = [(3.0 - math.sqrt(13.0)) / 2.0, (3.0 + math.sqrt(13.0)) / 2.0]
         assert roots == pytest.approx(want, rel=1e-13)
 
     def test_continuity_to_unperturbed(self):
-        K = cauchy_rational_line(TWO_SYM)
-        roots = secular_roots_line(K, 1e-8)
+        roots = secular_roots_line(TWO_SYM, 1e-8)
         assert roots[0] == pytest.approx(-1.0, abs=1e-7)
         assert roots[1] == pytest.approx(1.0, abs=1e-7)
 
     def test_zero_coupling_rejected(self):
-        K = cauchy_rational_line(TWO_SYM)
         with pytest.raises(DomainError):
-            secular_roots_line(K, 0.0)
+            secular_roots_line(TWO_SYM, 0.0)
 
     @given(line_measures(), st.sampled_from([0.1, -0.1, 1.0, -1.0, 10.0, -10.0]))
     def test_interlacing(self, mu, lam):
-        K = cauchy_rational_line(mu)
-        roots = secular_roots_line(K, lam)
+        roots = secular_roots_line(mu, lam)
         t = np.asarray(mu.positions)
         assert roots.shape == t.shape
         # one root strictly inside each gap
@@ -208,8 +186,7 @@ class TestSecular:
 
     @given(line_measures(), st.sampled_from([0.5, -0.5, 2.0, -2.0]))
     def test_residual_contract(self, mu, lam):
-        K = cauchy_rational_line(mu)
-        roots = secular_roots_line(K, lam)
+        roots = secular_roots_line(mu, lam)
         t = np.asarray(mu.positions)
         m = np.asarray(mu.masses)
         resid = np.abs(np.sum(m / (t[None, :] - roots[:, None]), axis=1) + 1.0 / lam)
@@ -229,7 +206,7 @@ class TestSecular:
     def test_hard_inputs_against_eigvalsh(self, t, m, lam):
         t = np.asarray(t, dtype=float)
         m = np.asarray(m, dtype=float)
-        roots = secular_roots_line(HerglotzRational(tuple(t), tuple(m)), lam)
+        roots = secular_roots_line(LineAtomicMeasure(tuple(t), tuple(m)), lam)
         phi = np.sqrt(m)
         want = np.linalg.eigvalsh(np.diag(t) + lam * np.outer(phi, phi))
         assert np.max(np.abs(roots - want)) <= 1e-9 * (1.0 + abs(lam))
@@ -240,8 +217,7 @@ class TestSecular:
 
 class TestResidues:
     def test_scalar_mass(self):
-        K = cauchy_rational_line(DELTA0)
-        masses = residue_masses_line(K, 3.0, [3.0])
+        masses = residue_masses_line(DELTA0, 3.0, [3.0])
         assert masses == pytest.approx([1.0])
 
     def test_two_atom_vs_eigendecomposition(self):
@@ -250,51 +226,46 @@ class TestResidues:
         a = np.diag([-1.0, 1.0]) + 3.0 * np.outer(phi, phi)
         evals, evecs = np.linalg.eigh(a)
         want = (evecs.T @ phi) ** 2
-        K = cauchy_rational_line(TWO_SYM)
-        roots = secular_roots_line(K, 3.0)
-        masses = residue_masses_line(K, 3.0, roots)
+        roots = secular_roots_line(TWO_SYM, 3.0)
+        masses = residue_masses_line(TWO_SYM, 3.0, roots)
         assert roots == pytest.approx(evals, rel=1e-12)
         assert masses == pytest.approx(want, rel=1e-10)
 
     @given(line_measures(), st.sampled_from([0.3, -0.7, 5.0]))
     def test_positive_and_conserved(self, mu, lam):
-        K = cauchy_rational_line(mu)
-        roots = secular_roots_line(K, lam)
-        masses = residue_masses_line(K, lam, roots)
+        roots = secular_roots_line(mu, lam)
+        masses = residue_masses_line(mu, lam, roots)
         assert np.all(masses > 0.0)
         assert math.fsum(masses) == pytest.approx(math.fsum(mu.masses), abs=1e-10)
 
 
 class TestCauchyZeros:
     def test_symmetric_two_atom(self):
-        K = cauchy_rational_line(TWO_SYM)
-        assert cauchy_zeros_line(K) == pytest.approx([0.0], abs=1e-14)
+        assert cauchy_zeros_line(TWO_SYM) == pytest.approx([0.0], abs=1e-14)
 
     @given(line_measures())
     def test_one_zero_per_gap(self, mu):
-        K = cauchy_rational_line(mu)
-        zeros = cauchy_zeros_line(K)
+        zeros = cauchy_zeros_line(mu)
         t = np.asarray(mu.positions)
         assert zeros.shape == (len(t) - 1,)
         assert np.all((zeros > t[:-1]) & (zeros < t[1:]))
 
     def test_single_atom_and_symmetric_atoms(self):
-        assert cauchy_zeros_line(cauchy_rational_line(DELTA0)).size == 0
+        assert cauchy_zeros_line(DELTA0).size == 0
         # K(x) = 2x (0.1/(4 - x^2) + 0.3/(1 - x^2)) vanishes at 0 exactly
-        K = HerglotzRational((-2.0, -1.0, 1.0, 2.0), (0.1, 0.3, 0.3, 0.1))
+        K = LineAtomicMeasure((-2.0, -1.0, 1.0, 2.0), (0.1, 0.3, 0.3, 0.1))
         zeros = cauchy_zeros_line(K)
-        t = np.asarray(K.nodes)
+        t = np.asarray(K.positions)
         assert zeros[1] == 0.0
         assert zeros[2] == -zeros[0]
         assert np.all((zeros > t[:-1]) & (zeros < t[1:]))
-        assert np.all(np.abs([rational_eval(K, x) for x in zeros]) <= 1e-15)
+        assert np.all(np.abs([cauchy_transform_line(K, x) for x in zeros]) <= 1e-15)
 
 
 class TestCayley:
     def test_scalar_transfer(self):
         # J = -1/z: half-plane inner (z - i)/(z + i), disk representative w
-        J = cauchy_rational_line(DELTA0)
-        hp = cayley_transfer(J)
+        hp = cayley_transfer(DELTA0)
         assert hp.disk.zeros == pytest.approx([0j])
         for z in (2j, 1.0 + 1j, -3.0 + 0.5j):
             assert hp.eval(z) == pytest.approx((z - 1j) / (z + 1j), rel=1e-12)
@@ -302,15 +273,14 @@ class TestCayley:
 
     def test_fixed_point_normalization(self):
         # J(i) = i forces theta(i) = 0: J = -1/z has J(i) = i
-        J = cauchy_rational_line(DELTA0)
-        hp = cayley_transfer(J)
+        hp = cayley_transfer(DELTA0)
         assert abs(hp.eval(1j)) < 1e-12
 
     def test_real_axis_unimodular(self, rng):
         mu = LineAtomicMeasure.from_atoms(
             [(float(t), float(m)) for t, m in zip(np.linspace(-1, 1, 3),
                                                   rng.uniform(0.2, 1, 3))])
-        hp = cayley_transfer(cauchy_rational_line(mu))
+        hp = cayley_transfer(mu)
         for x in rng.uniform(-5, 5, 10):
             assert abs(abs(hp.eval(float(x))) - 1.0) < 1e-10
 
@@ -321,14 +291,13 @@ class TestCayley:
         measures = [mu] + [spectral_measure(random_model(seed, n, "line"))
                            for n in (4, 24, 64, 256) for seed in range(3)]
         for mu in measures:
-            J = cauchy_rational_line(mu)
-            back = cayley_inverse(cayley_transfer(J))
-            assert back.nodes == pytest.approx(J.nodes, abs=1e-10)
-            assert back.weights == pytest.approx(J.weights, abs=1e-10)
+            back = cayley_inverse(cayley_transfer(mu))
+            assert back.positions == pytest.approx(mu.positions, abs=1e-10)
+            assert back.masses == pytest.approx(mu.masses, abs=1e-10)
 
     def test_non_herglotz_rejected(self):
         with pytest.raises(ConstructionError):
-            HerglotzRational((0.0,), (-1.0,))  # 1/z
+            LineAtomicMeasure((0.0,), (-1.0,))  # 1/z
 
     def test_inverse_needs_unit_value_at_infinity(self):
         # (z - i)/(z + i) times -1 is -1 at infinity: J would have a pole there
@@ -337,7 +306,7 @@ class TestCayley:
 
     def test_level_set_relabeling(self):
         # secular root of the scalar model at lam = 3 is {3}
-        hp = cayley_transfer(cauchy_rational_line(DELTA0))
+        hp = cayley_transfer(DELTA0)
         pts = halfplane_level_set(hp, coupling_to_alpha(3.0))
         assert pts == pytest.approx([3.0], abs=1e-9)
 

@@ -2,12 +2,19 @@
 ``python -O`` strips.  Transforms and inner functions are held in pole or
 zero form only; monomial coefficients misrepresent high-degree roots, so the
 library forms none.  The library needs numpy alone; scipy is a test-only
-dependency."""
+dependency.  The benchmark under ``perfbench/`` traces library functions
+by name, so every name it traces must still resolve."""
 
 import ast
+import importlib
+import sys
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "clarklab"
+from clarklab.herglotz import BlaschkeProduct
+from clarklab.modelspace import build_model_space
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "clarklab"
 
 
 def test_no_assert_in_library():
@@ -59,3 +66,25 @@ def test_no_scipy_in_library():
             if any(name == "scipy" or name.startswith("scipy.") for name in names):
                 offenders.append(f"{path.relative_to(PACKAGE)}:{node.lineno}")
     assert offenders == []
+
+
+def test_benchmark_names_resolve(monkeypatch):
+    # Read perfbench's trace list without writing bytecode into perfbench/.
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    try:
+        names = importlib.import_module("spans").traced_names()
+    finally:
+        sys.modules.pop("spans", None)
+    assert names
+    missing = []
+    for name in names:
+        obj = importlib.import_module("clarklab")
+        for part in name.split("."):
+            obj = getattr(obj, part, None)
+        if not callable(obj):
+            missing.append(name)
+    assert missing == []
+    # perfbench counts model-space nodes through ModelSpace.grid
+    ms = build_model_space(BlaschkeProduct((0j, 0.5 + 0j)))
+    assert ms.grid.size == 4

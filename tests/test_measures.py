@@ -166,6 +166,35 @@ class TestConstruction:
         with pytest.raises(ConstructionError):
             LineAtomicMeasure.from_atoms([(0.0, 0.0)])
 
+    def test_line_rejects_malformed(self):
+        for positions, masses in [((0.0, 0.0), (0.5, 0.5)),
+                                  ((1.0, 0.0), (0.5, 0.5)),
+                                  ((0.0, math.inf), (0.5, 0.5)),
+                                  ((math.nan,), (1.0,)),
+                                  ((0.0,), (0.0,)),
+                                  ((0.0,), (math.nan,)),
+                                  ((0.0,), (math.inf,)),
+                                  ((0.0, 1.0), (1.0,))]:
+            with pytest.raises(ConstructionError):
+                LineAtomicMeasure(positions, masses)
+
+    def test_circle_rejects_malformed(self):
+        for angles, masses in [((math.nan,), (1.0,)),
+                               ((math.inf,), (1.0,)),
+                               ((0.0,), (math.nan,)),
+                               ((0.0,), (math.inf,)),
+                               ((0.0,), (-1.0,)),
+                               ((1.0, 0.0), (0.5, 0.5)),
+                               ((0.0, 1.0), (1.0,))]:
+            with pytest.raises(ConstructionError):
+                CircleAtomicMeasure(angles, masses)
+
+    def test_direct_construction_coerces_to_float(self):
+        mu = LineAtomicMeasure((0, 1), (1, 2))
+        nu = CircleAtomicMeasure((0,), (1,))
+        for values in (mu.positions, mu.masses, nu.angles, nu.masses):
+            assert all(type(v) is float for v in values)
+
     def test_circle_wraps_angles(self):
         nu = CircleAtomicMeasure.from_atoms([(-math.pi, 1.0)])
         assert nu.angles[0] == pytest.approx(math.pi)

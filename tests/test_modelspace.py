@@ -360,6 +360,19 @@ class TestTransformContext:
         knu_alpha(ms, ms.vector(2.0 * np.asarray(f.coeffs)), 1.0, 0.1)
         assert len(split_calls) == 2
 
+    def test_one_conjugation_per_context(self, rng, monkeypatch):
+        ms, f = self._space_and_vector(rng)
+        calls = []
+        original = modelspace.hat_conjugate
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(modelspace, "hat_conjugate", counted)
+        knu_alpha(ms, f, 1.0, 0.3 - 0.2j)
+        assert len(calls) == 1
+
     def test_array_equals_scalar(self, rng):
         ms, f = self._space_and_vector(rng)
         zs = 0.9 * np.sqrt(rng.uniform(0, 1, 16)) * np.exp(

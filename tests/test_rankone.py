@@ -7,12 +7,11 @@ import pytest
 from clarklab import rankone
 from clarklab.errors import ConstructionError, DomainError, PoleError
 from clarklab.herglotz import (BlaschkeProduct, blaschke_eval,
-                               boundary_derivative_modulus,
-                               cauchy_rational_line, cayley_transfer,
+                               boundary_derivative_modulus, cayley_transfer,
                                coupling_to_alpha, halfplane_level_set)
 from clarklab.measures import (BorelSetSpec, LineAtomicMeasure,
-                               cauchy_transform_disk, poisson_integral_disk,
-                               total_mass)
+                               cauchy_transform_disk, cauchy_transform_line,
+                               poisson_integral_disk, total_mass)
 from clarklab.rankone import (ClarkFamily, CyclicOperatorModel,
                               aronszajn_krein_eval, circle_measure_deviation,
                               clark_measure, disintegration_check_circle,
@@ -66,28 +65,24 @@ class TestModel:
 
 class TestAronszajnKrein:
     def test_zero_coupling(self):
-        from clarklab.herglotz import rational_eval
-        K0 = cauchy_rational_line(spectral_measure(TWO_LINE))
+        mu0 = spectral_measure(TWO_LINE)
         for z in (1j, 2.0 + 0.5j):
-            assert aronszajn_krein_eval(K0, 0.0, z) == rational_eval(K0, z)
+            assert aronszajn_krein_eval(mu0, 0.0, z) == cauchy_transform_line(mu0, z)
 
     def test_scalar_shift(self):
         # K0 = -1/z perturbs to the transform of a point mass at lam
-        K0 = cauchy_rational_line(DELTA0)
         for lam in (2.0, -0.7):
             for z in (1j, 0.5 + 0.2j):
-                assert aronszajn_krein_eval(K0, lam, z) == pytest.approx(
+                assert aronszajn_krein_eval(DELTA0, lam, z) == pytest.approx(
                     1.0 / (lam - z), rel=1e-13)
 
     def test_worked_value(self):
-        K0 = cauchy_rational_line(DELTA0)
-        assert aronszajn_krein_eval(K0, 2.0, 1j) == pytest.approx((2 + 1j) / 5)
+        assert aronszajn_krein_eval(DELTA0, 2.0, 1j) == pytest.approx((2 + 1j) / 5)
 
     def test_pole(self):
-        K0 = cauchy_rational_line(DELTA0)
         # 1 + lam*K0(z) = 0 at z = lam
         with pytest.raises((PoleError, ZeroDivisionError)):
-            aronszajn_krein_eval(K0, 2.0, 2.0)
+            aronszajn_krein_eval(DELTA0, 2.0, 2.0)
 
 
 class TestPerturbSelfadjoint:
@@ -324,7 +319,7 @@ class TestInnerFromSelfadjoint:
         # set (a separate root finder) is not under test here.
         for seed in range(3):
             model = random_model(seed, n, "line")
-            hp = cayley_transfer(cauchy_rational_line(spectral_measure(model)))
+            hp = cayley_transfer(spectral_measure(model))
             phi = model.cyclic_vector()
             for lam in (0.1, -0.1, 1.0, -1.0, 10.0, -10.0):
                 x = np.linalg.eigvalsh(np.diag(model.sites) + lam * np.outer(phi, phi))

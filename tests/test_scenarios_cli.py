@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 from importlib import resources
 
 import numpy as np
@@ -88,6 +89,18 @@ class TestRunScenario:
         without = report_to_json(report, timings=False)
         assert '"wall_ms": null' in without
         assert '"wall_ms": null' not in with_t
+
+    def test_each_record_carries_the_full_check_time(self, monkeypatch):
+        def slow(seed, idx, spec, tol):
+            time.sleep(0.05)
+            return [scenarios.CheckRecord("slow", {"k": k}, 0.0, 0.0, 1.0, True)
+                    for k in range(4)]
+
+        monkeypatch.setitem(scenarios.CHECKS, "simon_wolff", slow)
+        report = run_scenario({"name": "slow", "seed": 0,
+                               "checks": [{"check": "simon_wolff"}]})
+        assert len(report.records) == 4
+        assert all(rec.wall_ms >= 50.0 for rec in report.records)
 
     def test_values_are_decimal_strings(self):
         payload = json.loads(report_to_json(run_scenario(SMOKE)))
