@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from clarklab.errors import ConstructionError, DomainError, RootFindingError
+from clarklab.errors import (ConstructionError, DomainError, PoleError,
+                             RootFindingError)
 from clarklab.herglotz import (BlaschkeProduct, HalfPlaneInner,
                                alpha_to_coupling, blaschke_eval,
                                blaschke_derivative,
@@ -40,6 +41,21 @@ class TestLineTransform:
                       lambda: cayley_transfer(zero)):
             with pytest.raises(DomainError):
                 route()
+
+
+class TestRationalEval:
+    def test_reciprocal(self):
+        f = cauchy_rational_line(DELTA0)  # -1/z
+        assert cauchy_transform_line(f, 1j) == pytest.approx(1j)
+
+    def test_two_atom_transform(self):
+        K = cauchy_rational_line(TWO_SYM)  # x / (1 - x^2)
+        assert cauchy_transform_line(K, 2.0) == pytest.approx(-2.0 / 3.0)
+
+    def test_pole_error(self):
+        K = cauchy_rational_line(DELTA0)
+        with pytest.raises(PoleError):
+            cauchy_transform_line(K, 0.0)
 
 
 class TestBlaschke:
