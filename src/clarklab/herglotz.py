@@ -279,9 +279,21 @@ def _line_pf(mu: LineAtomicMeasure) -> tuple[np.ndarray, np.ndarray]:
 _SECULAR_MAX_NEWTON = 64
 
 
-def _secular_solve(t, m, target) -> np.ndarray:
-    """All real roots of K(x) = target, ascending: one in each gap
-    (t_j, t_{j+1}) and, for target != 0, one outside the atoms.
+def _secular_targets(lams) -> tuple[np.ndarray, np.ndarray]:
+    """Couplings as a float array with their secular targets -1/lam; a zero
+    or non-finite coupling raises DomainError naming it."""
+    lams = np.array(lams, dtype=float, ndmin=1)
+    if not (np.isfinite(lams).all() and lams.all()):
+        bad = lams[~np.isfinite(lams) | (lams == 0.0)][0]
+        raise DomainError(f"coupling {bad} must be finite and nonzero")
+    return lams, -1.0 / lams
+
+
+def _secular_solve(t, m, targets) -> np.ndarray:
+    """All real roots of K(x) = target for each target, an (L, roots) array
+    with ascending rows: one root in each gap (t_j, t_{j+1}) and, when the
+    targets are nonzero, one outside the atoms.  The targets must be all
+    zero or all nonzero.
 
     With M the total mass, M/(x - t_1) <= |K(x)| <= M/(x - t_N) above the
     atoms and the mirrored bounds below them give the outside root a closed
@@ -291,64 +303,74 @@ def _secular_solve(t, m, target) -> np.ndarray:
     next to the root (factor 1 where there is none): their terms enter h as
     -m_a (b - x) + m_b (x - a), so h has no pole in the bracket.  The sign
     of h is that of K - target, which shrinks the bracket; a step that
-    leaves it is replaced by the midpoint.
+    leaves it is replaced by the midpoint.  Every root of every row runs
+    the same iteration, independently of the others.
     """
-    n = t.size
-    lo, hi = t[:-1].copy(), t[1:].copy()
-    below = np.arange(n - 1)  # index of the atom below each root, or -1
-    if target != 0.0:
-        reach = math.fsum(m) / abs(target)
-        if target < 0.0:
-            lo = np.append(lo, max(t[-1], t[0] + reach))
-            hi = np.append(hi, t[-1] + reach)
-            below = np.arange(n)
-        else:
-            lo = np.insert(lo, 0, t[0] - reach)
-            hi = np.insert(hi, 0, min(t[0], t[-1] - reach))
-            below = np.arange(-1, n - 1)
+    targets = np.array(targets, dtype=float, ndmin=1)
+    n, rows = t.size, targets.size
+    outside = bool(targets[0])
+    if np.count_nonzero(targets) != rows * outside:
+        raise DomainError("secular targets must be all zero or all nonzero")
+    # Root k of a row lies above atom k, or above atom k - 1 when the row has
+    # its outside root below the atoms (index -1: no atom below).
+    below = np.arange(n - 1 + outside) - (targets > 0.0)[:, None]
     above = below + 1
     has_a, has_b = below >= 0, above < n
     below, above = np.maximum(below, 0), np.minimum(above, n - 1)
+    lo, hi = t[below], t[above]
+    if outside:
+        total, first, last = math.fsum(m), float(t[0]), float(t[-1])
+        for r, target in enumerate(targets.tolist()):
+            reach = total / abs(target)
+            if target < 0.0:
+                lo[r, -1], hi[r, -1] = max(last, first + reach), last + reach
+            else:
+                lo[r, 0], hi[r, 0] = first - reach, min(first, last - reach)
+    shape = lo.shape
+    lo, hi, below, above = lo.ravel(), hi.ravel(), below.ravel(), above.ravel()
+    has_a, has_b = has_a.ravel(), has_b.ravel()
+    target = np.repeat(targets, shape[1])
     eps = np.finfo(float).eps
     tol = 2.0 * eps * np.maximum(np.abs(lo), np.abs(hi))
 
     x = 0.5 * (lo + hi)
+    m_a, m_b = np.where(has_a, m[below], 0.0), np.where(has_b, m[above], 0.0)
     todo = np.arange(x.size)
-    for _ in range(_SECULAR_MAX_NEWTON):
-        if todo.size == 0:
-            break
-        xs, a, b = x[todo], below[todo], above[todo]
-        pa, pb = has_a[todo], has_b[todo]
-        rows = np.arange(todo.size)
-        with np.errstate(divide="ignore"):
-            recip = 1.0 / (t[None, :] - xs[:, None])
-        recip[rows[pa], a[pa]] = 0.0
-        recip[rows[pb], b[pb]] = 0.0
-        rest = recip @ m - target
-        rest_prime = np.square(recip, out=recip) @ m
-        u = np.where(pa, xs - t[a], 1.0)
-        v = np.where(pb, t[b] - xs, 1.0)
-        ma, mb = pa * m[a], pb * m[b]
-        h = u * v * rest - ma * v + mb * u
-        dh = (pa * v - pb * u) * rest + u * v * rest_prime + ma * pb + mb * pa
-        lo[todo] = np.where(h < 0.0, xs, lo[todo])
-        hi[todo] = np.where(h > 0.0, xs, hi[todo])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = xs - h / dh
-        inside = (step >= lo[todo]) & (step <= hi[todo])
-        x[todo] = np.where(inside, step, 0.5 * (lo[todo] + hi[todo]))
-        todo = todo[np.abs(x[todo] - xs) > tol[todo]]
-
-    # Attainable floor in binary64: summation noise plus the jump of K
-    # across one ulp of root position (K' can be huge next to a pole).  A
-    # root on an atom has an infinite residual and fails.
+    # A neighbour's pole is zeroed after the division; a step with dh = 0
+    # leaves the bracket and is replaced by the midpoint.
     with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_SECULAR_MAX_NEWTON):
+            if todo.size == 0:
+                break
+            xs, a, b = x[todo], below[todo], above[todo]
+            pa, pb, ma, mb = has_a[todo], has_b[todo], m_a[todo], m_b[todo]
+            idx = np.arange(todo.size)
+            recip = 1.0 / (t[None, :] - xs[:, None])
+            recip[idx[pa], a[pa]] = 0.0
+            recip[idx[pb], b[pb]] = 0.0
+            rest = recip @ m - target[todo]
+            rest_prime = np.square(recip, out=recip) @ m
+            u = np.where(pa, xs - t[a], 1.0)
+            v = np.where(pb, t[b] - xs, 1.0)
+            h = u * v * rest - ma * v + mb * u
+            dh = ((pa * v - pb * u) * rest + u * v * rest_prime
+                  + ma * pb + mb * pa)
+            lo_t = lo[todo] = np.where(h < 0.0, xs, lo[todo])
+            hi_t = hi[todo] = np.where(h > 0.0, xs, hi[todo])
+            step = xs - h / dh
+            inside = (step >= lo_t) & (step <= hi_t)
+            x_t = x[todo] = np.where(inside, step, 0.5 * (lo_t + hi_t))
+            todo = todo[np.abs(x_t - xs) > tol[todo]]
+
+        # Attainable floor in binary64: summation noise plus the jump of K
+        # across one ulp of root position (K' can be huge next to a pole).
+        # A root on an atom has an infinite residual and fails.
         recip = 1.0 / (t[None, :] - x[:, None])
         resid = np.abs(recip @ m - target)
         kp = np.square(recip) @ m
         noise = eps * (32.0 * (np.abs(recip) @ m)
                        + 4.0 * kp * (1.0 + np.abs(x)))
-        allowed = np.maximum(1e-12 * abs(target), noise)
+        allowed = np.maximum(1e-12 * np.abs(target), noise)
         excess = np.where(np.isfinite(resid), resid - allowed, np.inf)
     if np.any(excess > 0.0):
         worst = int(np.argmax(excess))
@@ -356,14 +378,46 @@ def _secular_solve(t, m, target) -> np.ndarray:
             f"secular root at {x[worst]} has residual {resid[worst]:.3e} "
             f"(allowed {allowed[worst]:.3e}); interlacing bracket "
             f"may be violated")
-    return x
+    return x.reshape(shape)
+
+
+def _residue_masses(t, m, lams, roots) -> np.ndarray:
+    """Masses 1/(lam^2 K'(x)) at an (L, N) array of secular roots, one row
+    per coupling.  Every mass must be positive and finite, and each row
+    must sum to the unperturbed total mass within 1e-10 (the cyclic
+    vector's norm is conserved)."""
+    kp = np.sum(m / (t - roots[..., None]) ** 2, axis=-1)
+    if (kp < 1e-14).any():
+        raise ResidueError(f"K' = {kp.min():.3e} too small at a root; "
+                           "degenerate clustering")
+    masses = 1.0 / (lams[:, None] ** 2 * kp)
+    if not (np.isfinite(masses) & (masses > 0.0)).all():
+        raise ResidueError("non-positive or non-finite residue mass")
+    total = math.fsum(m)
+    for lam, row in zip(lams, masses):
+        defect = abs(math.fsum(row) - total)
+        if defect > 1e-10 * max(1.0, total):
+            raise ResidueError(f"residue masses miss total mass by "
+                               f"{defect:.3e} at coupling {lam}")
+    return masses
+
+
+def _perturbed_atoms_line(mu: LineAtomicMeasure, lams
+                          ) -> tuple[np.ndarray, np.ndarray]:
+    """Atoms of the rank-one perturbed measures at many couplings at once:
+    the secular roots and their residue masses, (L, N) arrays with one
+    ascending row per coupling."""
+    t, m = _line_pf(mu)
+    lams, targets = _secular_targets(lams)
+    roots = _secular_solve(t, m, targets)
+    return roots, _residue_masses(t, m, lams, roots)
 
 
 def cauchy_zeros_line(mu: LineAtomicMeasure) -> np.ndarray:
     """The N-1 real zeros of the Cauchy transform of mu, one strictly inside
     each gap."""
     t, m = _line_pf(mu)
-    return _secular_solve(t, m, 0.0)
+    return _secular_solve(t, m, 0.0)[0]
 
 
 def secular_roots_line(mu: LineAtomicMeasure, lam: float) -> np.ndarray:
@@ -375,35 +429,25 @@ def secular_roots_line(mu: LineAtomicMeasure, lam: float) -> np.ndarray:
     lam < 0, within a bracket of closed form.  Each root is found by Newton
     on the secular function times the distances to its neighbouring atoms,
     kept inside its bracket, to |K(x) + 1/lam| <= 1e-12 * |1/lam| (up to the
-    evaluation noise floor of the transform itself).
+    evaluation noise floor of the transform itself).  A zero, infinite or
+    NaN coupling raises DomainError.
     """
-    lam = float(lam)
-    if lam == 0.0:
-        raise DomainError("secular equation needs a nonzero coupling")
     t, m = _line_pf(mu)
-    return _secular_solve(t, m, -1.0 / lam)
+    _, targets = _secular_targets(lam)
+    return _secular_solve(t, m, targets)[0]
 
 
 def residue_masses_line(mu: LineAtomicMeasure, lam: float, roots) -> np.ndarray:
     """Masses 1/(lam^2 K'(x)) of the perturbed measure at the secular roots.
 
     All masses are positive and must sum to the unperturbed total mass
-    within 1e-10 (cyclic vector norm is conserved).
+    within 1e-10 (cyclic vector norm is conserved).  A zero, infinite or
+    NaN coupling raises DomainError.
     """
-    lam = float(lam)
-    if lam == 0.0:
-        raise DomainError("residues need a nonzero coupling")
     t, m = _line_pf(mu)
+    lams, _ = _secular_targets(lam)
     roots = np.asarray(roots, dtype=float)
-    kp = np.sum(m[None, :] / (t[None, :] - roots[:, None]) ** 2, axis=1)
-    if np.any(kp < 1e-14):
-        raise ResidueError(f"K' = {kp.min():.3e} too small at a root; "
-                           "degenerate clustering")
-    masses = 1.0 / (lam ** 2 * kp)
-    defect = abs(math.fsum(masses) - math.fsum(m))
-    if defect > 1e-10 * max(1.0, math.fsum(m)):
-        raise ResidueError(f"residue masses miss total mass by {defect:.3e}")
-    return masses
+    return _residue_masses(t, m, lams, roots[None, :])[0]
 
 
 # ---------------------------------------------------------------------------

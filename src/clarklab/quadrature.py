@@ -9,6 +9,11 @@ Two schemes, matching the two geometries the verification suites need:
   successive refinements agree, again with optional splitting at known
   discontinuities (plain periodic trapezoid is used when there are none).
 
+Integrands take the whole array of nodes of a panel or refinement level
+and return the array of values, so a costly integrand (a secular solve, a
+dense eigen-solve) runs once per panel on a batch of nodes rather than once
+per node.
+
 Everything is deterministic: panel refinement order depends only on computed
 error estimates and insertion order, never on timing or hashing.
 """
@@ -177,12 +182,3 @@ def integrate_circle(
         total_err += e
     return total, total_err
 
-
-def vectorize_scalar(g: Callable[[float], float]) -> Callable[[np.ndarray], np.ndarray]:
-    """Wrap a scalar-argument integrand for the array-based integrators."""
-
-    def wrapped(xs: np.ndarray) -> np.ndarray:
-        arr = np.atleast_1d(np.asarray(xs, dtype=float))
-        return np.array([g(float(x)) for x in arr], dtype=float)
-
-    return wrapped

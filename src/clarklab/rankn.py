@@ -21,7 +21,6 @@ dense-matrix oracle only; no closed forms beyond n = 2 are guessed.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -29,15 +28,16 @@ import numpy as np
 
 from .errors import ConstructionError, CyclicityError, DomainError
 from .herglotz import BlaschkeProduct, _require_unimodular, blaschke_eval
-from .measures import (BorelSetSpec, CircleAtomicMeasure, TWO_PI, measure_of,
+from .measures import (BorelSetSpec, CircleAtomicMeasure, TWO_PI,
                        simon_wolff_integral_circle)
 from .modelspace import (ModelSpace, ModelVector, _require_in_disk,
                          _shaped_like, _transform_context, build_model_space,
                          v_alpha)
-from .rankone import (CyclicOperatorModel, _unitary_eigenbasis,
-                      inner_from_unitary, rank_one_unitary_update,
-                      spectral_measure, unitary_spectral_measure)
-from .quadrature import integrate_line, vectorize_scalar
+from .rankone import (CyclicOperatorModel, _circle_membership_mask,
+                      _mass_inside, _unitary_eigenbasis, inner_from_unitary,
+                      rank_one_unitary_update, spectral_measure,
+                      unitary_spectral_measure)
+from .quadrature import integrate_line
 
 
 @dataclass(frozen=True)
@@ -58,30 +58,36 @@ class AnalyticCurve:
         return len(self.components)
 
 
-def curve_sample(curve: AnalyticCurve, xi: complex) -> np.ndarray:
-    """The torus point (I_1(xi), ..., I_n(xi)) for unimodular xi."""
-    xi = _require_unimodular(xi)
-    point = np.array([blaschke_eval(c, xi) for c in curve.components])
-    defect = np.max(np.abs(np.abs(point) - 1.0))
-    if defect > 1e-10:
-        raise ConstructionError(f"curve point off the torus by {defect:.3e}")
-    return point
+def curve_sample(curve: AnalyticCurve, xi) -> np.ndarray:
+    """The torus point (I_1(xi), ..., I_n(xi)) for unimodular xi; for an
+    array of xi, an array of points with one more axis, of length n."""
+    xiarr = np.asarray(xi, dtype=complex)
+    unit = np.array([_require_unimodular(x) for x in xiarr.ravel()])
+    points = np.stack([blaschke_eval(c, unit) for c in curve.components],
+                      axis=-1)
+    defect = np.max(np.abs(np.abs(points) - 1.0), axis=-1)
+    if np.any(defect > 1e-10):
+        worst = int(np.argmax(defect))
+        raise ConstructionError(f"curve point at xi = {unit[worst]:.6f} off "
+                                f"the torus by {defect[worst]:.3e}")
+    return points.reshape(xiarr.shape + (curve.n,))
 
 
 CYCLIC_TOL = 1e-10
 
 
 def is_cyclic(matrix: np.ndarray, vector: np.ndarray) -> bool:
-    """Whether ``vector`` is cyclic for the unitary ``matrix``: its
-    eigenvalues are pairwise distinct and |q_j^H v| > CYCLIC_TOL ||v|| for
-    every column q_j of an orthonormal eigenbasis (as in
-    ``unitary_spectral_measure``).  A Krylov-matrix rank test would be
-    conditioned like a Vandermonde matrix and fail from N of about 28."""
+    """Whether ``vector`` is cyclic for the unitary ``matrix`` (for every
+    matrix of a stack): its eigenvalues are pairwise distinct and
+    |q_j^H v| > CYCLIC_TOL ||v|| for every column q_j of an orthonormal
+    eigenbasis (as in ``unitary_spectral_measure``).  A Krylov-matrix rank
+    test would be conditioned like a Vandermonde matrix and fail from N of
+    about 28."""
     evals, q = _unitary_eigenbasis(np.asarray(matrix, dtype=complex))
-    angles = np.sort(np.angle(evals))
-    gaps = np.diff(np.append(angles, angles[0] + TWO_PI))
+    angles = np.sort(np.angle(evals), axis=-1)
+    gaps = np.diff(angles, axis=-1, append=angles[..., :1] + TWO_PI)
     v = np.asarray(vector, dtype=complex)
-    components = np.abs(q.conj().T @ v)
+    components = np.abs(np.swapaxes(q.conj(), -1, -2) @ v)
     return bool(np.min(gaps) > CYCLIC_TOL
                 and np.min(components) > CYCLIC_TOL * np.linalg.norm(v))
 
@@ -131,6 +137,34 @@ def family_from_json_dict(obj: dict) -> RankNPerturbationFamily:
     return RankNPerturbationFamily(base, vectors)
 
 
+def _staged_unitaries(family: RankNPerturbationFamily, points,
+                      unitarity_tol: float = 1e-10,
+                      check_cyclicity: bool = False) -> np.ndarray:
+    """The staged rank-one updates U_{a^1}, ..., U_{a^n} for each row of an
+    (L, n) array of parameters, as an (L, N, N) stack.
+
+    Each stage perturbs along the next vector with respect to the *current*
+    operator's inverse; every matrix is checked for unitarity at every
+    stage, and with ``check_cyclicity`` the incoming vector for cyclicity.
+    """
+    points = np.asarray(points, dtype=complex)
+    alphas = np.array([_require_unimodular(a) for a in points.ravel()]
+                      ).reshape(points.shape)
+    u = family.base.dense()
+    eye = np.eye(family.base.dimension)
+    for k, phi_k in enumerate(family.vectors):
+        if check_cyclicity and k > 0 and not is_cyclic(u, phi_k):
+            raise CyclicityError(f"vector {k} lost cyclicity at stage {k}")
+        u = rank_one_unitary_update(u, phi_k, alphas[:, k])
+        # Frobenius bounds the spectral norm from above: a stricter check
+        defect = np.linalg.norm(np.swapaxes(u.conj(), -1, -2) @ u - eye,
+                                axis=(-2, -1))
+        if not np.all(defect <= unitarity_tol):
+            raise ConstructionError(
+                f"stage {k + 1} not unitary: defect {np.max(defect):.3e}")
+    return u
+
+
 def recursive_unitary(family: RankNPerturbationFamily, alphas,
                       unitarity_tol: float = 1e-10,
                       check_cyclicity: bool = True) -> np.ndarray:
@@ -143,19 +177,8 @@ def recursive_unitary(family: RankNPerturbationFamily, alphas,
     alphas = np.atleast_1d(np.asarray(alphas, dtype=complex))
     if alphas.shape != (family.n,):
         raise DomainError(f"expected {family.n} parameters, got {alphas.shape}")
-    alphas = np.array([_require_unimodular(a) for a in alphas])
-    u = family.base.dense()
-    eye = np.eye(family.base.dimension)
-    for k, (alpha_k, phi_k) in enumerate(zip(alphas, family.vectors)):
-        if check_cyclicity and k > 0 and not is_cyclic(u, phi_k):
-            raise CyclicityError(f"vector {k} lost cyclicity at stage {k}")
-        u = rank_one_unitary_update(u, phi_k, alpha_k)
-        # Frobenius bounds the spectral norm from above: a stricter check
-        defect = np.linalg.norm(u.conj().T @ u - eye, "fro")
-        if defect > unitarity_tol:
-            raise ConstructionError(
-                f"stage {k + 1} not unitary: defect {defect:.3e}")
-    return u
+    return _staged_unitaries(family, alphas[None, :], unitarity_tol,
+                             check_cyclicity)[0]
 
 
 def orthogonal_collapse_matrix(family: RankNPerturbationFamily, alphas
@@ -175,6 +198,18 @@ def spectral_measure_of_vector(matrix: np.ndarray, vector: np.ndarray
                                ) -> CircleAtomicMeasure:
     """Dense oracle: atoms at eigenvalue angles, masses |<v, eigvec>|^2."""
     return unitary_spectral_measure(matrix, vector)
+
+
+def _curve_spectra(family: RankNPerturbationFamily, curve: AnalyticCurve,
+                   xi, vector) -> tuple[np.ndarray, np.ndarray]:
+    """Dense oracle along the curve: eigenvalue angles in [0, 2 pi) and the
+    masses |<vector, eigvec>|^2, (L, N) arrays, of the staged unitaries at
+    the curve points gamma(xi) for an array of L unimodular xi; one stacked
+    eigen-solve."""
+    evals, q = _unitary_eigenbasis(
+        _staged_unitaries(family, curve_sample(curve, xi)))
+    masses = np.abs(np.swapaxes(q.conj(), -1, -2) @ vector) ** 2
+    return np.angle(evals) % TWO_PI, masses
 
 
 def family_model_space(family: RankNPerturbationFamily,
@@ -267,7 +302,11 @@ def curve_disintegration_check(family: RankNPerturbationFamily,
     """Compare the xi-average of nu_{gamma(xi)}(B) with the density integral.
 
     Left side: adaptive quadrature over xi of the dense-oracle spectral
-    measure of the second vector for the staged perturbation at gamma(xi).
+    measure of the second vector for the staged perturbation at gamma(xi),
+    built and diagonalized for a whole quadrature panel at once (one
+    stacked eigen-solve, with the unitarity check of every stage and the
+    torus check of every curve point).  It shares nothing with the closed
+    form it judges.
     Right side: the integral over B of the positive boundary density
     2 Re(phi) - 1 of the averaged measure (the real/Poisson pairing of the
     closed-form phi; equal to phi when the curve passes through the origin
@@ -280,13 +319,12 @@ def curve_disintegration_check(family: RankNPerturbationFamily,
     ms, f = family_model_space(family)
     phi2 = family.vectors[1]
 
-    def lhs_integrand(s: float) -> float:
-        point = curve_sample(curve, cmath.exp(1j * s))
-        u = recursive_unitary(family, point, check_cyclicity=False)
-        nu = spectral_measure_of_vector(u, phi2)
-        return measure_of(nu, borel)
+    def lhs_integrand(s_arr: np.ndarray) -> np.ndarray:
+        angles, masses = _curve_spectra(family, curve, np.exp(1j * s_arr),
+                                        phi2)
+        return _mass_inside(masses, _circle_membership_mask(angles, borel))
 
-    lhs, err1 = integrate_line(vectorize_scalar(lhs_integrand), 0.0, TWO_PI,
+    lhs, err1 = integrate_line(lhs_integrand, 0.0, TWO_PI,
                                tol=0.25 * tol * TWO_PI)
 
     def rhs_integrand(s_arr: np.ndarray) -> np.ndarray:
@@ -338,14 +376,12 @@ def theorem9_nullset_check(family: RankNPerturbationFamily,
     if family.n != curve.n:
         raise DomainError("family and curve ranks differ")
     null_angles = [float(a) % TWO_PI for a in null_angles]
-    xi_angles = list(xi_angles)
-    phi_last = family.vectors[-1]
+    xi_angles = [float(s) for s in xi_angles]
+    all_angles, all_masses = _curve_spectra(
+        family, curve, np.exp(1j * np.array(xi_angles)), family.vectors[-1])
     violations = []
-    for s in xi_angles:
-        xi = cmath.exp(1j * float(s))
-        point = curve_sample(curve, xi)
-        u = recursive_unitary(family, point, check_cyclicity=False)
-        nu = spectral_measure_of_vector(u, phi_last)
+    for s, angles, masses in zip(xi_angles, all_angles, all_masses):
+        nu = CircleAtomicMeasure.from_atoms(zip(angles, masses))
         for atom in nu.angles:
             for e in null_angles:
                 dist = abs(math.remainder(atom - e, TWO_PI))

@@ -30,15 +30,16 @@ import numpy as np
 
 from .errors import (ConstructionError, DomainError, PoleError, ResidueError)
 from .herglotz import (BlaschkeProduct, HalfPlaneInner,
-                       _blaschke_with_value, _require_unimodular,
-                       blaschke_eval, boundary_derivative_modulus,
+                       _blaschke_with_value, _perturbed_atoms_line,
+                       _require_unimodular, blaschke_eval,
+                       boundary_derivative_modulus,
                        cauchy_zeros_line, cayley_transfer, level_set,
                        level_set_batch, residue_masses_line,
                        secular_roots_line)
 from .measures import (BorelSetSpec, CircleAtomicMeasure, LineAtomicMeasure,
                        TWO_PI, cauchy_transform_disk, cauchy_transform_line,
-                       measure_of, simon_wolff_integral)
-from .quadrature import integrate_circle, integrate_line, vectorize_scalar
+                       simon_wolff_integral)
+from .quadrature import integrate_circle, integrate_line
 
 WEIGHT_SUM_TOL = 1e-12
 
@@ -137,7 +138,8 @@ def perturb_selfadjoint(model: CyclicOperatorModel, lam: float) -> LineAtomicMea
     """Spectral measure of the rank-one update at coupling lam.
 
     Atoms are the secular roots of K0 = -1/lam, masses the residues
-    1/(lam^2 K0'); lam = 0 returns the unperturbed measure.
+    1/(lam^2 K0'); lam = 0 returns the unperturbed measure, and an infinite
+    or NaN coupling raises DomainError.
     """
     if model.kind != "line":
         raise DomainError("self-adjoint perturbation needs a line model")
@@ -178,7 +180,7 @@ def simon_wolff_classify(mu: LineAtomicMeasure, probes: Sequence[float]) -> list
 
 def _unitary_eigenbasis(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and an orthonormal eigenbasis (the columns of Q) of a
-    unitary matrix U.
+    unitary matrix U, or of each matrix in a stack of shape (..., N, N).
 
     With gamma in the middle of the widest gap of the spectrum, V = e^{-i gamma} U
     keeps its eigenvalues at least half that gap away from 1, so the Cayley
@@ -188,15 +190,16 @@ def _unitary_eigenbasis(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     clustered eigenvalues, and the eigenvalues of U are read back as the
     Rayleigh quotients q^H U q.
     """
-    n = matrix.shape[0]
-    angles = np.sort(np.angle(np.linalg.eigvals(matrix)))
-    gaps = np.diff(np.append(angles, angles[0] + TWO_PI))
-    widest = int(np.argmax(gaps))
-    v = np.exp(-1j * (angles[widest] + 0.5 * gaps[widest])) * matrix
-    eye = np.eye(n)
+    angles = np.sort(np.angle(np.linalg.eigvals(matrix)), axis=-1)
+    gaps = np.diff(angles, axis=-1, append=angles[..., :1] + TWO_PI)
+    widest = np.argmax(gaps, axis=-1)[..., None]
+    gamma = (np.take_along_axis(angles, widest, axis=-1)
+             + 0.5 * np.take_along_axis(gaps, widest, axis=-1))
+    v = np.exp(-1j * gamma)[..., None] * matrix
+    eye = np.eye(matrix.shape[-1])
     cayley = 1j * np.linalg.solve(eye - v, eye + v)
-    _, q = np.linalg.eigh(0.5 * (cayley + cayley.conj().T))
-    return np.sum(q.conj() * (matrix @ q), axis=0), q
+    _, q = np.linalg.eigh(0.5 * (cayley + np.swapaxes(cayley.conj(), -1, -2)))
+    return np.sum(q.conj() * (matrix @ q), axis=-2), q
 
 
 def unitary_spectral_measure(matrix: np.ndarray, vector: np.ndarray,
@@ -219,12 +222,16 @@ def unitary_spectral_measure(matrix: np.ndarray, vector: np.ndarray,
 
 
 def rank_one_unitary_update(matrix: np.ndarray, vector: np.ndarray,
-                            alpha: complex) -> np.ndarray:
-    """U + (alpha - 1) (., U^{-1} v) v for unitary U (U^{-1} = U*)."""
+                            alpha) -> np.ndarray:
+    """U + (alpha - 1) (., U^{-1} v) v for unitary U (U^{-1} = U*).
+
+    A stack of matrices (..., N, N) takes one alpha per matrix.
+    """
     matrix = np.asarray(matrix, dtype=complex)
     v = np.asarray(vector, dtype=complex)
-    uinv_v = matrix.conj().T @ v
-    return matrix + (alpha - 1.0) * np.outer(v, np.conj(uinv_v))
+    uinv_v = np.swapaxes(matrix.conj(), -1, -2) @ v
+    scale = np.asarray(alpha - 1.0)[..., None, None]
+    return matrix + scale * (v[:, None] * np.conj(uinv_v)[..., None, :])
 
 
 def matrix_oracle_unitary(model: CyclicOperatorModel, alpha: complex
@@ -403,11 +410,14 @@ def disintegration_check_line(model: CyclicOperatorModel, borel: BorelSetSpec,
 
     The window [-window, window] is integrated adaptively with breakpoints
     at the couplings where a secular root crosses an endpoint of B (the
-    integrand jumps there).  Beyond the window each root branch sweeps a
-    computable interval, so the two tails are added exactly: the branch
-    through gap i sweeps from its position at lam = +/-window to the zero of
-    the transform in that gap, and the outside branch sweeps off to
-    infinity.
+    integrand jumps there).  Each quadrature panel is one batched secular
+    solve and one residue extraction for all of its couplings, with the
+    checks of ``perturb_selfadjoint`` per coupling: finite roots, positive
+    finite masses, and the total mass conserved.  Beyond the window each
+    root branch sweeps a computable interval, so the two tails are added
+    exactly: the branch through gap i sweeps from its position at
+    lam = +/-window to the zero of the transform in that gap, and the
+    outside branch sweeps off to infinity.
     """
     if borel.space != "line":
         raise DomainError("line disintegration needs a line Borel set")
@@ -422,10 +432,14 @@ def disintegration_check_line(model: CyclicOperatorModel, borel: BorelSetSpec,
             if kval != 0.0:
                 breakpoints.append(-1.0 / kval)
 
-    def integrand(lam: float) -> float:
-        return measure_of(perturb_selfadjoint(model, lam), borel)
+    def integrand(lams: np.ndarray) -> np.ndarray:
+        roots, masses = _perturbed_atoms_line(mu0, lams)
+        inside = np.zeros(roots.shape, dtype=bool)
+        for a, b in borel.pieces:
+            inside |= (roots >= a) & (roots <= b)
+        return _mass_inside(masses, inside)
 
-    value, err = integrate_line(vectorize_scalar(integrand), -window, window,
+    value, err = integrate_line(integrand, -window, window,
                                 tol=0.5 * tol, breakpoints=breakpoints)
 
     zeros = cauchy_zeros_line(mu0)
@@ -442,6 +456,13 @@ def disintegration_check_line(model: CyclicOperatorModel, borel: BorelSetSpec,
     return DisintegrationResult(estimate=value + tail,
                                 expected=borel.total_length(),
                                 quadrature_error=err, tail=tail)
+
+
+def _mass_inside(masses: np.ndarray, inside: np.ndarray) -> np.ndarray:
+    """Per row, the sum of the masses of the atoms inside a Borel set,
+    correctly rounded as in ``measure_of``."""
+    return np.array([math.fsum(row[keep])
+                     for row, keep in zip(masses, inside)])
 
 
 def _circle_membership_mask(angles: np.ndarray, borel: BorelSetSpec) -> np.ndarray:

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from clarklab import herglotz
 from clarklab.errors import (ConstructionError, DomainError, PoleError,
-                             RootFindingError)
+                             ResidueError, RootFindingError)
 from clarklab.herglotz import (BlaschkeProduct, HalfPlaneInner,
                                alpha_to_coupling, blaschke_eval,
                                blaschke_derivative,
@@ -19,8 +20,8 @@ from clarklab.herglotz import (BlaschkeProduct, HalfPlaneInner,
                                level_set_batch, residue_masses_line,
                                secular_roots_line)
 from clarklab.measures import LineAtomicMeasure, cauchy_transform_line
-from clarklab.rankone import (inner_from_unitary, rank_one_unitary_update,
-                              spectral_measure)
+from clarklab.rankone import (inner_from_unitary, perturb_selfadjoint,
+                              rank_one_unitary_update, spectral_measure)
 from clarklab.scenarios import random_model
 
 from conftest import line_measures
@@ -186,6 +187,21 @@ class TestSecular:
         with pytest.raises(DomainError):
             secular_roots_line(TWO_SYM, 0.0)
 
+    @pytest.mark.parametrize("lam, name", [(math.inf, "inf"),
+                                           (-math.inf, "-inf"),
+                                           (math.nan, "nan")])
+    def test_non_finite_coupling_rejected(self, lam, name):
+        # -1/inf is a zero target, which would drop the outside root
+        mu = LineAtomicMeasure((0.0, 1.0, 2.0), (0.2, 0.3, 0.5))
+        model = random_model(3, 3, "line")
+        routes = (lambda: secular_roots_line(mu, lam),
+                  lambda: residue_masses_line(mu, lam, [0.5, 1.5, 2.5]),
+                  lambda: perturb_selfadjoint(model, lam),
+                  lambda: herglotz._perturbed_atoms_line(mu, [1.0, lam]))
+        for route in routes:
+            with pytest.raises(DomainError, match=f"coupling {name} "):
+                route()
+
     @given(line_measures(), st.sampled_from([0.1, -0.1, 1.0, -1.0, 10.0, -10.0]))
     def test_interlacing(self, mu, lam):
         roots = secular_roots_line(mu, lam)
@@ -229,6 +245,41 @@ class TestSecular:
         interior = roots[:-1] if lam > 0 else roots[1:]
         assert np.all((interior > t[:-1]) & (interior < t[1:]))
         assert roots[-1] > t[-1] if lam > 0 else roots[0] < t[0]
+
+
+class TestBatchedSecular:
+    @pytest.mark.parametrize("n", [1, 2, 16])
+    def test_rows_equal_scalar_calls(self, n):
+        mu = spectral_measure(random_model(n, n, "line"))
+        lams = np.array([-50.0, -1.0, -1e-3, 1e-3, 0.7, 50.0])
+        roots, masses = herglotz._perturbed_atoms_line(mu, lams)
+        assert roots.shape == masses.shape == (lams.size, n)
+        # a batch may sum K in another order than one row alone
+        for lam, row, mrow in zip(lams, roots, masses):
+            want = secular_roots_line(mu, lam)
+            np.testing.assert_allclose(row, want, rtol=1e-14, atol=1e-15)
+            np.testing.assert_allclose(
+                mrow, residue_masses_line(mu, lam, want), rtol=1e-12)
+
+    def test_mixed_zero_and_nonzero_targets_rejected(self):
+        t, m = np.array([0.0, 1.0]), np.array([0.5, 0.5])
+        with pytest.raises(DomainError):
+            herglotz._secular_solve(t, m, [0.0, -1.0])
+
+    def test_row_missing_total_mass_rejected(self, monkeypatch):
+        # one coupling's roots moved off the secular equation: its residue
+        # masses no longer sum to the total mass
+        original = herglotz._secular_solve
+
+        def shifted(t, m, targets):
+            roots = original(t, m, targets)
+            roots[1] += 1e-6
+            return roots
+
+        monkeypatch.setattr(herglotz, "_secular_solve", shifted)
+        mu = spectral_measure(random_model(4, 4, "line"))
+        with pytest.raises(ResidueError, match="at coupling 2.0"):
+            herglotz._perturbed_atoms_line(mu, [1.0, 2.0, 3.0])
 
 
 class TestResidues:

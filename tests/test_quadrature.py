@@ -5,7 +5,7 @@ import pytest
 
 from clarklab.errors import QuadratureError
 from clarklab.quadrature import (_GAUSS_W, _KRONROD_W, integrate_circle,
-                                 integrate_line, vectorize_scalar)
+                                 integrate_line)
 
 
 class TestWeights:
@@ -55,11 +55,6 @@ class TestLine:
 
     def test_empty_interval(self):
         assert integrate_line(lambda x: x, 1.0, 1.0) == (0.0, 0.0)
-
-    def test_vectorize_scalar(self):
-        f = vectorize_scalar(lambda x: x * x)
-        val, _ = integrate_line(f, 0.0, 1.0, tol=1e-12)
-        assert val == pytest.approx(1.0 / 3.0, abs=1e-12)
 
 
 class TestCircle:

@@ -7,10 +7,12 @@ import weakref
 import numpy as np
 import pytest
 
+from clarklab import rankn
 from clarklab.errors import (ConstructionError, CyclicityError, DomainError,
                              ResidueError)
 from clarklab.herglotz import BlaschkeProduct, blaschke_eval
-from clarklab.measures import BorelSetSpec, cauchy_transform_disk, total_mass
+from clarklab.measures import (BorelSetSpec, cauchy_transform_disk, measure_of,
+                               total_mass)
 from clarklab.rankone import (CyclicOperatorModel, rank_one_unitary_update,
                               unitary_spectral_measure)
 from clarklab.rankn import (AnalyticCurve, RankNPerturbationFamily,
@@ -298,6 +300,29 @@ class TestCurves:
         with pytest.raises(ConstructionError):
             AnalyticCurve((Z1, BlaschkeProduct((), 1.0)))
 
+    def test_array_sample_matches_scalar_calls(self, rng):
+        curve = AnalyticCurve((_moebius(0.3 + 0.1j), _moebius(-0.2j, 1j),
+                               Z1))
+        xis = np.exp(2j * np.pi * rng.uniform(0, 1, (4, 5)))
+        got = curve_sample(curve, xis)
+        assert got.shape == (4, 5, 3)
+        for idx in np.ndindex(xis.shape):
+            assert np.array_equal(got[idx], curve_sample(curve, xis[idx]))
+
+    def test_off_torus_component_rejected_in_array(self, monkeypatch):
+        curve = AnalyticCurve((Z1, _moebius(0.4)))
+        original = rankn.blaschke_eval
+
+        def off_torus(theta, z):
+            vals = original(theta, z)
+            if theta is curve.components[1]:
+                vals[2] *= 1.0 + 1e-8
+            return vals
+
+        monkeypatch.setattr(rankn, "blaschke_eval", off_torus)
+        with pytest.raises(ConstructionError, match="off the torus"):
+            curve_sample(curve, np.exp(1j * np.arange(4.0)))
+
 
 class TestPhiDensity:
     def test_origin_curve_gives_one(self, rng):
@@ -348,6 +373,45 @@ class TestCurveDisintegration:
         res = curve_disintegration_check(FAMILY2, curve, borel, tol=1e-4)
         assert res.density_integral == pytest.approx(1.1 / (2 * math.pi), abs=1e-10)
         assert res.defect <= 1e-4
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_stacked_integrand_matches_scalar_route(self, monkeypatch, rng,
+                                                    dim):
+        integrands = []
+        integrate = rankn.integrate_line
+
+        def recording(f, *args, **kwargs):
+            integrands.append(f)
+            return integrate(f, *args, **kwargs)
+
+        monkeypatch.setattr(rankn, "integrate_line", recording)
+        fam = random_family(_rng(20 + dim), dim, 2)
+        curve = AnalyticCurve((_moebius(0.4 + 0.2j), _moebius(-0.3 + 0.25j)))
+        borel = BorelSetSpec("circle", ((1.0, 2.5), (4.0, 5.0)))
+        curve_disintegration_check(fam, curve, borel, tol=1e-2)
+        s = rng.uniform(0, 2 * math.pi, 15)
+        got = integrands[0](s)
+        want = []
+        for sk in s:
+            u = recursive_unitary(fam, curve_sample(curve, cmath.exp(1j * sk)),
+                                  check_cyclicity=False)
+            want.append(measure_of(
+                unitary_spectral_measure(u, fam.vectors[1]), borel))
+        assert got.shape == s.shape
+        assert np.max(np.abs(got - want)) <= 1e-13
+
+    def test_corrupted_stage_rejected(self, monkeypatch):
+        # the second stage of the stacked construction drifts off unitarity
+        original = rankn.rank_one_unitary_update
+
+        def drifting(matrix, vector, alpha):
+            out = original(matrix, vector, alpha)
+            return out * 1.01 if vector is FAMILY2.vectors[1] else out
+
+        monkeypatch.setattr(rankn, "rank_one_unitary_update", drifting)
+        borel = BorelSetSpec("circle", ((0.3, 1.4),))
+        with pytest.raises(ConstructionError, match="stage 2 not unitary"):
+            curve_disintegration_check(FAMILY2, AnalyticCurve((Z1, Z1)), borel)
 
     def test_nonconstant_density(self):
         fam = random_family(_rng(11), 3, 2)
@@ -426,6 +490,27 @@ class TestNullsetCheck:
         report = theorem9_nullset_check(fam, curve, [0.0],
                                         rng.uniform(0, 6.28, 64))
         assert report["pass"]
+
+    def test_report_matches_per_point_route(self):
+        # null points planted on atoms of the per-point oracle at some xi
+        fam = random_family(_rng(19), 4, 2)
+        curve = AnalyticCurve((_moebius(0.3 + 0.1j), _moebius(-0.2j)))
+        xis = [0.4, 1.7, 2.9, 4.4, 5.8]
+        per_point = []
+        for s in xis:
+            u = recursive_unitary(fam, curve_sample(curve, cmath.exp(1j * s)),
+                                  check_cyclicity=False)
+            per_point.append(spectral_measure_of_vector(u, fam.vectors[1]))
+        null = [per_point[0].angles[1], per_point[3].angles[2], 0.0]
+        report = theorem9_nullset_check(fam, curve, null, xis)
+        want = [(s, atom, e) for s, nu in zip(xis, per_point)
+                for atom in nu.angles for e in null
+                if abs(math.remainder(atom - e, 2 * math.pi)) <= 1e-9]
+        assert report["checked"] == len(xis) and not report["pass"]
+        assert len(report["violations"]) == len(want) >= 2
+        for got, (s, atom, e) in zip(report["violations"], want):
+            assert got["xi_angle"] == s and got["null_point"] == e
+            assert got["atom"] == pytest.approx(atom, abs=1e-14)
 
     def test_constructed_collision_detected(self):
         fam = random_family(_rng(17), 4, 2)

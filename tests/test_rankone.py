@@ -11,7 +11,7 @@ from clarklab.herglotz import (BlaschkeProduct, blaschke_eval,
                                coupling_to_alpha, halfplane_level_set)
 from clarklab.measures import (BorelSetSpec, LineAtomicMeasure,
                                cauchy_transform_disk, cauchy_transform_line,
-                               poisson_integral_disk, total_mass)
+                               measure_of, poisson_integral_disk, total_mass)
 from clarklab.rankone import (ClarkFamily, CyclicOperatorModel,
                               aronszajn_krein_eval, circle_measure_deviation,
                               clark_measure, disintegration_check_circle,
@@ -452,6 +452,28 @@ class TestDisintegrationLine:
                                         window=100.0, tol=1e-3)
         assert res.defect <= 1e-3
         assert res.expected == 1.0
+
+    @pytest.mark.parametrize("n", [2, 4, 16])
+    def test_batched_integrand_matches_scalar_route(self, monkeypatch, n):
+        integrands = []
+        integrate = rankone.integrate_line
+
+        def recording(f, *args, **kwargs):
+            integrands.append(f)
+            return integrate(f, *args, **kwargs)
+
+        monkeypatch.setattr(rankone, "integrate_line", recording)
+        model = random_model(40 + n, n, "line")
+        borel = BorelSetSpec("line", ((-0.6, -0.1), (0.2, 0.9)))
+        disintegration_check_line(model, borel, window=30.0, tol=1e-2)
+        rng = np.random.default_rng(n)
+        lams = np.concatenate([-np.logspace(-3, 2, 15), np.logspace(-3, 2, 15)])
+        lams *= rng.uniform(0.9, 1.1, lams.size)
+        got = integrands[0](lams)
+        want = [measure_of(perturb_selfadjoint(model, lam), borel)
+                for lam in lams]
+        assert got.shape == lams.shape
+        assert np.max(np.abs(got - want)) <= 1e-13
 
     def test_additive_over_disjoint_pieces(self):
         b1 = BorelSetSpec("line", ((-0.5, 0.0),))
