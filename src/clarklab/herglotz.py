@@ -126,24 +126,6 @@ def blaschke_eval(theta: BlaschkeProduct, z):
     return out
 
 
-def blaschke_derivative(theta: BlaschkeProduct, z):
-    """theta'(z) by the product rule (stable at the zeros themselves)."""
-    zarr = np.asarray(z, dtype=complex)
-    out = np.zeros(zarr.shape if zarr.ndim else (1,), dtype=complex)
-    zs = theta.zeros
-    n = len(zs)
-    for j in range(n):
-        rest = np.full(out.shape, theta.c, dtype=complex)
-        for k in range(n):
-            if k != j:
-                rest *= (zarr - zs[k]) / (1.0 - np.conj(zs[k]) * zarr)
-        dj = (1.0 - abs(zs[j]) ** 2) / (1.0 - np.conj(zs[j]) * zarr) ** 2
-        out += rest * dj
-    if np.isscalar(z) or zarr.ndim == 0:
-        return complex(out[0] if out.ndim else out)
-    return out
-
-
 def boundary_derivative_modulus(theta: BlaschkeProduct, xi):
     """|theta'| on the unit circle: sum_j (1 - |z_j|^2) / |xi - z_j|^2.
 

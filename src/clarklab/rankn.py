@@ -181,33 +181,18 @@ def recursive_unitary(family: RankNPerturbationFamily, alphas,
                              check_cyclicity)[0]
 
 
-def orthogonal_collapse_matrix(family: RankNPerturbationFamily, alphas
-                               ) -> np.ndarray:
-    """Closed-form U + sum alpha_k (., U^{-1} phi_k) phi_k, valid only when
-    the perturbation vectors are pairwise orthogonal."""
-    alphas = np.atleast_1d(np.asarray(alphas, dtype=complex))
-    u = family.base.dense()
-    out = u.copy()
-    for alpha_k, phi_k in zip(alphas, family.vectors):
-        uinv_v = u.conj().T @ phi_k
-        out = out + (alpha_k - 1.0) * np.outer(phi_k, np.conj(uinv_v))
-    return out
-
-
 def spectral_measure_of_vector(matrix: np.ndarray, vector: np.ndarray
                                ) -> CircleAtomicMeasure:
     """Dense oracle: atoms at eigenvalue angles, masses |<v, eigvec>|^2."""
     return unitary_spectral_measure(matrix, vector)
 
 
-def _curve_spectra(family: RankNPerturbationFamily, curve: AnalyticCurve,
-                   xi, vector) -> tuple[np.ndarray, np.ndarray]:
-    """Dense oracle along the curve: eigenvalue angles in [0, 2 pi) and the
-    masses |<vector, eigvec>|^2, (L, N) arrays, of the staged unitaries at
-    the curve points gamma(xi) for an array of L unimodular xi; one stacked
-    eigen-solve."""
-    evals, q = _unitary_eigenbasis(
-        _staged_unitaries(family, curve_sample(curve, xi)))
+def _staged_spectra(family: RankNPerturbationFamily, points, vector
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Dense oracle at an (L, n) array of parameter points: eigenvalue
+    angles in [0, 2 pi) and the masses |<vector, eigvec>|^2, (L, N) arrays,
+    of the staged unitaries; one stack and one stacked eigen-solve."""
+    evals, q = _unitary_eigenbasis(_staged_unitaries(family, points))
     masses = np.abs(np.swapaxes(q.conj(), -1, -2) @ vector) ** 2
     return np.angle(evals) % TWO_PI, masses
 
@@ -320,8 +305,8 @@ def curve_disintegration_check(family: RankNPerturbationFamily,
     phi2 = family.vectors[1]
 
     def lhs_integrand(s_arr: np.ndarray) -> np.ndarray:
-        angles, masses = _curve_spectra(family, curve, np.exp(1j * s_arr),
-                                        phi2)
+        angles, masses = _staged_spectra(
+            family, curve_sample(curve, np.exp(1j * s_arr)), phi2)
         return _mass_inside(masses, _circle_membership_mask(angles, borel))
 
     lhs, err1 = integrate_line(lhs_integrand, 0.0, TWO_PI,
@@ -377,8 +362,9 @@ def theorem9_nullset_check(family: RankNPerturbationFamily,
         raise DomainError("family and curve ranks differ")
     null_angles = [float(a) % TWO_PI for a in null_angles]
     xi_angles = [float(s) for s in xi_angles]
-    all_angles, all_masses = _curve_spectra(
-        family, curve, np.exp(1j * np.array(xi_angles)), family.vectors[-1])
+    all_angles, all_masses = _staged_spectra(
+        family, curve_sample(curve, np.exp(1j * np.array(xi_angles))),
+        family.vectors[-1])
     violations = []
     for s, angles, masses in zip(xi_angles, all_angles, all_masses):
         nu = CircleAtomicMeasure.from_atoms(zip(angles, masses))

@@ -5,9 +5,9 @@ along its cyclic vector; the perturbed spectral measures are computed two
 independent ways:
 
 * the transform route -- secular-equation roots and residues of the
-  resolvent identity K_lam = K_0 / (1 + lam K_0) on the line, level sets of
-  the associated inner function and residues of the analogous Moebius
-  update on the circle;
+  resolvent identity K_lam = K_0 / (1 + lam K_0) on the line; on the
+  circle, the Clark measure of the model's inner function at the
+  perturbation parameter (Clark: the two families are the same);
 * the dense-matrix oracle -- full eigendecomposition of the perturbed
   matrix, masses as squared projections onto the cyclic vector.
 
@@ -295,41 +295,20 @@ def inner_from_selfadjoint(model: CyclicOperatorModel) -> HalfPlaneInner:
     return cayley_transfer(spectral_measure(model))
 
 
-def _disk_transform_and_derivative(nu: CircleAtomicMeasure, z):
-    xi = nu.points()
-    m = np.asarray(nu.masses)
-    zarr = np.atleast_1d(np.asarray(z, dtype=complex))
-    den = 1.0 - np.conj(xi)[None, :] * zarr[:, None]
-    k = np.sum(m[None, :] / den, axis=1)
-    kp = np.sum(m[None, :] * np.conj(xi)[None, :] / den ** 2, axis=1)
-    return k, kp
-
-
 def perturb_unitary(model: CyclicOperatorModel, alpha: complex
                     ) -> CircleAtomicMeasure:
     """Spectral measure of the unitary rank-one update at parameter alpha.
 
-    Atoms are the level set {theta = alpha} of the model's inner function;
-    masses are residues of alpha*K/(1 + (alpha-1)K) at the atoms, computed
-    from the unperturbed transform.  alpha = 1 returns the base measure.
+    By Clark's theorem this is the Clark measure of the model's inner
+    function theta at alpha: atoms at the level set {theta = alpha}, masses
+    1/|theta'|.  alpha = 1 returns the base measure.
     """
     if model.kind != "circle":
         raise DomainError("unitary perturbation needs a circle model")
     alpha = _require_unimodular(alpha)
-    nu1 = spectral_measure(model)
     if abs(alpha - 1.0) < 1e-14:
-        return nu1
-    pts = level_set(_model_theta(model), alpha)
-    k, kp = _disk_transform_and_derivative(nu1, pts)
-    residues = -np.conj(pts) * alpha * k / ((alpha - 1.0) * kp)
-    if np.max(np.abs(residues.imag)) > 1e-8:
-        raise ResidueError(
-            f"atom mass has imaginary part {np.max(np.abs(residues.imag)):.3e}")
-    masses = residues.real
-    if np.any(masses <= 0.0):
-        raise ResidueError("non-positive atom mass from residue extraction")
-    angles = np.angle(pts) % TWO_PI
-    return CircleAtomicMeasure.from_atoms(zip(angles, masses))
+        return spectral_measure(model)
+    return clark_measure(_model_theta(model), alpha)
 
 
 # ---------------------------------------------------------------------------

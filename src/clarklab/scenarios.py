@@ -40,11 +40,10 @@ from .rankone import (CyclicOperatorModel, circle_measure_deviation,
                       matrix_oracle_selfadjoint, matrix_oracle_unitary,
                       model_from_json_dict, perturb_selfadjoint,
                       perturb_unitary)
-from .rankn import (AnalyticCurve, RankNPerturbationFamily,
+from .rankn import (AnalyticCurve, RankNPerturbationFamily, _staged_spectra,
                     curve_disintegration_check, family_from_json_dict,
                     family_model_space, herglotz_positivity_check,
-                    knu_alpha_beta, phi_density, recursive_unitary,
-                    spectral_measure_of_vector, theorem4_axis_criterion,
+                    knu_alpha_beta, phi_density, theorem4_axis_criterion,
                     theorem9_nullset_check)
 
 DEFAULT_TOLERANCES = {
@@ -449,17 +448,15 @@ def _check_two_parameter_oracle(seed, idx, spec, tol) -> list[CheckRecord]:
         alphas = random_unimodular(rng, na)
         betas = random_unimodular(rng, nb)
         zs = 0.7 * np.sqrt(rng.uniform(0, 1, nz)) * random_unimodular(rng, nz)
-        dev = 0.0
-        phi2 = family.vectors[1]
-        for alpha in alphas:
-            for beta in betas:
-                u = recursive_unitary(family, [alpha, beta],
-                                      check_cyclicity=False)
-                nu = spectral_measure_of_vector(u, phi2)
-                for z in zs:
-                    direct = cauchy_transform_disk(nu, z)
-                    closed = knu_alpha_beta(ms, f, alpha, beta, z)
-                    dev = max(dev, abs(direct - closed))
+        points = np.stack(np.meshgrid(alphas, betas, indexing="ij"),
+                          axis=-1).reshape(-1, 2)
+        angles, masses = _staged_spectra(family, points, family.vectors[1])
+        # cauchy_transform_disk of every oracle measure at every z
+        direct = np.sum(masses[:, None, :] / (
+            1.0 - np.exp(-1j * angles)[:, None, :] * zs[:, None]), axis=-1)
+        closed = np.array([knu_alpha_beta(ms, f, alpha, beta, zs)
+                           for alpha, beta in points])
+        dev = float(np.max(np.abs(direct - closed)))
         params = {"family": label, "index": i, "grid": f"{na}x{nb}x{nz}"}
         records.append(CheckRecord("two_parameter_oracle", params, dev, 0.0,
                                    tol["oracle"], dev <= tol["oracle"]))

@@ -88,3 +88,30 @@ def test_benchmark_names_resolve(monkeypatch):
     # perfbench counts model-space nodes through ModelSpace.grid
     ms = build_model_space(BlaschkeProduct((0j, 0.5 + 0j)))
     assert ms.grid.size == 4
+
+
+def test_private_functions_are_referenced():
+    # A module-level private helper that nothing in the library refers to,
+    # outside its own body, is dead: its route went and it stayed behind.
+    trees = [(path, ast.parse(path.read_text(), filename=str(path)))
+             for path in sorted(PACKAGE.rglob("*.py"))]
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    referenced = set()
+    for _, tree in trees:
+        for top in tree.body:
+            own = top.name if isinstance(top, defs) else None
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                else:
+                    continue
+                if name != own:
+                    referenced.add(name)
+    unreferenced = [f"{path.relative_to(PACKAGE)}:{top.name}"
+                    for path, tree in trees for top in tree.body
+                    if isinstance(top, defs) and top.name.startswith("_")
+                    and not top.name.startswith("__")
+                    and top.name not in referenced]
+    assert unreferenced == []

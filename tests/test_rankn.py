@@ -19,8 +19,7 @@ from clarklab.rankn import (AnalyticCurve, RankNPerturbationFamily,
                             curve_disintegration_check, curve_sample,
                             family_from_json_dict, family_model_space,
                             family_to_json_dict, herglotz_positivity_check,
-                            is_cyclic, knu_alpha_beta,
-                            orthogonal_collapse_matrix, phi_density,
+                            is_cyclic, knu_alpha_beta, phi_density,
                             recursive_unitary, spectral_measure_of_vector,
                             theorem4_axis_criterion, theorem9_nullset_check)
 from clarklab.scenarios import (random_family, random_model,
@@ -117,11 +116,14 @@ class TestRecursion:
 
     def test_orthogonal_collapse(self, rng):
         # pairwise orthogonal vectors: the recursion equals the one-shot sum
+        # U + sum_k (alpha_k - 1) (., U^{-1} phi_k) phi_k
         fam = random_family(_rng(6), 5, 2)
+        u = fam.base.dense()
         for _ in range(6):
             alphas = np.exp(2j * np.pi * rng.uniform(0, 1, 2))
             a = recursive_unitary(fam, alphas)
-            b = orthogonal_collapse_matrix(fam, alphas)
+            b = u + sum((alpha_k - 1.0) * np.outer(phi_k, np.conj(u.conj().T @ phi_k))
+                        for alpha_k, phi_k in zip(alphas, fam.vectors))
             assert np.max(np.abs(a - b)) <= 1e-10
 
     def test_parameter_count_checked(self):

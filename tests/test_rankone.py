@@ -186,6 +186,15 @@ class TestPerturbUnitary:
     def test_alpha_one_returns_base(self):
         assert perturb_unitary(TWO_CIRCLE, 1.0) == spectral_measure(TWO_CIRCLE)
 
+    @pytest.mark.parametrize("n", [1, 2, 8, 64])
+    def test_is_clark_measure_of_model_theta(self, n, rng):
+        # Clark: the rank-one unitary family is the Clark family of theta
+        for seed in range(2):
+            model = random_model(seed, n, "circle")
+            theta = inner_from_unitary(model)
+            for alpha in np.exp(2j * np.pi * rng.uniform(0.01, 0.99, 4)):
+                assert perturb_unitary(model, alpha) == clark_measure(theta, alpha)
+
     def test_against_dense_oracle(self, rng):
         for seed in (0, 1):
             model = random_model(seed, 7, "circle")

@@ -8,9 +8,12 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from clarklab import scenarios
+from clarklab import rankn, scenarios
 from clarklab.cli import main
-from clarklab.errors import ResidueError, ScenarioError
+from clarklab.errors import ConstructionError, ResidueError, ScenarioError
+from clarklab.measures import cauchy_transform_disk
+from clarklab.rankn import (family_model_space, knu_alpha_beta,
+                            recursive_unitary, spectral_measure_of_vector)
 from clarklab.scenarios import (load_scenario, random_model, report_to_json,
                                 run_scenario)
 
@@ -108,6 +111,63 @@ class TestRunScenario:
         assert isinstance(rec["observed"], str)
         float(rec["observed"])
         assert isinstance(rec["tolerance"], str)
+
+
+RANKN = load_scenario(json.loads((resources.files("clarklab") / "scenarios"
+                                  / "rankn.json").read_text()))
+TWO_PARAMETER_INDEX = 0
+
+
+class TestTwoParameterOracleCheck:
+    def _run(self):
+        spec = RANKN.checks[TWO_PARAMETER_INDEX]
+        assert spec["check"] == "two_parameter_oracle"
+        return spec, scenarios.CHECKS["two_parameter_oracle"](
+            RANKN.seed, TWO_PARAMETER_INDEX, spec, RANKN.tolerances)
+
+    def test_stacked_grid_matches_per_point_route(self):
+        # the handler's one stacked solve against one dense solve and one
+        # cauchy_transform_disk per (alpha, beta, z), on the same draws
+        spec, records = self._run()
+        assert len(records) == len(spec["families"])
+        for i, (fspec, rec) in enumerate(zip(spec["families"], records)):
+            rng = scenarios._rng(RANKN.seed, TWO_PARAMETER_INDEX, i)
+            family, _ = scenarios._resolve_family(fspec, rng)
+            ms, f = family_model_space(family)
+            alphas = scenarios.random_unimodular(rng, spec["alpha_count"])
+            betas = scenarios.random_unimodular(rng, spec["beta_count"])
+            nz = spec["z_count"]
+            zs = 0.7 * np.sqrt(rng.uniform(0, 1, nz)) * scenarios.random_unimodular(
+                rng, nz)
+            dev = 0.0
+            for alpha in alphas:
+                for beta in betas:
+                    u = recursive_unitary(family, [alpha, beta],
+                                          check_cyclicity=False)
+                    nu = spectral_measure_of_vector(u, family.vectors[1])
+                    for z in zs:
+                        dev = max(dev, abs(cauchy_transform_disk(nu, z)
+                                           - knu_alpha_beta(ms, f, alpha,
+                                                            beta, z)))
+            assert rec.passed
+            assert abs(rec.observed - dev) <= 1e-13
+
+    def test_corrupted_stage_raises(self, monkeypatch):
+        # the second stage of the first family's stack drifts off unitarity
+        original = rankn.rank_one_unitary_update
+        stages = []
+
+        def drifting(matrix, vector, alpha):
+            stages.append(np.shape(alpha))
+            out = original(matrix, vector, alpha)
+            return out * 1.01 if len(stages) == 2 else out
+
+        monkeypatch.setattr(rankn, "rank_one_unitary_update", drifting)
+        with pytest.raises(ConstructionError, match="stage 2 not unitary"):
+            self._run()
+        spec = RANKN.checks[TWO_PARAMETER_INDEX]
+        grid = spec["alpha_count"] * spec["beta_count"]
+        assert stages == [(grid,), (grid,)]
 
 
 class TestCli:
