@@ -14,6 +14,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import os
 import sys
@@ -28,16 +29,16 @@ from .scenarios import RunReport, report_to_json, run_scenario
 
 def _parse_unimodular(text: str) -> complex:
     s = text.strip().replace("i", "j")
-    if s.startswith("angle:"):
-        import cmath
-        return cmath.exp(1j * float(s.split(":", 1)[1]))
     try:
-        val = complex(s)
+        if s.startswith("angle:"):
+            val = cmath.exp(1j * float(s.split(":", 1)[1]))
+        else:
+            val = complex(s)
     except ValueError as exc:
         raise ScenarioError(
             f"--alpha: cannot parse {text!r} (use e.g. '0.6+0.8j', '1j' or "
             "'angle:1.5708')") from exc
-    if abs(abs(val) - 1.0) > 1e-9:
+    if not abs(abs(val) - 1.0) <= 1e-9:
         raise ScenarioError(f"--alpha: |{text}| = {abs(val)} is not unimodular")
     return val / abs(val)
 
@@ -46,7 +47,13 @@ def _workers(args) -> int:
     if args.workers is not None:
         return max(1, args.workers)
     env = os.environ.get("CLARK_LAB_WORKERS")
-    return max(1, int(env)) if env else 1
+    if not env:
+        return 1
+    try:
+        return max(1, int(env))
+    except ValueError as exc:
+        raise ScenarioError(
+            f"CLARK_LAB_WORKERS: expected an integer, got {env!r}") from exc
 
 
 def _emit_report(report: RunReport, out: str | None, timings: bool) -> None:

@@ -66,10 +66,10 @@ class BlaschkeProduct:
         object.__setattr__(self, "zeros", zeros)
         object.__setattr__(self, "c", complex(self.c))
         for z in zeros:
-            if abs(z) > 1.0 - 1e-12:
+            if not abs(z) <= 1.0 - 1e-12:
                 raise ConstructionError(
                     f"Blaschke zero {z} not strictly inside the unit disk")
-        if abs(abs(self.c) - 1.0) > 1e-12:
+        if not abs(abs(self.c) - 1.0) <= 1e-12:
             raise ConstructionError(f"front constant {self.c} is not unimodular")
         if zeros:
             xi = np.exp(2j * np.pi * np.arange(_BOUNDARY_CHECK_POINTS)
@@ -152,9 +152,9 @@ def blaschke_from_json_dict(obj: dict) -> BlaschkeProduct:
     return BlaschkeProduct(tuple(zeros), c)
 
 
-def _require_unimodular(alpha: complex, tol: float = 1e-9) -> complex:
+def _require_unimodular(alpha: complex) -> complex:
     alpha = complex(alpha)
-    if abs(abs(alpha) - 1.0) > tol:
+    if not abs(abs(alpha) - 1.0) <= 1e-9:
         raise DomainError(f"|{alpha}| = {abs(alpha)} is not unimodular")
     return alpha / abs(alpha)
 

@@ -183,6 +183,9 @@ class BorelSetSpec:
     def __post_init__(self):
         if self.space not in ("line", "circle"):
             raise ConstructionError(f"space must be 'line' or 'circle', got {self.space!r}")
+        ends = [x for piece in self.pieces for x in piece]
+        if not all(map(math.isfinite, ends)):
+            raise ConstructionError(f"piece endpoints must be finite: {self.pieces}")
         if self.space == "line":
             for a, b in self.pieces:
                 if b < a:
@@ -209,16 +212,24 @@ class BorelSetSpec:
             return math.fsum(b - a for a, b in self.pieces)
         return math.fsum(_normalize_arc(s, e)[1] for s, e in self.pieces)
 
-    def contains(self, x: float) -> bool:
-        """Closed-piece membership.  For the circle, x is an angle."""
+    def mask(self, locations) -> np.ndarray:
+        """Closed-piece membership of each location, a boolean array of the
+        same shape.  For the circle the locations are angles (any real)."""
+        x = np.asarray(locations, dtype=float)
+        inside = np.zeros(x.shape, dtype=bool)
         if self.space == "line":
-            return any(a <= x <= b for a, b in self.pieces)
+            for a, b in self.pieces:
+                inside |= (x >= a) & (x <= b)
+            return inside
         t = x % TWO_PI
         for s, e in self.pieces:
             start, length = _normalize_arc(s, e)
-            if (t - start) % TWO_PI <= length:
-                return True
-        return False
+            inside |= (t - start) % TWO_PI <= length
+        return inside
+
+    def contains(self, x: float) -> bool:
+        """Closed-piece membership.  For the circle, x is an angle."""
+        return bool(self.mask(x))
 
     def intersect_interval_length(self, a: float, b: float) -> float:
         """Length of the intersection of this (line) set with [a, b]."""
@@ -248,7 +259,7 @@ def measure_of(mu: AtomicMeasure, borel: BorelSetSpec) -> float:
         if borel.space != "circle":
             raise DomainError("circle measure needs a circle Borel set")
         locs = mu.angles
-    return math.fsum(m for x, m in zip(locs, mu.masses) if borel.contains(x))
+    return math.fsum(np.asarray(mu.masses)[borel.mask(locs)])
 
 
 def cauchy_transform_line(mu: LineAtomicMeasure, z: complex) -> complex:
@@ -300,13 +311,12 @@ def simon_wolff_integral(mu: LineAtomicMeasure, y: float) -> float:
     return float(np.sum(m / (t - y) ** 2))
 
 
-def simon_wolff_integral_circle(nu: CircleAtomicMeasure, xi: complex,
-                                unimodular_tol: float = 1e-8) -> float:
-    """Circle variant sum_j m_j / |xi - xi_j|^2 for |xi| = 1."""
+def simon_wolff_integral_circle(nu: CircleAtomicMeasure, xi: complex) -> float:
+    """Circle variant sum_j m_j / |xi - xi_j|^2 for |xi| = 1 (within 1e-8)."""
     xi = complex(xi)
     r = abs(xi)
-    if abs(r - 1.0) > unimodular_tol:
-        raise DomainError(f"|xi| = {r} is not unimodular within {unimodular_tol}")
+    if not abs(r - 1.0) <= 1e-8:
+        raise DomainError(f"|xi| = {r} is not unimodular within 1e-8")
     xi = xi / r
     angle = cmath.phase(xi) % TWO_PI
     if any(angle == a for a in nu.angles):

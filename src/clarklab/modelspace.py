@@ -188,14 +188,13 @@ def vector_from_json_dict(ms: ModelSpace, obj: dict) -> ModelVector:
     return ms.vector([complex(re, im) for re, im in obj["coeffs"]])
 
 
-def _require_theta_vanishes_at_zero(ms: ModelSpace, tol: float = 1e-10):
+def _require_theta_vanishes_at_zero(ms: ModelSpace):
     t0 = blaschke_eval(ms.theta, 0.0)
-    if abs(t0) > tol:
+    if abs(t0) > 1e-10:
         raise DomainError(f"theta(0) = {t0} must vanish for this operation")
 
 
-def t_alpha_matrix(ms: ModelSpace, alpha: complex,
-                   unitarity_tol: float = 1e-10) -> np.ndarray:
+def t_alpha_matrix(ms: ModelSpace, alpha: complex) -> np.ndarray:
     """Matrix of the unitary rank-one perturbation of the compressed shift.
 
     f -> z*(f - (f, theta/z) theta/z) + (f, theta/z) alpha in the TM basis.
@@ -210,7 +209,7 @@ def t_alpha_matrix(ms: ModelSpace, alpha: complex,
     t = np.conj(a_mat + np.outer(b, c) / (alpha - d))
     # Frobenius bounds the spectral norm from above: a stricter check
     defect = np.linalg.norm(t.conj().T @ t - np.eye(ms.dimension), "fro")
-    if defect > unitarity_tol:
+    if defect > 1e-10:
         raise ConstructionError(
             f"perturbed shift is not unitary: defect {defect:.3e}")
     return t
@@ -262,11 +261,10 @@ def intertwine_check(ms: ModelSpace, alpha: complex) -> float:
     return float(np.linalg.norm(t - v_mat @ y @ v_mat.conj().T, 2))
 
 
-def hat_conjugate(ms: ModelSpace, vec: ModelVector,
-                  zero_tol: float = 1e-10) -> ModelVector:
+def hat_conjugate(ms: ModelSpace, vec: ModelVector) -> ModelVector:
     """The conjugate-linear involution f -> theta * conj(f) on {f(0) = 0}."""
     f0 = ms.eval_vector(vec, 0.0)
-    if abs(f0) > zero_tol:
+    if abs(f0) > 1e-10:
         raise DomainError(f"hat conjugation needs f(0) = 0, got {f0}")
     f_vals = ms.boundary_values(vec)
     return ms.vector(ms.project(ms.theta_values * np.conj(f_vals)))
@@ -277,8 +275,8 @@ def hat_conjugate(ms: ModelSpace, vec: ModelVector,
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _offgrid_samples(count: int = 64) -> np.ndarray:
-    angles = (0.7391 + TWO_PI * _GOLDEN * np.arange(count)) % TWO_PI
+def _offgrid_samples() -> np.ndarray:
+    angles = (0.7391 + TWO_PI * _GOLDEN * np.arange(64)) % TWO_PI
     return np.exp(1j * angles)
 
 
@@ -286,7 +284,7 @@ def _offgrid_samples(count: int = 64) -> np.ndarray:
 _SPLIT_RESIDUAL_TOL = 1e-9
 
 
-def _split(ms: ModelSpace, vec: ModelVector, residual_tol: float):
+def _split(ms: ModelSpace, vec: ModelVector):
     """f(0), f0, hat(f0), g and h of the Lemma 7 split of vec, verified."""
     f_at_zero = ms.eval_vector(vec, 0.0)
     f0 = ms.vector(ms.coefficients(vec) - f_at_zero * np.conj(ms.basis_at_zero))
@@ -300,15 +298,15 @@ def _split(ms: ModelSpace, vec: ModelVector, residual_tol: float):
              - ms.eval_vector(g, xi)
              - blaschke_eval(ms.theta, xi) * ms.eval_vector(h, xi))
     worst = float(np.max(np.abs(resid)))
-    if worst > residual_tol:
+    if worst > _SPLIT_RESIDUAL_TOL:
         raise ResidueError(
-            f"product decomposition residual {worst:.3e} exceeds {residual_tol}; "
+            f"product decomposition residual {worst:.3e} exceeds "
+            f"{_SPLIT_RESIDUAL_TOL}; "
             "basis conditioning insufficient")
     return f_at_zero, f0, f0_hat, g, h
 
 
-def lemma7_decompose(ms: ModelSpace, vec: ModelVector,
-                     residual_tol: float = _SPLIT_RESIDUAL_TOL
+def lemma7_decompose(ms: ModelSpace, vec: ModelVector
                      ) -> tuple[ModelVector, ModelVector]:
     """Split f0 * hat(f0) = g + theta * h with g, h in the model space.
 
@@ -318,7 +316,7 @@ def lemma7_decompose(ms: ModelSpace, vec: ModelVector,
     theta^2; the boundary identity is re-verified on 64 boundary samples
     away from the nodes.
     """
-    return _split(ms, vec, residual_tol)[3:]
+    return _split(ms, vec)[3:]
 
 
 @dataclass(frozen=True)
@@ -347,7 +345,7 @@ def _transform_context(ms: ModelSpace, vec: ModelVector) -> _TransformContext:
     space; a failed split raises and caches nothing."""
     ctx = ms._contexts.get(vec)
     if ctx is None:
-        f_at_zero, *parts = _split(ms, vec, _SPLIT_RESIDUAL_TOL)
+        f_at_zero, *parts = _split(ms, vec)
         coeffs = np.array([v.coeffs for v in parts], dtype=complex)
         ctx = _TransformContext(f_at_zero, coeffs,
                                 np.asarray(ms.theta.zeros, dtype=complex),

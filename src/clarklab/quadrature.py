@@ -1,18 +1,14 @@
 """Deterministic quadrature engine.
 
-Two schemes, matching the two geometries the verification suites need:
+One scheme serves both geometries the verification suites need:
+``integrate_line`` is adaptive bisection driven by a Gauss (7) / Kronrod (15)
+pair on each subinterval, with optional breakpoints so that known jump
+locations of an integrand never sit inside a panel.  ``integrate_circle``
+is the same driver on [0, 2*pi] with its breakpoints reduced mod 2*pi.
 
-* ``integrate_line`` -- adaptive bisection driven by a Gauss (7) / Kronrod (15)
-  pair on each subinterval, with optional breakpoints so that known jump
-  locations of an integrand never sit inside a panel.
-* ``integrate_circle`` -- trapezoid sums with grid doubling until two
-  successive refinements agree, again with optional splitting at known
-  discontinuities (plain periodic trapezoid is used when there are none).
-
-Integrands take the whole array of nodes of a panel or refinement level
-and return the array of values, so a costly integrand (a secular solve, a
-dense eigen-solve) runs once per panel on a batch of nodes rather than once
-per node.
+Integrands take the whole array of nodes of a panel and return the array
+of values, so a costly integrand (a secular solve, a dense eigen-solve)
+runs once per panel on a batch of nodes rather than once per node.
 
 Everything is deterministic: panel refinement order depends only on computed
 error estimates and insertion order, never on timing or hashing.
@@ -117,68 +113,18 @@ def integrate_line(
     return value, err
 
 
-def _trapezoid_doubling(f, a: float, b: float, tol: float, max_points: int,
-                        n0: int = 32) -> tuple[float, float]:
-    """Composite trapezoid on [a, b], doubling until step-stable."""
-    xs = np.linspace(a, b, n0 + 1)
-    ys = np.asarray(f(xs), dtype=float)
-    h = (b - a) / n0
-    value = h * (0.5 * ys[0] + ys[1:-1].sum() + 0.5 * ys[-1])
-    n = n0
-    while True:
-        n *= 2
-        h *= 0.5
-        new_xs = np.linspace(a + h, b - h, n // 2)
-        new_ys = np.asarray(f(new_xs), dtype=float)
-        refined = 0.5 * value + h * new_ys.sum()
-        err = abs(refined - value)
-        value = refined
-        if err <= tol:
-            return value, err
-        if n >= max_points:
-            raise QuadratureError(
-                f"trapezoid doubling stalled at error {err:.3e} > {tol:.3e} "
-                f"({n} points on [{a}, {b}])"
-            )
-
-
 def integrate_circle(
     f: Callable[[np.ndarray], np.ndarray],
     tol: float = 1e-10,
     breakpoints: Sequence[float] = (),
-    max_points: int = 1 << 21,
-    inset: float = 1e-12,
 ) -> tuple[float, float]:
-    """Integrate ``f(s)`` over s in [0, 2*pi) by trapezoid sums with doubling.
+    """Integrate ``f(s)`` over s in [0, 2*pi) with ``integrate_line``.
 
     ``breakpoints`` are angles (any real; reduced mod 2*pi) where ``f``
-    jumps.  With breakpoints present the circle is cut into smooth closed
-    pieces, each inset by ``inset`` so that a grid node never lands exactly
-    on a jump, and each piece is doubled independently.  Returns the
-    integral with respect to ds (divide by 2*pi for normalized arc length).
+    jumps; no panel straddles one, and since the GK15 nodes are interior no
+    node lands on one.  Returns the integral with respect to ds (divide by
+    2*pi for normalized arc length).
     """
     two_pi = 2.0 * math.pi
-    cuts = sorted({float(s) % two_pi for s in breakpoints})
-    if not cuts:
-        return _trapezoid_doubling(f, 0.0, two_pi, tol, max_points)
-
-    # Closed pieces between consecutive cuts, wrapping the last to the first.
-    segments = []
-    for i, lo in enumerate(cuts):
-        hi = cuts[(i + 1) % len(cuts)]
-        if hi <= lo:
-            hi += two_pi
-        segments.append((lo, hi))
-
-    total = 0.0
-    total_err = 0.0
-    piece_tol = tol / len(segments)
-    for lo, hi in segments:
-        if hi - lo <= 2.0 * inset:
-            continue
-        v, e = _trapezoid_doubling(f, lo + inset, hi - inset, piece_tol,
-                                   max_points)
-        total += v
-        total_err += e
-    return total, total_err
-
+    return integrate_line(f, 0.0, two_pi, tol=tol,
+                          breakpoints=[float(s) % two_pi for s in breakpoints])

@@ -33,10 +33,9 @@ from .measures import (BorelSetSpec, CircleAtomicMeasure, TWO_PI,
 from .modelspace import (ModelSpace, ModelVector, _require_in_disk,
                          _shaped_like, _transform_context, build_model_space,
                          v_alpha)
-from .rankone import (CyclicOperatorModel, _circle_membership_mask,
-                      _mass_inside, _unitary_eigenbasis, inner_from_unitary,
-                      rank_one_unitary_update, spectral_measure,
-                      unitary_spectral_measure)
+from .rankone import (CyclicOperatorModel, _mass_inside, _unitary_eigenbasis,
+                      inner_from_unitary, rank_one_unitary_update,
+                      spectral_measure, unitary_spectral_measure)
 from .quadrature import integrate_line
 
 
@@ -138,14 +137,14 @@ def family_from_json_dict(obj: dict) -> RankNPerturbationFamily:
 
 
 def _staged_unitaries(family: RankNPerturbationFamily, points,
-                      unitarity_tol: float = 1e-10,
                       check_cyclicity: bool = False) -> np.ndarray:
     """The staged rank-one updates U_{a^1}, ..., U_{a^n} for each row of an
     (L, n) array of parameters, as an (L, N, N) stack.
 
     Each stage perturbs along the next vector with respect to the *current*
-    operator's inverse; every matrix is checked for unitarity at every
-    stage, and with ``check_cyclicity`` the incoming vector for cyclicity.
+    operator's inverse; every matrix is checked for unitarity (Frobenius
+    defect at most 1e-10) at every stage, and with ``check_cyclicity`` the
+    incoming vector for cyclicity.
     """
     points = np.asarray(points, dtype=complex)
     alphas = np.array([_require_unimodular(a) for a in points.ravel()]
@@ -159,14 +158,13 @@ def _staged_unitaries(family: RankNPerturbationFamily, points,
         # Frobenius bounds the spectral norm from above: a stricter check
         defect = np.linalg.norm(np.swapaxes(u.conj(), -1, -2) @ u - eye,
                                 axis=(-2, -1))
-        if not np.all(defect <= unitarity_tol):
+        if not np.all(defect <= 1e-10):
             raise ConstructionError(
                 f"stage {k + 1} not unitary: defect {np.max(defect):.3e}")
     return u
 
 
 def recursive_unitary(family: RankNPerturbationFamily, alphas,
-                      unitarity_tol: float = 1e-10,
                       check_cyclicity: bool = True) -> np.ndarray:
     """Apply the staged rank-one updates U_{a^1}, ..., U_{a^n}.
 
@@ -177,8 +175,7 @@ def recursive_unitary(family: RankNPerturbationFamily, alphas,
     alphas = np.atleast_1d(np.asarray(alphas, dtype=complex))
     if alphas.shape != (family.n,):
         raise DomainError(f"expected {family.n} parameters, got {alphas.shape}")
-    return _staged_unitaries(family, alphas[None, :], unitarity_tol,
-                             check_cyclicity)[0]
+    return _staged_unitaries(family, alphas[None, :], check_cyclicity)[0]
 
 
 def spectral_measure_of_vector(matrix: np.ndarray, vector: np.ndarray
@@ -197,10 +194,10 @@ def _staged_spectra(family: RankNPerturbationFamily, points, vector
     return np.angle(evals) % TWO_PI, masses
 
 
-def family_model_space(family: RankNPerturbationFamily,
-                       vector_index: int = 1) -> tuple[ModelSpace, ModelVector]:
+def family_model_space(family: RankNPerturbationFamily
+                       ) -> tuple[ModelSpace, ModelVector]:
     """Model space of the base operator plus the model-space function of
-    one perturbation vector (default the second).
+    the second perturbation vector.
 
     The base cyclic vector corresponds to the constant 1; vector entries
     divided by the cyclic-vector components give its boundary values at the
@@ -209,15 +206,15 @@ def family_model_space(family: RankNPerturbationFamily,
     theta = inner_from_unitary(family.base)
     ms = build_model_space(theta)
     w = np.asarray(family.base.weights)
-    values = family.vectors[vector_index] / np.sqrt(w)
+    values = family.vectors[1] / np.sqrt(w)
     f = v_alpha(ms, 1.0, values, mu=spectral_measure(family.base))
     return ms, f
 
 
-def _vanishing_context(ms: ModelSpace, vec: ModelVector, tol: float = 1e-8):
-    """The transform context of vec, which must have f(0) = 0."""
+def _vanishing_context(ms: ModelSpace, vec: ModelVector):
+    """The transform context of vec, which must have |f(0)| <= 1e-8."""
     ctx = _transform_context(ms, vec)
-    if abs(ctx.f_at_zero) > tol:
+    if abs(ctx.f_at_zero) > 1e-8:
         raise DomainError(
             f"f(0) = {ctx.f_at_zero} must vanish (orthogonal second vector)")
     return ctx
@@ -307,7 +304,7 @@ def curve_disintegration_check(family: RankNPerturbationFamily,
     def lhs_integrand(s_arr: np.ndarray) -> np.ndarray:
         angles, masses = _staged_spectra(
             family, curve_sample(curve, np.exp(1j * s_arr)), phi2)
-        return _mass_inside(masses, _circle_membership_mask(angles, borel))
+        return _mass_inside(masses, borel.mask(angles))
 
     lhs, err1 = integrate_line(lhs_integrand, 0.0, TWO_PI,
                                tol=0.25 * tol * TWO_PI)
@@ -351,12 +348,12 @@ def theorem4_axis_criterion(family: RankNPerturbationFamily, probes
 
 def theorem9_nullset_check(family: RankNPerturbationFamily,
                            curve: AnalyticCurve, null_angles,
-                           xi_angles, tol: float = 1e-9) -> dict:
+                           xi_angles) -> dict:
     """Generic-position check: no atom of nu_{gamma(xi)} may fall on the
     finite null set E, for any sampled xi.
 
     Returns a report listing every (xi, atom, null point) collision within
-    ``tol`` in angle; an empty violation list is a pass.
+    1e-9 in angle; an empty violation list is a pass.
     """
     if family.n != curve.n:
         raise DomainError("family and curve ranks differ")
@@ -371,7 +368,7 @@ def theorem9_nullset_check(family: RankNPerturbationFamily,
         for atom in nu.angles:
             for e in null_angles:
                 dist = abs(math.remainder(atom - e, TWO_PI))
-                if dist <= tol:
+                if dist <= 1e-9:
                     violations.append({"xi_angle": float(s), "atom": float(atom),
                                        "null_point": float(e), "distance": dist})
     return {"checked": len(xi_angles), "violations": violations,

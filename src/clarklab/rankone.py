@@ -75,6 +75,8 @@ class CyclicOperatorModel:
             raise ConstructionError(f"kind must be 'line' or 'circle', got {self.kind!r}")
         if len(self.sites) != len(self.weights) or not self.sites:
             raise ConstructionError("sites and weights must be non-empty and aligned")
+        if not all(map(math.isfinite, (*self.sites, *self.weights))):
+            raise ConstructionError("sites and weights must be finite")
         if any(w <= 0.0 for w in self.weights):
             raise ConstructionError("all weights must be positive")
         if any(b <= a for a, b in zip(self.sites, self.sites[1:])):
@@ -202,8 +204,8 @@ def _unitary_eigenbasis(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.sum(q.conj() * (matrix @ q), axis=-2), q
 
 
-def unitary_spectral_measure(matrix: np.ndarray, vector: np.ndarray,
-                             unitarity_tol: float = 1e-9) -> CircleAtomicMeasure:
+def unitary_spectral_measure(matrix: np.ndarray, vector: np.ndarray
+                             ) -> CircleAtomicMeasure:
     """Spectral measure of ``vector`` for a unitary matrix.
 
     Uses the orthonormal eigenbasis of ``_unitary_eigenbasis``, which keeps
@@ -213,7 +215,7 @@ def unitary_spectral_measure(matrix: np.ndarray, vector: np.ndarray,
     n = matrix.shape[0]
     # Frobenius bounds the spectral norm from above: a stricter check
     defect = np.linalg.norm(matrix.conj().T @ matrix - np.eye(n), "fro")
-    if defect > unitarity_tol:
+    if defect > 1e-9:
         raise DomainError(f"matrix is not unitary: ||U*U - I|| = {defect:.3e}")
     evals, q = _unitary_eigenbasis(matrix)
     masses = np.abs(q.conj().T @ np.asarray(vector, dtype=complex)) ** 2
@@ -244,8 +246,7 @@ def matrix_oracle_unitary(model: CyclicOperatorModel, alpha: complex
     return unitary_spectral_measure(rank_one_unitary_update(u, v, alpha), v)
 
 
-def inner_from_unitary(model: CyclicOperatorModel,
-                       contract_tol: float = 1e-10) -> BlaschkeProduct:
+def inner_from_unitary(model: CyclicOperatorModel) -> BlaschkeProduct:
     """The inner function theta with K nu_1 = 1/(1 - theta), theta(0) = 0.
 
     nu_1 is the model's spectral measure; theta = 1 - 1/K nu_1 is a degree-N
@@ -269,10 +270,10 @@ def inner_from_unitary(model: CyclicOperatorModel,
     kvals = np.array([cauchy_transform_disk(nu1, z) for z in sample])
     tvals = blaschke_eval(theta, sample)
     defect = np.max(np.abs(kvals * (1.0 - tvals) - 1.0))
-    if defect > contract_tol:
+    if defect > 1e-10:
         raise ConstructionError(
             f"K*(1-theta) = 1 fails by {defect:.3e} on sampled disk points")
-    if abs(blaschke_eval(theta, 0.0)) > contract_tol:
+    if abs(blaschke_eval(theta, 0.0)) > 1e-10:
         raise ConstructionError("theta(0) != 0 for a unit-mass model")
     return theta
 
@@ -413,10 +414,7 @@ def disintegration_check_line(model: CyclicOperatorModel, borel: BorelSetSpec,
 
     def integrand(lams: np.ndarray) -> np.ndarray:
         roots, masses = _perturbed_atoms_line(mu0, lams)
-        inside = np.zeros(roots.shape, dtype=bool)
-        for a, b in borel.pieces:
-            inside |= (roots >= a) & (roots <= b)
-        return _mass_inside(masses, inside)
+        return _mass_inside(masses, borel.mask(roots))
 
     value, err = integrate_line(integrand, -window, window,
                                 tol=0.5 * tol, breakpoints=breakpoints)
@@ -444,23 +442,14 @@ def _mass_inside(masses: np.ndarray, inside: np.ndarray) -> np.ndarray:
                      for row, keep in zip(masses, inside)])
 
 
-def _circle_membership_mask(angles: np.ndarray, borel: BorelSetSpec) -> np.ndarray:
-    mask = np.zeros(angles.shape, dtype=bool)
-    for s, e in borel.pieces:
-        start = s % TWO_PI
-        length = e - s
-        mask |= (angles - start) % TWO_PI <= length
-    return mask
-
-
 def disintegration_check_circle(theta: BlaschkeProduct, borel: BorelSetSpec,
                                 tol: float = 1e-6) -> DisintegrationResult:
     """Verify that averaging the Clark family over alpha recovers m(B).
 
     The integrand alpha -> mu_alpha(B) jumps exactly when a level-set point
-    crosses an endpoint of B, i.e. at alpha = theta(endpoint); the circle of
-    alphas is split there and each smooth piece is integrated by doubling
-    trapezoid sums.
+    crosses an endpoint of B, i.e. at alpha = theta(endpoint); those are
+    the breakpoints of the adaptive Gauss-Kronrod quadrature over the
+    circle of alphas, and each panel is one batched level-set solve.
     """
     if borel.space != "circle":
         raise DomainError("circle disintegration needs a circle Borel set")
@@ -474,8 +463,7 @@ def disintegration_check_circle(theta: BlaschkeProduct, borel: BorelSetSpec,
         alphas = np.exp(1j * np.asarray(s_arr))
         pts = level_set_batch(theta, alphas)
         masses = 1.0 / boundary_derivative_modulus(theta, pts)
-        mask = _circle_membership_mask(np.angle(pts) % TWO_PI, borel)
-        return np.sum(masses * mask, axis=1)
+        return np.sum(masses * borel.mask(np.angle(pts)), axis=1)
 
     value, err = integrate_circle(integrand, tol=0.5 * tol * TWO_PI,
                                   breakpoints=breakpoints)

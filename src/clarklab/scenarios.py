@@ -38,8 +38,7 @@ from .rankone import (CyclicOperatorModel, circle_measure_deviation,
                       clark_measure, disintegration_check_circle,
                       disintegration_check_line, inner_from_unitary,
                       matrix_oracle_selfadjoint, matrix_oracle_unitary,
-                      model_from_json_dict, perturb_selfadjoint,
-                      perturb_unitary)
+                      model_from_json_dict, perturb_selfadjoint)
 from .rankn import (AnalyticCurve, RankNPerturbationFamily, _staged_spectra,
                     curve_disintegration_check, family_from_json_dict,
                     family_model_space, herglotz_positivity_check,
@@ -105,11 +104,11 @@ def random_blaschke(rng: np.random.Generator, degree: int,
     return BlaschkeProduct(tuple(zeros), c)
 
 
-def random_orthogonal_unit_vector(rng: np.random.Generator, base: np.ndarray,
-                                  min_component: float = 1e-3) -> np.ndarray:
-    """Unit vector orthogonal to ``base`` with no vanishing component
-    (orthogonality gives f(0) = 0 in the model-space picture; nonvanishing
-    components keep it cyclic for a diagonal base operator)."""
+def random_orthogonal_unit_vector(rng: np.random.Generator, base: np.ndarray
+                                  ) -> np.ndarray:
+    """Unit vector orthogonal to ``base`` with every component at least 1e-3
+    in modulus (orthogonality gives f(0) = 0 in the model-space picture;
+    nonvanishing components keep it cyclic for a diagonal base operator)."""
     n = base.size
     for _ in range(256):
         v = rng.normal(size=n) + 1j * rng.normal(size=n)
@@ -118,7 +117,7 @@ def random_orthogonal_unit_vector(rng: np.random.Generator, base: np.ndarray,
         if norm < 1e-6:
             continue
         v = v / norm
-        if np.min(np.abs(v)) >= min_component:
+        if np.min(np.abs(v)) >= 1e-3:
             return v
     raise ScenarioError("could not draw a cyclic orthogonal vector")
 
@@ -227,9 +226,11 @@ class RunReport:
 
 def _jsonify(value: Any) -> Any:
     """Report encoding: binary64 values become shortest round-trip decimal
-    strings so no bits are lost in transit."""
-    if isinstance(value, np.bool_):
-        return bool(value)
+    strings so no bits are lost in transit.  numpy scalars are converted to
+    Python scalars first (np.float64 is a float subclass whose repr names
+    its type)."""
+    if isinstance(value, np.generic):
+        return _jsonify(value.item())
     if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
         return value
     if isinstance(value, float):
@@ -240,8 +241,6 @@ def _jsonify(value: Any) -> Any:
         return {str(k): _jsonify(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonify(v) for v in value]
-    if isinstance(value, (np.floating, np.integer, np.complexfloating)):
-        return _jsonify(value.item())
     return str(value)
 
 
@@ -304,13 +303,10 @@ def _check_clark_correspondence(seed, idx, spec, tol) -> list[CheckRecord]:
         atom_dev = 0.0
         mass_dev = 0.0
         for alpha in alphas:
-            routes = [clark_measure(theta, alpha),
-                      perturb_unitary(model, alpha),
-                      matrix_oracle_unitary(model, alpha)]
-            for other in routes[1:]:
-                da, dm = circle_measure_deviation(routes[0], other)
-                atom_dev = max(atom_dev, da)
-                mass_dev = max(mass_dev, dm)
+            da, dm = circle_measure_deviation(
+                clark_measure(theta, alpha), matrix_oracle_unitary(model, alpha))
+            atom_dev = max(atom_dev, da)
+            mass_dev = max(mass_dev, dm)
         params = {"model": label, "index": i, "alphas": len(alphas)}
         records.append(CheckRecord("clark_correspondence.atoms", params,
                                    atom_dev, 0.0, tol["algebraic"],
@@ -616,8 +612,9 @@ def load_scenario(source) -> Scenario:
     for key, val in obj.get("tolerances", {}).items():
         if key not in DEFAULT_TOLERANCES:
             raise ScenarioError(f"tolerances.{key}: unknown tolerance class")
-        if not isinstance(val, (int, float)) or val <= 0:
-            raise ScenarioError(f"tolerances.{key}: must be a positive number")
+        if not isinstance(val, (int, float)) or not 0 < val < math.inf:
+            raise ScenarioError(
+                f"tolerances.{key}: must be a positive finite number")
         tolerances[key] = float(val)
     checks = obj.get("checks")
     if not isinstance(checks, list) or not checks:

@@ -82,6 +82,13 @@ class TestBlaschke:
         with pytest.raises(ConstructionError):
             BlaschkeProduct((0j,), 0.5)
 
+    @pytest.mark.parametrize("zeros, c", [((complex(math.nan),), 1.0),
+                                          ((0j,), complex(math.nan)),
+                                          ((), complex(math.nan, 1.0))])
+    def test_nan_rejected(self, zeros, c):
+        with pytest.raises(ConstructionError):
+            BlaschkeProduct(zeros, c)
+
     def test_boundary_derivative_is_modulus(self):
         # |theta'| on the circle is the rate of the boundary phase
         # d/dt arg theta(e^{it}), here a central difference of that phase

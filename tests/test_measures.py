@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -56,6 +57,18 @@ class TestMeasureOf:
         arc = BorelSetSpec("circle", ((5.8, 6.9),))  # wraps through 0
         assert measure_of(DELTA1_C, arc) == 1.0
         assert measure_of(CircleAtomicMeasure.from_atoms([(1.0, 1.0)]), arc) == 0.0
+
+    def test_mask_matches_contains(self):
+        # closed pieces, arcs given past 2 pi or below 0, angles any real
+        xs = np.array([-7.0, -0.5, 0.0, 0.5, 1.0, 2.0, 2.5, 3.0, 6.0, 6.9,
+                       7.5, 13.0])
+        for borel in (BorelSetSpec("line", ((0.0, 1.0), (2.0, 2.5))),
+                      BorelSetSpec("circle", ((5.8, 6.9),)),
+                      BorelSetSpec("circle", ((-1.0, 0.5), (2.0, 3.0)))):
+            mask = borel.mask(xs.reshape(3, 4))
+            assert mask.shape == (3, 4)
+            assert mask.ravel().tolist() == [borel.contains(x) for x in xs]
+        assert BorelSetSpec("line", ((0.0, 1.0),)).mask(1.0).shape == ()
 
     def test_space_mismatch(self):
         with pytest.raises(DomainError):
@@ -152,6 +165,8 @@ class TestSimonWolff:
     def test_circle_domain(self):
         with pytest.raises(DomainError):
             simon_wolff_integral_circle(DELTA1_C, 0.5)
+        with pytest.raises(DomainError):
+            simon_wolff_integral_circle(DELTA1_C, complex(math.nan))
 
 
 class TestConstruction:
@@ -208,6 +223,13 @@ class TestConstruction:
             BorelSetSpec("line", ((0.0, 2.0), (1.0, 3.0)))
         with pytest.raises(ConstructionError):
             BorelSetSpec("circle", ((0.0, 4.0), (3.0, 5.0)))
+
+    @pytest.mark.parametrize("space, piece", [("line", (math.nan, 1.0)),
+                                              ("line", (0.0, math.inf)),
+                                              ("circle", (0.5, math.nan))])
+    def test_borel_non_finite_rejected(self, space, piece):
+        with pytest.raises(ConstructionError):
+            BorelSetSpec(space, (piece,))
 
     def test_borel_lengths(self):
         assert BorelSetSpec("line", ((0.0, 1.0), (2.0, 2.5))).total_length() == 1.5

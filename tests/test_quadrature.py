@@ -75,8 +75,19 @@ class TestCircle:
         val, _ = integrate_circle(f, tol=1e-8, breakpoints=[lo, hi])
         assert val == pytest.approx(hi - lo, abs=1e-7)
 
-    def test_nonconvergence_reported(self):
-        rng = np.random.default_rng(0)
-        noisy = lambda s: rng.standard_normal(np.shape(s))
-        with pytest.raises(QuadratureError):
-            integrate_circle(noisy, tol=1e-12, max_points=256)
+    def test_breakpoints_reduced_mod_two_pi(self):
+        # the arc's ends given one turn up and one turn down: reduced, they
+        # cut the circle into three panels on which the indicator is
+        # constant, so those three panels meet the tolerance
+        lo, hi = 1.0, 2.5
+        nodes = []
+
+        def f(s):
+            nodes.append(s.size)
+            return ((s >= lo) & (s <= hi)).astype(float)
+
+        val, err = integrate_circle(
+            f, tol=1e-12, breakpoints=[lo + 2.0 * math.pi, hi - 2.0 * math.pi])
+        assert val == pytest.approx(hi - lo, abs=1e-13)
+        assert err <= 1e-12
+        assert nodes == [15, 15, 15]

@@ -1,5 +1,7 @@
 import cmath
+import json
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -22,7 +24,9 @@ from clarklab.rankone import (ClarkFamily, CyclicOperatorModel,
                               perturb_selfadjoint, perturb_unitary,
                               rank_one_unitary_update, simon_wolff_classify,
                               spectral_measure, _unitary_eigenbasis)
-from clarklab.scenarios import CHECKS, DEFAULT_TOLERANCES, random_model
+from clarklab.scenarios import (CHECKS, DEFAULT_TOLERANCES, _resolve_borel,
+                                _resolve_theta, _rng, load_scenario,
+                                random_model)
 
 SCALAR_LINE = CyclicOperatorModel.from_data("line", [0.0], [1.0])
 TWO_LINE = CyclicOperatorModel.from_data("line", [-1.0, 1.0], [0.5, 0.5])
@@ -41,6 +45,14 @@ class TestModel:
             CyclicOperatorModel.from_data("line", [0.0, 1.0], [0.5, 0.6])
         with pytest.raises(ConstructionError):
             CyclicOperatorModel.from_data("ring", [0.0], [1.0])
+
+    @pytest.mark.parametrize("kind", ["line", "circle"])
+    @pytest.mark.parametrize("sites, weights", [([math.nan], [1.0]),
+                                                ([0.0, 1.0], [0.5, math.nan]),
+                                                ([0.0, math.nan], [0.5, 0.5])])
+    def test_nan_rejected(self, kind, sites, weights):
+        with pytest.raises(ConstructionError):
+            CyclicOperatorModel.from_data(kind, sites, weights)
 
     def test_spectral_measure(self):
         assert spectral_measure(SCALAR_LINE) == LineAtomicMeasure.from_atoms(
@@ -389,6 +401,13 @@ class TestClarkMeasure:
         assert np.all(np.isfinite(boundary_derivative_modulus(theta, pts)))
 
 
+    @pytest.mark.parametrize("alpha", [math.nan, complex(math.nan, 1.0),
+                                       complex(0.0, math.inf)])
+    def test_non_finite_alpha_rejected(self, alpha):
+        with pytest.raises(DomainError):
+            clark_measure(Z2, alpha)
+
+
 class TestClarkFamily:
     def test_total_mass_formula(self, rng):
         theta = BlaschkeProduct((0.5 + 0j, -0.2 + 0.1j), cmath.exp(0.3j))
@@ -510,6 +529,22 @@ class TestDisintegrationCircle:
         full = BorelSetSpec("circle", ((0.0, 2.0 * math.pi),))
         res = disintegration_check_circle(Z2, full, tol=1e-6)
         assert res.estimate == pytest.approx(1.0, abs=1e-6)
+
+    def test_bundled_thetas_to_rounding(self):
+        # the thetas and arcs of the bundled disintegration scenario: the
+        # jumps of alpha -> mu_alpha(B) are panel ends, so the quadrature
+        # is exact on every smooth piece up to rounding
+        scenario = load_scenario(json.loads(
+            (resources.files("clarklab") / "scenarios"
+             / "disintegration.json").read_text()))
+        idx, spec = next((k, c) for k, c in enumerate(scenario.checks)
+                         if c["check"] == "disintegration_circle")
+        for i, tspec in enumerate(spec["thetas"]):
+            theta, _ = _resolve_theta(tspec, _rng(scenario.seed, idx, i))
+            for bspec in spec["borel_sets"]:
+                res = disintegration_check_circle(
+                    theta, _resolve_borel(bspec), tol=spec["tol"])
+                assert res.defect <= 1e-12
 
 
 class TestSimonWolffClassify:

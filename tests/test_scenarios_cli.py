@@ -63,6 +63,14 @@ class TestScenarioValidation:
             load_scenario({"name": "x", "seed": 1, "tolerances":
                            {"algebraic": -1}, "checks": [{"check": "simon_wolff"}]})
 
+    @pytest.mark.parametrize("text", ["NaN", "Infinity"])
+    def test_non_finite_tolerance(self, text):
+        # json.loads accepts these literals
+        obj = json.loads('{"name": "x", "seed": 1, "tolerances": {"oracle": '
+                         + text + '}, "checks": [{"check": "simon_wolff"}]}')
+        with pytest.raises(ScenarioError, match="tolerances.oracle"):
+            load_scenario(obj)
+
     def test_parse_error_positions(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"name": "x",\n  "seed": }')
@@ -111,6 +119,15 @@ class TestRunScenario:
         assert isinstance(rec["observed"], str)
         float(rec["observed"])
         assert isinstance(rec["tolerance"], str)
+
+    def test_numpy_scalars_are_plain_decimals(self):
+        report = scenarios.RunReport("np", 0, [scenarios.CheckRecord(
+            "c", {"z": np.complex128(0.5 - 2j)}, np.float64(0.1),
+            np.complex128(0.25 + 1j), 1e-9, True)])
+        rec = json.loads(report_to_json(report))["records"][0]
+        assert rec["observed"] == "0.1"
+        assert rec["expected"] == ["0.25", "1.0"]
+        assert rec["parameters"] == {"z": ["0.5", "-2.0"]}
 
 
 RANKN = load_scenario(json.loads((resources.files("clarklab") / "scenarios"
@@ -203,6 +220,13 @@ class TestCli:
         assert main(["clark", "--theta", str(theta), "--alpha", "2.0"]) == 2
         assert "unimodular" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("alpha", ["angle:abc", "nan", "angle:nan"])
+    def test_clark_alpha_not_a_number(self, tmp_path, capsys, alpha):
+        theta = tmp_path / "theta.json"
+        theta.write_text(json.dumps({"zeros": [[0.0, 0.0]], "c": [1.0, 0.0]}))
+        assert main(["clark", "--theta", str(theta), "--alpha", alpha]) == 2
+        assert capsys.readouterr().err.startswith("error: --alpha")
+
     def test_perturb_csv(self, tmp_path, capsys):
         model = tmp_path / "model.json"
         model.write_text(json.dumps(
@@ -220,6 +244,13 @@ class TestCli:
         scen.write_text(json.dumps(SMOKE))
         monkeypatch.setenv("CLARK_LAB_WORKERS", "3")
         assert main(["run", str(scen)]) == 0
+
+    def test_workers_env_not_an_integer(self, tmp_path, monkeypatch, capsys):
+        scen = tmp_path / "s.json"
+        scen.write_text(json.dumps(SMOKE))
+        monkeypatch.setenv("CLARK_LAB_WORKERS", "two")
+        assert main(["run", str(scen)]) == 2
+        assert capsys.readouterr().err.startswith("error: CLARK_LAB_WORKERS")
 
     def test_failing_check_exit_one(self, tmp_path, capsys):
         # an impossible tolerance forces failures; exit status must be 1
