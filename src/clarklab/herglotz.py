@@ -152,11 +152,25 @@ def blaschke_from_json_dict(obj: dict) -> BlaschkeProduct:
     return BlaschkeProduct(tuple(zeros), c)
 
 
-def _require_unimodular(alpha: complex) -> complex:
-    alpha = complex(alpha)
-    if not abs(abs(alpha) - 1.0) <= 1e-9:
-        raise DomainError(f"|{alpha}| = {abs(alpha)} is not unimodular")
-    return alpha / abs(alpha)
+_ARRAY_LIKE = (np.ndarray, list, tuple)
+
+
+def _require_unimodular(alpha):
+    """alpha / |alpha|, elementwise for an array; raises DomainError naming
+    the first value (NaN included) off the unit circle by more than 1e-9."""
+    if not isinstance(alpha, _ARRAY_LIKE):
+        alpha = complex(alpha)
+        if not abs(abs(alpha) - 1.0) <= 1e-9:
+            raise DomainError(f"|{alpha}| = {abs(alpha)} is not unimodular")
+        return alpha / abs(alpha)
+    alpha = np.asarray(alpha, dtype=complex)
+    # hypot and per-part division round as abs and / do on a Python complex
+    mod = np.hypot(alpha.real, alpha.imag)
+    bad = ~(np.abs(mod - 1.0) <= 1e-9)
+    if bad.any():
+        first = complex(alpha[bad][0])
+        raise DomainError(f"|{first}| = {abs(first)} is not unimodular")
+    return alpha.real / mod + 1j * (alpha.imag / mod)
 
 
 # Newton stops at |theta(xi) - alpha| <= max(1e-12, 4 eps (N + 2 pi |theta'|)):
@@ -199,8 +213,7 @@ def level_set_batch(theta: BlaschkeProduct, alphas) -> np.ndarray:
     """
     if theta.degree == 0:
         raise DomainError("level sets need a nonconstant inner function")
-    alphas = np.asarray([_require_unimodular(a) for a in np.atleast_1d(alphas)],
-                        dtype=complex)
+    alphas = np.atleast_1d(_require_unimodular(alphas))
     a_mat, b, c, d = _unitary_realization(theta)
     w = a_mat + np.outer(b, c) / (alphas - d)[:, None, None]
     t = -np.angle(np.linalg.eigvals(w))
@@ -242,7 +255,7 @@ def level_set_batch(theta: BlaschkeProduct, alphas) -> np.ndarray:
 
 def level_set(theta: BlaschkeProduct, alpha: complex) -> np.ndarray:
     """All degree(theta) boundary solutions of theta(xi) = alpha, sorted by angle."""
-    return level_set_batch(theta, [alpha])[0]
+    return level_set_batch(theta, alpha)[0]
 
 
 # ---------------------------------------------------------------------------

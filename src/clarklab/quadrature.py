@@ -6,9 +6,10 @@ pair on each subinterval, with optional breakpoints so that known jump
 locations of an integrand never sit inside a panel.  ``integrate_circle``
 is the same driver on [0, 2*pi] with its breakpoints reduced mod 2*pi.
 
-Integrands take the whole array of nodes of a panel and return the array
-of values, so a costly integrand (a secular solve, a dense eigen-solve)
-runs once per panel on a batch of nodes rather than once per node.
+Integrands take an array of nodes and return the array of values.
+``integrate_line`` makes one call per refinement round, on the nodes of
+every panel the round creates (Shampine, J. Comput. Appl. Math. 211,
+2008), and keeps the global error control of QUADPACK.
 
 Everything is deterministic: panel refinement order depends only on computed
 error estimates and insertion order, never on timing or hashing.
@@ -16,7 +17,6 @@ error estimates and insertion order, never on timing or hashing.
 
 from __future__ import annotations
 
-import heapq
 import math
 from typing import Callable, Sequence
 
@@ -48,14 +48,15 @@ _GAUSS_W = np.zeros_like(_KRONROD_W)
 _GAUSS_W[1:-1:2] = np.concatenate([_WG[:-1], _WG[::-1]])
 
 
-def _panel(f, a: float, b: float) -> tuple[float, float]:
-    """One GK15 panel: returns (Kronrod value, |Kronrod - Gauss|)."""
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    y = np.asarray(f(mid + half * _NODES), dtype=float)
-    ik = half * float(_KRONROD_W @ y)
-    ig = half * float(_GAUSS_W @ y)
-    return ik, abs(ik - ig)
+def _gk15(f, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """GK15 on each panel [lo, hi] with one call of ``f`` on all their
+    nodes: returns (Kronrod values, |Kronrod - Gauss|)."""
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (lo + hi)
+    x = mid[:, None] + half[:, None] * _NODES
+    y = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
+    ik = half * (y @ _KRONROD_W)
+    return ik, np.abs(ik - half * (y @ _GAUSS_W))
 
 
 def integrate_line(
@@ -74,43 +75,41 @@ def integrate_line(
     where ``err`` is the a-posteriori estimate; raises QuadratureError if
     the estimate cannot be pushed below ``tol`` within ``max_panels``.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise QuadratureError("tolerance must be positive")
     if a == b:
         return 0.0, 0.0
-    pts = [a] + sorted(p for p in set(breakpoints) if a < p < b) + [b]
-
-    # Max-heap on panel error; the counter makes heap order deterministic.
-    heap: list[tuple[float, int, float, float, float]] = []
-    counter = 0
-    for lo, hi in zip(pts[:-1], pts[1:]):
-        ik, err = _panel(f, lo, hi)
-        heapq.heappush(heap, (-err, counter, lo, hi, ik))
-        counter += 1
-
+    pts = np.array([a] + sorted(p for p in set(breakpoints) if a < p < b) + [b],
+                   dtype=float)
+    # Rows (lo, hi, Kronrod value, error) in insertion order: a round
+    # deletes the panels it splits and appends their children.
+    panels = np.column_stack([pts[:-1], pts[1:], *_gk15(f, pts[:-1], pts[1:])])
     while True:
-        total_err = -sum(item[0] for item in heap)
+        err = panels[:, 3]
+        total_err = math.fsum(err)
         if total_err <= tol:
-            break
-        if len(heap) >= max_panels:
+            return math.fsum(panels[:, 2]), total_err
+        if len(panels) >= max_panels:
             raise QuadratureError(
                 f"line quadrature stalled at error {total_err:.3e} > {tol:.3e} "
-                f"with {len(heap)} panels on [{a}, {b}]"
+                f"with {len(panels)} panels on [{a}, {b}]"
             )
-        _, _, lo, hi, _ = heapq.heappop(heap)
+        # Split the fewest worst panels whose removal leaves at most tol of
+        # error; the stable sort breaks ties by insertion order.
+        order = np.argsort(-err, kind="stable")
+        count = np.count_nonzero(total_err - np.cumsum(err[order]) > tol) + 1
+        split = order[:min(count, max_panels - len(panels))]
+        lo, hi = panels[split, 0], panels[split, 1]
         mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            raise QuadratureError(
-                f"panel [{lo}, {hi}] cannot be split further (error {total_err:.3e})"
-            )
-        for seg in ((lo, mid), (mid, hi)):
-            ik, err = _panel(f, *seg)
-            heapq.heappush(heap, (-err, counter, seg[0], seg[1], ik))
-            counter += 1
-
-    value = math.fsum(item[4] for item in heap)
-    err = -math.fsum(item[0] for item in heap)
-    return value, err
+        stuck = (mid <= lo) | (mid >= hi)
+        if stuck.any():
+            j = int(np.argmax(stuck))
+            raise QuadratureError(f"panel [{lo[j]}, {hi[j]}] cannot be split "
+                                  f"further (error {total_err:.3e})")
+        clo = np.column_stack([lo, mid]).ravel()
+        chi = np.column_stack([mid, hi]).ravel()
+        panels = np.concatenate([np.delete(panels, split, axis=0),
+                                 np.column_stack([clo, chi, *_gk15(f, clo, chi)])])
 
 
 def integrate_circle(

@@ -61,7 +61,7 @@ def curve_sample(curve: AnalyticCurve, xi) -> np.ndarray:
     """The torus point (I_1(xi), ..., I_n(xi)) for unimodular xi; for an
     array of xi, an array of points with one more axis, of length n."""
     xiarr = np.asarray(xi, dtype=complex)
-    unit = np.array([_require_unimodular(x) for x in xiarr.ravel()])
+    unit = _require_unimodular(xiarr.ravel())
     points = np.stack([blaschke_eval(c, unit) for c in curve.components],
                       axis=-1)
     defect = np.max(np.abs(np.abs(points) - 1.0), axis=-1)
@@ -147,8 +147,7 @@ def _staged_unitaries(family: RankNPerturbationFamily, points,
     incoming vector for cyclicity.
     """
     points = np.asarray(points, dtype=complex)
-    alphas = np.array([_require_unimodular(a) for a in points.ravel()]
-                      ).reshape(points.shape)
+    alphas = _require_unimodular(points)
     u = family.base.dense()
     eye = np.eye(family.base.dimension)
     for k, phi_k in enumerate(family.vectors):
@@ -285,10 +284,10 @@ def curve_disintegration_check(family: RankNPerturbationFamily,
 
     Left side: adaptive quadrature over xi of the dense-oracle spectral
     measure of the second vector for the staged perturbation at gamma(xi),
-    built and diagonalized for a whole quadrature panel at once (one
-    stacked eigen-solve, with the unitarity check of every stage and the
-    torus check of every curve point).  It shares nothing with the closed
-    form it judges.
+    built and diagonalized for all the nodes of a quadrature refinement
+    round at once (one stacked eigen-solve, with the unitarity check of
+    every stage and the torus check of every curve point).  It shares
+    nothing with the closed form it judges.
     Right side: the integral over B of the positive boundary density
     2 Re(phi) - 1 of the averaged measure (the real/Poisson pairing of the
     closed-form phi; equal to phi when the curve passes through the origin

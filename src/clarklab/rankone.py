@@ -355,16 +355,17 @@ def circle_measure_deviation(a: CircleAtomicMeasure, b: CircleAtomicMeasure
     either side of the 0/2*pi seam shifts the whole ordering by one; the
     cyclic scan makes the comparison seam-proof.
     """
-    if len(a) != len(b):
+    n = len(a)
+    if n != len(b) or n == 0:
         return math.inf, math.inf
-    pa, ma = np.asarray(a.angles), np.asarray(a.masses)
-    pb, mb = np.asarray(b.angles), np.asarray(b.masses)
-    best = (math.inf, math.inf)
-    for shift in range(len(a)):
-        da = np.abs(np.angle(np.exp(1j * (np.roll(pb, -shift) - pa)))).max()
-        if da < best[0]:
-            best = (float(da), float(np.abs(np.roll(mb, -shift) - ma).max()))
-    return best
+    # Row s of the index array is np.roll(range(n), -s); argmin takes the
+    # first best shift.
+    shifts = (np.arange(n)[:, None] + np.arange(n)) % n
+    da = np.abs(np.angle(np.exp(1j * (np.asarray(b.angles)[shifts]
+                                      - np.asarray(a.angles))))).max(axis=1)
+    best = int(np.argmin(da))
+    dm = np.abs(np.asarray(b.masses)[shifts[best]] - np.asarray(a.masses)).max()
+    return float(da[best]), float(dm)
 
 
 # ---------------------------------------------------------------------------
@@ -390,14 +391,14 @@ def disintegration_check_line(model: CyclicOperatorModel, borel: BorelSetSpec,
 
     The window [-window, window] is integrated adaptively with breakpoints
     at the couplings where a secular root crosses an endpoint of B (the
-    integrand jumps there).  Each quadrature panel is one batched secular
-    solve and one residue extraction for all of its couplings, with the
-    checks of ``perturb_selfadjoint`` per coupling: finite roots, positive
-    finite masses, and the total mass conserved.  Beyond the window each
-    root branch sweeps a computable interval, so the two tails are added
-    exactly: the branch through gap i sweeps from its position at
-    lam = +/-window to the zero of the transform in that gap, and the
-    outside branch sweeps off to infinity.
+    integrand jumps there).  Each quadrature refinement round is one
+    batched secular solve and one residue extraction for all of its
+    couplings, with the checks of ``perturb_selfadjoint`` per coupling:
+    finite roots, positive finite masses, and the total mass conserved.
+    Beyond the window each root branch sweeps a computable interval, so the
+    two tails are added exactly: the branch through gap i sweeps from its
+    position at lam = +/-window to the zero of the transform in that gap,
+    and the outside branch sweeps off to infinity.
     """
     if borel.space != "line":
         raise DomainError("line disintegration needs a line Borel set")
@@ -449,7 +450,8 @@ def disintegration_check_circle(theta: BlaschkeProduct, borel: BorelSetSpec,
     The integrand alpha -> mu_alpha(B) jumps exactly when a level-set point
     crosses an endpoint of B, i.e. at alpha = theta(endpoint); those are
     the breakpoints of the adaptive Gauss-Kronrod quadrature over the
-    circle of alphas, and each panel is one batched level-set solve.
+    circle of alphas, and each refinement round is one batched level-set
+    solve.
     """
     if borel.space != "circle":
         raise DomainError("circle disintegration needs a circle Borel set")

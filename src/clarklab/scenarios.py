@@ -320,7 +320,7 @@ def _check_clark_correspondence(seed, idx, spec, tol) -> list[CheckRecord]:
 def _check_disintegration_line(seed, idx, spec, tol) -> list[CheckRecord]:
     records = []
     window = float(spec.get("window", 100.0))
-    check_tol = float(spec.get("tol", 1e-3))
+    check_tol = _tolerance(spec.get("tol", 1e-3), f"checks[{idx}].tol")
     for i, mspec in enumerate(spec["models"]):
         model, label = _resolve_model(mspec, _rng(seed, idx, i))
         for j, bspec in enumerate(spec["borel_sets"]):
@@ -336,7 +336,7 @@ def _check_disintegration_line(seed, idx, spec, tol) -> list[CheckRecord]:
 
 def _check_disintegration_circle(seed, idx, spec, tol) -> list[CheckRecord]:
     records = []
-    check_tol = float(spec.get("tol", 1e-6))
+    check_tol = _tolerance(spec.get("tol", 1e-6), f"checks[{idx}].tol")
     for i, tspec in enumerate(spec["thetas"]):
         theta, label = _resolve_theta(tspec, _rng(seed, idx, i))
         for j, bspec in enumerate(spec["borel_sets"]):
@@ -488,7 +488,7 @@ def _check_positivity_bounds(seed, idx, spec, tol) -> list[CheckRecord]:
 
 def _check_curve_disintegration(seed, idx, spec, tol) -> list[CheckRecord]:
     records = []
-    check_tol = float(spec.get("tol", 1e-4))
+    check_tol = _tolerance(spec.get("tol", 1e-4), f"checks[{idx}].tol")
     for i, case in enumerate(spec["cases"]):
         rng = _rng(seed, idx, i)
         family, flabel = _resolve_family(case["family"], rng)
@@ -587,6 +587,15 @@ class Scenario:
     checks: tuple
 
 
+def _tolerance(val, where: str) -> float:
+    """A tolerance as a float; a bool (an int in Python), NaN, an infinity
+    or a value <= 0 raises ScenarioError naming ``where``."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)) \
+            or not 0 < val < math.inf:
+        raise ScenarioError(f"{where}: must be a positive finite number")
+    return float(val)
+
+
 def load_scenario(source) -> Scenario:
     """Parse and validate a scenario from a path, JSON text, or dict."""
     if isinstance(source, dict):
@@ -612,10 +621,7 @@ def load_scenario(source) -> Scenario:
     for key, val in obj.get("tolerances", {}).items():
         if key not in DEFAULT_TOLERANCES:
             raise ScenarioError(f"tolerances.{key}: unknown tolerance class")
-        if not isinstance(val, (int, float)) or not 0 < val < math.inf:
-            raise ScenarioError(
-                f"tolerances.{key}: must be a positive finite number")
-        tolerances[key] = float(val)
+        tolerances[key] = _tolerance(val, f"tolerances.{key}")
     checks = obj.get("checks")
     if not isinstance(checks, list) or not checks:
         raise ScenarioError("checks: required non-empty list")

@@ -172,6 +172,47 @@ class TestLevelSet:
         assert np.max(np.minimum(dist, 2 * np.pi - dist)) <= 1e-9
 
 
+class TestRequireUnimodular:
+    def test_array_matches_scalar_bitwise(self, rng):
+        alphas = np.exp(1j * rng.uniform(0, 7, (40, 3))) * (
+            1.0 + rng.uniform(-1e-10, 1e-10, (40, 3)))
+        got = herglotz._require_unimodular(alphas)
+        assert got.shape == alphas.shape
+        want = [[herglotz._require_unimodular(complex(a)) for a in row]
+                for row in alphas]
+        assert np.array_equal(got, np.array(want))
+
+    def test_sequences_are_arrays(self):
+        got = herglotz._require_unimodular([1.0, 1j, (0.6 - 0.8j)])
+        assert isinstance(got, np.ndarray)
+        assert np.array_equal(got, [1.0, 1j, 0.6 - 0.8j])
+
+    def test_scalar_stays_a_complex(self):
+        assert type(herglotz._require_unimodular(np.complex128(1j))) is complex
+
+    @pytest.mark.parametrize("bad", [1.1, 0.5j, math.nan, complex(math.nan, 0.0),
+                                     math.inf])
+    def test_first_bad_value_named(self, bad):
+        alphas = np.array([1.0, 1j, bad, 2.0], dtype=complex)
+        with pytest.raises(DomainError, match="not unimodular") as info:
+            herglotz._require_unimodular(alphas)
+        assert str(complex(bad)) in str(info.value)
+        assert "(2+0j)" not in str(info.value)
+        with pytest.raises(DomainError, match="not unimodular"):
+            herglotz._require_unimodular(bad)
+
+    def test_level_set_batch_rejects_bad_alpha(self):
+        theta = BlaschkeProduct((0.3 + 0.2j, -0.5j), 1.0)
+        with pytest.raises(DomainError, match=r"\(nan"):
+            level_set_batch(theta, [1.0, complex(math.nan, 0.0), 1j])
+        assert level_set_batch(theta, np.exp(1j * np.arange(4.0))).shape == (4, 2)
+        # one alpha, as level_set passes it, is a batch of one
+        one = level_set_batch(theta, 1j)
+        assert one.shape == (1, 2)
+        assert np.array_equal(one, level_set_batch(theta, [1j]))
+        assert np.array_equal(one[0], level_set(theta, 1j))
+
+
 class TestSecular:
     def test_scalar(self):
         assert secular_roots_line(DELTA0, 3.0) == pytest.approx([3.0])

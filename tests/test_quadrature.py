@@ -56,6 +56,66 @@ class TestLine:
     def test_empty_interval(self):
         assert integrate_line(lambda x: x, 1.0, 1.0) == (0.0, 0.0)
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan])
+    def test_tolerance_must_be_positive(self, tol):
+        calls = []
+        with pytest.raises(QuadratureError, match="tolerance must be positive"):
+            integrate_line(lambda x: calls.append(x) or x, 0.0, 1.0, tol=tol)
+        assert calls == []
+
+
+def _panel_counts(sizes, initial):
+    """Panel count after each call of the integrand, from the node counts
+    of the calls: every later call holds the two children of each panel
+    its round splits, and each split adds one panel."""
+    counts = [initial]
+    for size in sizes[1:]:
+        counts.append(counts[-1] + size // 30)
+    return counts
+
+
+class TestRefinementRounds:
+    def test_unmarked_jumps_one_call_per_round(self):
+        # two jumps that bisection never lands on: each round splits the
+        # panels holding them, and all their children go in one call
+        sizes = []
+
+        def step(x):
+            sizes.append(x.size)
+            return np.where(x < 0.3, 1.0, np.where(x < 0.7, 3.0, -2.0))
+
+        val, err = integrate_line(step, 0.0, 1.0, tol=1e-10)
+        assert val == pytest.approx(0.3 + 3.0 * 0.4 - 2.0 * 0.3, abs=1e-10)
+        assert err <= 1e-10
+        assert sizes[0] == 15
+        assert all(size % 30 == 0 for size in sizes[1:])
+        panels = _panel_counts(sizes, 1)[-1]
+        assert len(sizes) < panels
+        assert max(sizes) >= 60
+
+    def test_no_round_overshoots_max_panels(self):
+        sizes = []
+
+        def wild(x):
+            sizes.append(x.size)
+            return np.sin(1.0 / np.maximum(np.abs(x), 1e-300))
+
+        with pytest.raises(QuadratureError, match="with 30 panels"):
+            integrate_line(wild, 0.0, 1.0, tol=1e-13, max_panels=30,
+                           breakpoints=[0.25, 0.5])
+        counts = _panel_counts(sizes, 3)
+        assert max(counts) == 30
+        assert len(sizes) < 28
+
+    def test_reruns_bit_identical(self):
+        # symmetric integrand: panels tie in error, and the tie order must
+        # not depend on anything but insertion order
+        f = lambda x: np.abs(np.sin(7.0 * x)) + np.where(x < 1.0 / 3.0, 0.0, 1.0)
+        runs = [integrate_line(f, -1.0, 1.0, tol=1e-11, breakpoints=[0.0])
+                for _ in range(2)]
+        assert runs[0] == runs[1]
+        assert runs[0][1] <= 1e-11
+
 
 class TestCircle:
     def test_poisson_mean_value(self):
@@ -78,7 +138,8 @@ class TestCircle:
     def test_breakpoints_reduced_mod_two_pi(self):
         # the arc's ends given one turn up and one turn down: reduced, they
         # cut the circle into three panels on which the indicator is
-        # constant, so those three panels meet the tolerance
+        # constant, so those three panels, evaluated in one call, meet the
+        # tolerance
         lo, hi = 1.0, 2.5
         nodes = []
 
@@ -90,4 +151,4 @@ class TestCircle:
             f, tol=1e-12, breakpoints=[lo + 2.0 * math.pi, hi - 2.0 * math.pi])
         assert val == pytest.approx(hi - lo, abs=1e-13)
         assert err <= 1e-12
-        assert nodes == [15, 15, 15]
+        assert nodes == [45]

@@ -11,7 +11,8 @@ from clarklab.errors import ConstructionError, DomainError, PoleError
 from clarklab.herglotz import (BlaschkeProduct, blaschke_eval,
                                boundary_derivative_modulus, cayley_transfer,
                                coupling_to_alpha, halfplane_level_set)
-from clarklab.measures import (BorelSetSpec, LineAtomicMeasure,
+from clarklab.measures import (TWO_PI, BorelSetSpec, CircleAtomicMeasure,
+                               LineAtomicMeasure,
                                cauchy_transform_disk, cauchy_transform_line,
                                measure_of, poisson_integral_disk, total_mass)
 from clarklab.rankone import (ClarkFamily, CyclicOperatorModel,
@@ -465,6 +466,53 @@ class TestCorrespondence:
             for mu in (clark_measure(theta, alpha), perturb_unitary(model, alpha),
                        matrix_oracle_unitary(model, alpha)):
                 assert total_mass(mu) == pytest.approx(1.0, abs=1e-9)
+
+
+def _deviation_by_loop(a, b):
+    """The shift-by-shift scan: the first shift of strictly smallest
+    angular deviation wins."""
+    pa, ma = np.asarray(a.angles), np.asarray(a.masses)
+    pb, mb = np.asarray(b.angles), np.asarray(b.masses)
+    best = (math.inf, math.inf)
+    for shift in range(len(a)):
+        da = np.abs(np.angle(np.exp(1j * (np.roll(pb, -shift) - pa)))).max()
+        if da < best[0]:
+            best = (float(da), float(np.abs(np.roll(mb, -shift) - ma).max()))
+    return best
+
+
+class TestMeasureDeviation:
+    def test_matches_shift_loop(self, rng):
+        for n in (1, 2, 5, 16):
+            for _ in range(5):
+                a, b = (CircleAtomicMeasure.from_atoms(
+                    zip(rng.uniform(0.0, TWO_PI, n), rng.uniform(0.1, 1.0, n)))
+                    for _ in range(2))
+                assert circle_measure_deviation(a, b) == _deviation_by_loop(a, b)
+
+    def test_tie_takes_first_shift(self):
+        # b is a turned by pi/4: shifts 0 and 3 both miss by pi/4 in angle,
+        # and their mass deviations differ; the first shift is kept
+        angles = [0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi]
+        a = CircleAtomicMeasure(tuple(angles), (1.0, 2.0, 3.0, 4.0))
+        b = CircleAtomicMeasure(tuple(t + 0.25 * math.pi for t in angles),
+                                (1.5, 2.0, 3.0, 4.0))
+        da, dm = circle_measure_deviation(a, b)
+        assert da == pytest.approx(0.25 * math.pi, abs=1e-15)
+        assert dm == 0.5
+        assert (da, dm) == _deviation_by_loop(a, b)
+
+    def test_seam_shift(self):
+        # one atom just below 2 pi in b sorts last instead of first
+        a = CircleAtomicMeasure((0.0, 2.0), (0.25, 0.75))
+        b = CircleAtomicMeasure((2.0, TWO_PI - 1e-12), (0.75, 0.25))
+        da, dm = circle_measure_deviation(a, b)
+        assert da < 1e-11 and dm == 0.0
+
+    def test_size_mismatch(self):
+        a = CircleAtomicMeasure((0.0,), (1.0,))
+        b = CircleAtomicMeasure((0.0, 1.0), (0.5, 0.5))
+        assert circle_measure_deviation(a, b) == (math.inf, math.inf)
 
 
 class TestDisintegrationLine:

@@ -71,6 +71,29 @@ class TestScenarioValidation:
         with pytest.raises(ScenarioError, match="tolerances.oracle"):
             load_scenario(obj)
 
+    @pytest.mark.parametrize("text", ["true", "false", "0"])
+    def test_bool_or_zero_tolerance(self, text):
+        # a JSON boolean is a Python bool, which is an int
+        obj = json.loads('{"name": "x", "seed": 1, "tolerances": {"algebraic": '
+                         + text + '}, "checks": [{"check": "simon_wolff"}]}')
+        with pytest.raises(ScenarioError, match=r"tolerances\.algebraic"):
+            load_scenario(obj)
+
+    @pytest.mark.parametrize("text", ["true", "Infinity", "NaN", "0", "-1e-3"])
+    @pytest.mark.parametrize("bundled, index", [
+        ("disintegration", 0), ("disintegration", 1), ("rankn", 2)])
+    def test_bad_check_tol_names_the_check(self, bundled, index, text):
+        # the per-check "tol" of the three disintegration checks; the bad
+        # entry sits at index 1, after a valid check
+        checks = json.loads((resources.files("clarklab") / "scenarios"
+                             / f"{bundled}.json").read_text())["checks"]
+        obj = {"name": "x", "seed": 1,
+               "checks": [SMOKE["checks"][2],
+                          dict(checks[index], tol=json.loads(text))]}
+        with pytest.raises(ScenarioError, match=r"checks\[1\]\.tol: must be "
+                           "a positive finite number"):
+            run_scenario(obj)
+
     def test_parse_error_positions(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"name": "x",\n  "seed": }')
