@@ -110,6 +110,13 @@ def _blaschke_eval_array(zeros, c, z):
     return out
 
 
+def _shaped_like(z, values):
+    """A complex for scalar z, else the array of values."""
+    if np.ndim(z) == 0:
+        return complex(values)
+    return values
+
+
 def blaschke_eval(theta: BlaschkeProduct, z):
     """Evaluate theta at z (scalar or array).
 
@@ -120,10 +127,7 @@ def blaschke_eval(theta: BlaschkeProduct, z):
     for zj in theta.zeros:
         if zj != 0 and np.any(zarr * np.conj(zj) == 1.0):
             raise PoleError(f"evaluation at reflected zero 1/conj({zj})")
-    out = _blaschke_eval_array(theta.zeros, theta.c, zarr)
-    if np.isscalar(z) or zarr.ndim == 0:
-        return complex(out)
-    return out
+    return _shaped_like(z, _blaschke_eval_array(theta.zeros, theta.c, zarr))
 
 
 def boundary_derivative_modulus(theta: BlaschkeProduct, xi):
@@ -133,12 +137,10 @@ def boundary_derivative_modulus(theta: BlaschkeProduct, xi):
     why boundary level sets of a finite Blaschke product are always simple.
     """
     xiarr = np.asarray(xi, dtype=complex)
-    out = np.zeros(xiarr.shape if xiarr.ndim else (1,), dtype=float)
+    out = np.zeros(xiarr.shape)
     for zj in theta.zeros:
         out += (1.0 - abs(zj) ** 2) / np.abs(xiarr - zj) ** 2
-    if np.isscalar(xi) or xiarr.ndim == 0:
-        return float(out[0] if out.ndim else out)
-    return out
+    return float(out) if xiarr.ndim == 0 else out
 
 
 def blaschke_to_json_dict(theta: BlaschkeProduct) -> dict:
@@ -256,6 +258,18 @@ def level_set_batch(theta: BlaschkeProduct, alphas) -> np.ndarray:
 def level_set(theta: BlaschkeProduct, alpha: complex) -> np.ndarray:
     """All degree(theta) boundary solutions of theta(xi) = alpha, sorted by angle."""
     return level_set_batch(theta, alpha)[0]
+
+
+def _clark_atoms(theta: BlaschkeProduct, alphas
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Clark atoms of theta at many alphas: the level-set points and their
+    masses 1/|theta'|, (L, degree) arrays with one row per alpha sorted by
+    angle; a vanishing angular derivative raises ResidueError."""
+    pts = level_set_batch(theta, alphas)
+    deriv = boundary_derivative_modulus(theta, pts)
+    if np.any(deriv < 1e-12):
+        raise ResidueError("vanishing angular derivative at a level-set point")
+    return pts, 1.0 / deriv
 
 
 # ---------------------------------------------------------------------------
@@ -462,10 +476,8 @@ class HalfPlaneInner:
     def eval(self, z):
         zarr = np.asarray(z, dtype=complex)
         w = (zarr - 1j) / (zarr + 1j)
-        out = _blaschke_eval_array(self.disk.zeros, self.disk.c, w)
-        if np.isscalar(z) or zarr.ndim == 0:
-            return complex(out)
-        return out
+        return _shaped_like(z, _blaschke_eval_array(self.disk.zeros,
+                                                    self.disk.c, w))
 
     @property
     def degree(self) -> int:
@@ -504,17 +516,17 @@ def cayley_inverse(hp: HalfPlaneInner) -> LineAtomicMeasure:
     The poles of J are the real solutions of hp = -1.  On the real axis
     hp = exp(2i arctan J), whose phase grows at rate 2/w through a pole of
     residue w; the phase of the disk transfer grows at |theta'(xi)| times
-    |dxi/dx| = 2/(1 + x^2).  So w = (1 + t^2)/|theta'((t - i)/(t + i))|.
-    J vanishes at infinity for a finite measure, so hp.disk(1) must be 1.
+    |dxi/dx| = 2/(1 + x^2): w is (1 + t^2) times the Clark mass at xi.
+    J vanishes at infinity for a finite measure, so hp.disk(1) must be 1;
+    then t = -cot(arg(xi)/2) ascends with the angle of xi.
     """
     at_infinity = blaschke_eval(hp.disk, 1.0)
     if abs(at_infinity - 1.0) > 1e-9:
         raise DomainError(f"hp(infinity) = {at_infinity} is not 1; not the "
                           "transfer of a finite line measure")
-    t = halfplane_level_set(hp, -1.0)
-    xi = (t - 1j) / (t + 1j)
-    w = (1.0 + t ** 2) / boundary_derivative_modulus(hp.disk, xi)
-    return LineAtomicMeasure(tuple(t), tuple(w))
+    (pts,), (masses,) = _clark_atoms(hp.disk, -1.0)
+    t = (1j * (1.0 + pts) / (1.0 - pts)).real
+    return LineAtomicMeasure(tuple(t), tuple((1.0 + t ** 2) * masses))
 
 
 def halfplane_level_set(hp: HalfPlaneInner, alpha: complex) -> np.ndarray:

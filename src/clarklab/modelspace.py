@@ -53,10 +53,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConstructionError, DomainError, ResidueError
-from .herglotz import (BlaschkeProduct, _require_unimodular,
-                       _unitary_realization, blaschke_eval,
-                       blaschke_to_json_dict, boundary_derivative_modulus,
-                       level_set)
+from .herglotz import (BlaschkeProduct, _clark_atoms, _require_unimodular,
+                       _shaped_like, _unitary_realization, blaschke_eval,
+                       blaschke_to_json_dict)
 from .measures import CircleAtomicMeasure, TWO_PI
 from .rankone import clark_measure
 
@@ -132,11 +131,8 @@ class ModelSpace:
 
     def eval_vector(self, vec: "ModelVector", z):
         vals = tm_basis_values(self.theta.zeros, z)
-        c = self.coefficients(vec)
-        out = np.tensordot(c, vals, axes=(0, 0))
-        if np.isscalar(z) or np.asarray(z).ndim == 0:
-            return complex(out)
-        return out
+        return _shaped_like(z, np.tensordot(self.coefficients(vec), vals,
+                                            axes=(0, 0)))
 
 
 @dataclass(frozen=True)
@@ -156,14 +152,14 @@ class ModelVector:
 def build_model_space(theta: BlaschkeProduct) -> ModelSpace:
     """Construct the model space of theta with a verified orthonormal basis.
 
-    The nodes are the level set {theta^2 = -1} and the weights
-    1/|(theta^2)'| there (Clark's theorem; see the module docstring).
+    The nodes and weights are the atoms and masses of the Clark measure of
+    theta^2 at -1: the level set {theta^2 = -1} and 1/|(theta^2)'| there
+    (Clark's theorem; see the module docstring).
     """
     if theta.degree < 1:
         raise DomainError("model space needs a nonconstant inner function")
     square = BlaschkeProduct(theta.zeros + theta.zeros, theta.c ** 2)
-    nodes = level_set(square, -1.0)
-    weights = 1.0 / boundary_derivative_modulus(square, nodes)
+    (nodes,), (weights,) = _clark_atoms(square, -1.0)
     basis = tm_basis_values(theta.zeros, nodes)
     gram = (basis * weights) @ basis.conj().T
     defect = float(np.max(np.abs(gram - np.eye(theta.degree))))
@@ -237,8 +233,7 @@ def v_alpha_star(ms: ModelSpace, alpha: complex, vec: ModelVector,
                  mu: CircleAtomicMeasure | None = None) -> np.ndarray:
     """Adjoint Clark operator: boundary values of the vector at the atoms."""
     mu = mu if mu is not None else clark_measure(ms.theta, complex(alpha))
-    return np.asarray([ms.eval_vector(vec, xi) for xi in mu.points()],
-                      dtype=complex)
+    return ms.eval_vector(vec, mu.points())
 
 
 def intertwine_check(ms: ModelSpace, alpha: complex) -> float:
@@ -360,13 +355,6 @@ def _require_in_disk(z) -> np.ndarray:
         raise DomainError(
             f"|z| = {np.max(np.abs(zarr))} not inside the unit disk")
     return zarr
-
-
-def _shaped_like(z, values):
-    """A complex for scalar z, else the array of values."""
-    if np.ndim(z) == 0:
-        return complex(values)
-    return values
 
 
 def knu_alpha(ms: ModelSpace, vec: ModelVector, alpha: complex, z):

@@ -71,14 +71,18 @@ def integrate_line(
 
     ``f`` must accept a numpy array of abscissae and return values of the
     same shape.  ``breakpoints`` are interior points where ``f`` is known to
-    be non-smooth; panels never straddle them.  Returns ``(value, err)``
-    where ``err`` is the a-posteriori estimate; raises QuadratureError if
-    the estimate cannot be pushed below ``tol`` within ``max_panels``.
+    be non-smooth; panels never straddle them.  For a > b the result over
+    [b, a] is negated.  Returns ``(value, err)`` where ``err`` is the
+    a-posteriori estimate; raises QuadratureError if the estimate cannot be
+    pushed below ``tol`` within ``max_panels``.
     """
     if not tol > 0.0:
         raise QuadratureError("tolerance must be positive")
     if a == b:
         return 0.0, 0.0
+    if a > b:
+        value, err = integrate_line(f, b, a, tol, breakpoints, max_panels)
+        return -value, err
     pts = np.array([a] + sorted(p for p in set(breakpoints) if a < p < b) + [b],
                    dtype=float)
     # Rows (lo, hi, Kronrod value, error) in insertion order: a round

@@ -27,14 +27,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstructionError, CyclicityError, DomainError
-from .herglotz import BlaschkeProduct, _require_unimodular, blaschke_eval
+from .herglotz import (BlaschkeProduct, _require_unimodular, _shaped_like,
+                       blaschke_eval)
 from .measures import (BorelSetSpec, CircleAtomicMeasure, TWO_PI,
                        simon_wolff_integral_circle)
 from .modelspace import (ModelSpace, ModelVector, _require_in_disk,
-                         _shaped_like, _transform_context, build_model_space,
-                         v_alpha)
+                         _transform_context, build_model_space, v_alpha)
 from .rankone import (CyclicOperatorModel, _mass_inside, _unitary_eigenbasis,
-                      inner_from_unitary, rank_one_unitary_update,
+                      inner_from_unitary, model_from_json_dict,
+                      model_to_json_dict, rank_one_unitary_update,
                       spectral_measure, unitary_spectral_measure)
 from .quadrature import integrate_line
 
@@ -123,13 +124,11 @@ class RankNPerturbationFamily:
 
 
 def family_to_json_dict(family: RankNPerturbationFamily) -> dict:
-    from .rankone import model_to_json_dict
     return {"base": model_to_json_dict(family.base),
             "vectors": [[[c.real, c.imag] for c in v] for v in family.vectors]}
 
 
 def family_from_json_dict(obj: dict) -> RankNPerturbationFamily:
-    from .rankone import model_from_json_dict
     base = model_from_json_dict(obj["base"])
     vectors = tuple(np.array([complex(re, im) for re, im in v])
                     for v in obj["vectors"])

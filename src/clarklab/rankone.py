@@ -28,14 +28,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import (ConstructionError, DomainError, PoleError, ResidueError)
-from .herglotz import (BlaschkeProduct, HalfPlaneInner,
-                       _blaschke_with_value, _perturbed_atoms_line,
-                       _require_unimodular, blaschke_eval,
-                       boundary_derivative_modulus,
-                       cauchy_zeros_line, cayley_transfer, level_set,
-                       level_set_batch, residue_masses_line,
-                       secular_roots_line)
+from .errors import ConstructionError, DomainError, PoleError
+from .herglotz import (BlaschkeProduct, HalfPlaneInner, _blaschke_with_value,
+                       _clark_atoms, _perturbed_atoms_line,
+                       _require_unimodular, blaschke_eval, cauchy_zeros_line,
+                       cayley_transfer, secular_roots_line)
 from .measures import (BorelSetSpec, CircleAtomicMeasure, LineAtomicMeasure,
                        TWO_PI, cauchy_transform_disk, cauchy_transform_line,
                        simon_wolff_integral)
@@ -57,6 +54,9 @@ class CyclicOperatorModel:
     kind: str
     sites: tuple[float, ...]
     weights: tuple[float, ...]
+    # the spectral measure, built by __post_init__ (see spectral_measure)
+    _measure: LineAtomicMeasure | CircleAtomicMeasure = field(
+        init=False, repr=False, compare=False)
     # inner_from_unitary(self), built on first use by _model_theta
     _theta: BlaschkeProduct | None = field(default=None, init=False,
                                            repr=False, compare=False)
@@ -75,14 +75,9 @@ class CyclicOperatorModel:
             raise ConstructionError(f"kind must be 'line' or 'circle', got {self.kind!r}")
         if len(self.sites) != len(self.weights) or not self.sites:
             raise ConstructionError("sites and weights must be non-empty and aligned")
-        if not all(map(math.isfinite, (*self.sites, *self.weights))):
-            raise ConstructionError("sites and weights must be finite")
-        if any(w <= 0.0 for w in self.weights):
-            raise ConstructionError("all weights must be positive")
-        if any(b <= a for a, b in zip(self.sites, self.sites[1:])):
-            raise ConstructionError("sites must be strictly increasing and distinct")
-        if self.kind == "circle" and (self.sites[0] < 0.0 or self.sites[-1] >= TWO_PI):
-            raise ConstructionError("circle sites must be angles in [0, 2*pi)")
+        # the measure's own checks validate the sites and the weights
+        measure = LineAtomicMeasure if self.kind == "line" else CircleAtomicMeasure
+        object.__setattr__(self, "_measure", measure(self.sites, self.weights))
         defect = abs(math.fsum(self.weights) - 1.0)
         if defect > WEIGHT_SUM_TOL:
             raise ConstructionError(
@@ -115,11 +110,8 @@ def model_from_json_dict(obj: dict) -> CyclicOperatorModel:
 
 
 def spectral_measure(model: CyclicOperatorModel):
-    """Spectral measure of the cyclic vector: atoms at sites, model weights."""
-    atoms = zip(model.sites, model.weights)
-    if model.kind == "line":
-        return LineAtomicMeasure.from_atoms(atoms)
-    return CircleAtomicMeasure.from_atoms(atoms)
+    """Spectral measure of the cyclic vector, built once by the model."""
+    return model._measure
 
 
 def aronszajn_krein_eval(mu0: LineAtomicMeasure, lam: float, z: complex) -> complex:
@@ -140,16 +132,16 @@ def perturb_selfadjoint(model: CyclicOperatorModel, lam: float) -> LineAtomicMea
     """Spectral measure of the rank-one update at coupling lam.
 
     Atoms are the secular roots of K0 = -1/lam, masses the residues
-    1/(lam^2 K0'); lam = 0 returns the unperturbed measure, and an infinite
-    or NaN coupling raises DomainError.
+    1/(lam^2 K0'), one row of the coupling average's batched kernel; lam = 0
+    returns the unperturbed measure, and an infinite or NaN coupling raises
+    DomainError.
     """
     if model.kind != "line":
         raise DomainError("self-adjoint perturbation needs a line model")
     mu0 = spectral_measure(model)
     if lam == 0.0:
         return mu0
-    roots = secular_roots_line(mu0, lam)
-    masses = residue_masses_line(mu0, lam, roots)
+    (roots,), (masses,) = _perturbed_atoms_line(mu0, lam)
     return LineAtomicMeasure.from_atoms(zip(roots, masses))
 
 
@@ -320,16 +312,13 @@ def clark_measure(theta: BlaschkeProduct, alpha: complex) -> CircleAtomicMeasure
     """Clark measure of theta at unimodular alpha.
 
     Atoms at the boundary level set {theta = alpha}; the mass at an atom xi
-    is 1/|theta'(xi)|, the residue of the normalized transform at xi.  For a
-    finite Blaschke product |theta'| > 0 everywhere on the circle so every
-    level set is simple and every alpha is regular.
+    is 1/|theta'(xi)|, the residue of the normalized transform at xi (see
+    ``herglotz._clark_atoms``).  For a finite Blaschke product |theta'| > 0
+    everywhere on the circle so every level set is simple and every alpha
+    is regular.
     """
-    pts = level_set(theta, alpha)
-    deriv = boundary_derivative_modulus(theta, pts)
-    if np.any(deriv < 1e-12):
-        raise ResidueError("vanishing angular derivative at a level-set point")
-    angles = np.angle(pts) % TWO_PI
-    return CircleAtomicMeasure.from_atoms(zip(angles, 1.0 / deriv))
+    (pts,), (masses,) = _clark_atoms(theta, alpha)
+    return CircleAtomicMeasure.from_atoms(zip(np.angle(pts) % TWO_PI, masses))
 
 
 @dataclass(frozen=True)
@@ -462,9 +451,7 @@ def disintegration_check_circle(theta: BlaschkeProduct, borel: BorelSetSpec,
             breakpoints.append(cmath.phase(val) % TWO_PI)
 
     def integrand(s_arr: np.ndarray) -> np.ndarray:
-        alphas = np.exp(1j * np.asarray(s_arr))
-        pts = level_set_batch(theta, alphas)
-        masses = 1.0 / boundary_derivative_modulus(theta, pts)
+        pts, masses = _clark_atoms(theta, np.exp(1j * np.asarray(s_arr)))
         return np.sum(masses * borel.mask(np.angle(pts)), axis=1)
 
     value, err = integrate_circle(integrand, tol=0.5 * tol * TWO_PI,

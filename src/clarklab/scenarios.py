@@ -29,8 +29,7 @@ import numpy as np
 from .errors import ClarkLabError, ScenarioError
 from .herglotz import BlaschkeProduct, blaschke_eval, blaschke_from_json_dict
 from .measures import (BorelSetSpec, LineAtomicMeasure, TWO_PI,
-                       cauchy_transform_disk, measure_from_json_dict,
-                       simon_wolff_integral)
+                       cauchy_transform_disk, measure_from_json_dict)
 from .modelspace import (build_model_space, hat_conjugate, intertwine_check,
                          lemma7_decompose, knu_alpha, t_alpha_matrix, v_alpha,
                          v_alpha_star)
@@ -38,7 +37,8 @@ from .rankone import (CyclicOperatorModel, circle_measure_deviation,
                       clark_measure, disintegration_check_circle,
                       disintegration_check_line, inner_from_unitary,
                       matrix_oracle_selfadjoint, matrix_oracle_unitary,
-                      model_from_json_dict, perturb_selfadjoint)
+                      model_from_json_dict, perturb_selfadjoint,
+                      simon_wolff_classify)
 from .rankn import (AnalyticCurve, RankNPerturbationFamily, _staged_spectra,
                     curve_disintegration_check, family_from_json_dict,
                     family_model_space, herglotz_positivity_check,
@@ -295,10 +295,11 @@ def _check_secular_oracle(seed, idx, spec, tol) -> list[CheckRecord]:
 
 def _check_clark_correspondence(seed, idx, spec, tol) -> list[CheckRecord]:
     records = []
+    n_alphas = _count(spec.get("alpha_count", 8), f"checks[{idx}].alpha_count")
     for i, mspec in enumerate(spec["models"]):
         rng = _rng(seed, idx, i)
         model, label = _resolve_model(mspec, rng)
-        alphas = random_unimodular(rng, int(spec.get("alpha_count", 8)))
+        alphas = random_unimodular(rng, n_alphas)
         theta = inner_from_unitary(model)
         atom_dev = 0.0
         mass_dev = 0.0
@@ -319,7 +320,7 @@ def _check_clark_correspondence(seed, idx, spec, tol) -> list[CheckRecord]:
 
 def _check_disintegration_line(seed, idx, spec, tol) -> list[CheckRecord]:
     records = []
-    window = float(spec.get("window", 100.0))
+    window = _tolerance(spec.get("window", 100.0), f"checks[{idx}].window")
     check_tol = _tolerance(spec.get("tol", 1e-3), f"checks[{idx}].tol")
     for i, mspec in enumerate(spec["models"]):
         model, label = _resolve_model(mspec, _rng(seed, idx, i))
@@ -351,8 +352,8 @@ def _check_disintegration_circle(seed, idx, spec, tol) -> list[CheckRecord]:
 
 def _check_modelspace_suite(seed, idx, spec, tol) -> list[CheckRecord]:
     records = []
-    n_alphas = int(spec.get("alpha_count", 4))
-    n_vectors = int(spec.get("vector_count", 20))
+    n_alphas = _count(spec.get("alpha_count", 4), f"checks[{idx}].alpha_count")
+    n_vectors = _count(spec.get("vector_count", 20), f"checks[{idx}].vector_count")
     for i, degree in enumerate(spec["degrees"]):
         rng = _rng(seed, idx, i)
         degree = int(degree)
@@ -396,12 +397,13 @@ def _check_modelspace_suite(seed, idx, spec, tol) -> list[CheckRecord]:
 
 def _check_lemma7_suite(seed, idx, spec, tol) -> list[CheckRecord]:
     records = []
-    n_samples = int(spec.get("samples", 64))
+    n_samples = _count(spec.get("samples", 64), f"checks[{idx}].samples")
+    n_vectors = _count(spec.get("vector_count", 2), f"checks[{idx}].vector_count")
     for i, tspec in enumerate(spec["thetas"]):
         rng = _rng(seed, idx, i)
         theta, label = _resolve_theta(tspec, rng, zero_at_origin=True)
         ms = build_model_space(theta)
-        for rep in range(int(spec.get("vector_count", 2))):
+        for rep in range(n_vectors):
             coeffs = rng.normal(size=theta.degree) + 1j * rng.normal(size=theta.degree)
             coeffs /= np.linalg.norm(coeffs)
             f = ms.vector(coeffs)
@@ -434,9 +436,9 @@ def _check_lemma7_suite(seed, idx, spec, tol) -> list[CheckRecord]:
 
 def _check_two_parameter_oracle(seed, idx, spec, tol) -> list[CheckRecord]:
     records = []
-    na = int(spec.get("alpha_count", 8))
-    nb = int(spec.get("beta_count", 8))
-    nz = int(spec.get("z_count", 4))
+    na = _count(spec.get("alpha_count", 8), f"checks[{idx}].alpha_count")
+    nb = _count(spec.get("beta_count", 8), f"checks[{idx}].beta_count")
+    nz = _count(spec.get("z_count", 4), f"checks[{idx}].z_count")
     for i, fspec in enumerate(spec["families"]):
         rng = _rng(seed, idx, i)
         family, label = _resolve_family(fspec, rng)
@@ -461,8 +463,8 @@ def _check_two_parameter_oracle(seed, idx, spec, tol) -> list[CheckRecord]:
 
 def _check_positivity_bounds(seed, idx, spec, tol) -> list[CheckRecord]:
     records = []
-    na = int(spec.get("alpha_count", 32))
-    nz = int(spec.get("z_count", 32))
+    na = _count(spec.get("alpha_count", 32), f"checks[{idx}].alpha_count")
+    nz = _count(spec.get("z_count", 32), f"checks[{idx}].z_count")
     max_r = float(spec.get("max_z_radius", 0.95))
     for i, fspec in enumerate(spec["families"]):
         rng = _rng(seed, idx, i)
@@ -509,12 +511,9 @@ def _check_simon_wolff(seed, idx, spec, tol) -> list[CheckRecord]:
         if not isinstance(mu, LineAtomicMeasure):
             raise ScenarioError("checks[].cases[].measure: simon_wolff needs a line measure")
         probes = [float(p) for p in case["probes"]]
-        mismatches = 0
-        for p in probes:
-            val = simon_wolff_integral(mu, p)
-            expected_finite = p not in mu.positions
-            if math.isfinite(val) != expected_finite:
-                mismatches += 1
+        # a probe's integral is finite exactly when it misses every atom
+        mismatches = sum(rec["finite"] == (rec["probe"] in mu.positions)
+                         for rec in simon_wolff_classify(mu, probes))
         params = {"index": i, "probes": len(probes)}
         records.append(CheckRecord("simon_wolff.classification", params,
                                    mismatches, 0, 0.0, mismatches == 0))
@@ -523,10 +522,11 @@ def _check_simon_wolff(seed, idx, spec, tol) -> list[CheckRecord]:
 
 def _check_theorem4_axis(seed, idx, spec, tol) -> list[CheckRecord]:
     records = []
+    n_probes = _count(spec.get("probe_count", 16), f"checks[{idx}].probe_count")
     for i, fspec in enumerate(spec["families"]):
         rng = _rng(seed, idx, i)
         family, label = _resolve_family(fspec, rng)
-        probes = random_unimodular(rng, int(spec.get("probe_count", 16)))
+        probes = random_unimodular(rng, n_probes)
         reports = theorem4_axis_criterion(family, probes)
         bad = sum(1 for rep in reports for rec in rep["records"]
                   if not rec["finite"])
@@ -549,7 +549,8 @@ def _check_theorem9_nullset(seed, idx, spec, tol) -> list[CheckRecord]:
         family, flabel = _resolve_family(case["family"], rng)
         curve, clabel = _resolve_curve(case["curve"], rng)
         null_angles = [float(a) for a in case.get("null_angles", [])]
-        xi_angles = rng.uniform(0.0, TWO_PI, int(case.get("xi_count", 32)))
+        n_xi = _count(case.get("xi_count", 32), f"checks[{idx}].cases[{i}].xi_count")
+        xi_angles = rng.uniform(0.0, TWO_PI, n_xi)
         report = theorem9_nullset_check(family, curve, null_angles, xi_angles)
         params = {"family": flabel, "curve": clabel, "index": i,
                   "null_points": len(null_angles)}
@@ -596,6 +597,14 @@ def _tolerance(val, where: str) -> float:
     return float(val)
 
 
+def _count(val, where: str) -> int:
+    """A count as an int >= 1; anything else, a bool (an int in Python)
+    included, raises ScenarioError naming ``where``."""
+    if isinstance(val, bool) or not isinstance(val, int) or val < 1:
+        raise ScenarioError(f"{where}: must be a positive integer")
+    return val
+
+
 def load_scenario(source) -> Scenario:
     """Parse and validate a scenario from a path, JSON text, or dict."""
     if isinstance(source, dict):
@@ -615,7 +624,7 @@ def load_scenario(source) -> Scenario:
     if not isinstance(name, str) or not name:
         raise ScenarioError("name: required non-empty string")
     seed = obj.get("seed")
-    if not isinstance(seed, int) or seed < 0:
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise ScenarioError("seed: required non-negative integer")
     tolerances = dict(DEFAULT_TOLERANCES)
     for key, val in obj.get("tolerances", {}).items():

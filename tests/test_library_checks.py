@@ -115,3 +115,27 @@ def test_private_functions_are_referenced():
                     and not top.name.startswith("__")
                     and top.name not in referenced]
     assert unreferenced == []
+
+
+def test_no_unused_imports_in_library():
+    # Every name a library module imports is used in that module; a route
+    # that moved elsewhere must not leave its imports behind.  __future__
+    # imports and the package's re-exports in __init__.py are exempt.
+    unused = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.relative_to(PACKAGE)}:{line}:{name}"
+                   for name, line in sorted(imported.items())
+                   if name not in used]
+    assert unused == []

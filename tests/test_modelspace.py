@@ -437,3 +437,19 @@ class TestSerialization:
     def test_fingerprint_stability(self):
         assert theta_fingerprint(Z2) == theta_fingerprint(
             BlaschkeProduct((0j, 0j), 1.0))
+
+
+class TestAdjointClarkOperator:
+    def test_one_evaluation_at_every_atom(self):
+        # v_alpha_star is the boundary value of the vector at each atom, an
+        # array even for a single atom
+        for theta in (Z1, _random_theta(5, 6)):
+            ms = build_model_space(theta)
+            rng = np.random.default_rng(5)
+            f = ms.vector(rng.normal(size=theta.degree)
+                          + 1j * rng.normal(size=theta.degree))
+            mu = clark_measure(theta, 1j)
+            got = v_alpha_star(ms, 1j, f)
+            assert got.shape == (theta.degree,)
+            want = [ms.eval_vector(f, xi) for xi in mu.points()]
+            assert np.allclose(got, want, rtol=0, atol=1e-14)

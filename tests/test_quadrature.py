@@ -152,3 +152,21 @@ class TestCircle:
         assert val == pytest.approx(hi - lo, abs=1e-13)
         assert err <= 1e-12
         assert nodes == [45]
+
+
+class TestReversedInterval:
+    def test_kink_with_breakpoint(self):
+        # over [0, 1] the integral of |x - 0.3| is 0.045 + 0.245; reversed,
+        # the breakpoint is kept and the value negated
+        val, err = integrate_line(lambda x: np.abs(x - 0.3), 1.0, 0.0,
+                                  tol=1e-12, breakpoints=[0.3])
+        assert val == pytest.approx(-0.29, abs=1e-12)
+        assert err <= 1e-12
+
+    def test_refined_reversed_is_negated_forward(self):
+        # no breakpoint: the kink forces refinement, which a reversed panel
+        # must support
+        f = lambda x: np.abs(x - 0.3)
+        forward = integrate_line(f, 0.0, 1.0, tol=1e-10)
+        backward = integrate_line(f, 1.0, 0.0, tol=1e-10)
+        assert backward == (-forward[0], forward[1])

@@ -6,8 +6,9 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from clarklab import rankone
-from clarklab.errors import ConstructionError, DomainError, PoleError
+from clarklab import herglotz, rankone
+from clarklab.errors import (ConstructionError, DomainError, PoleError,
+                             ResidueError)
 from clarklab.herglotz import (BlaschkeProduct, blaschke_eval,
                                boundary_derivative_modulus, cayley_transfer,
                                coupling_to_alpha, halfplane_level_set)
@@ -15,6 +16,7 @@ from clarklab.measures import (TWO_PI, BorelSetSpec, CircleAtomicMeasure,
                                LineAtomicMeasure,
                                cauchy_transform_disk, cauchy_transform_line,
                                measure_of, poisson_integral_disk, total_mass)
+from clarklab.modelspace import build_model_space
 from clarklab.rankone import (ClarkFamily, CyclicOperatorModel,
                               aronszajn_krein_eval, circle_measure_deviation,
                               clark_measure, disintegration_check_circle,
@@ -607,3 +609,85 @@ class TestSimonWolffClassify:
         mu = spectral_measure(random_model(2, 5, "line"))
         out = simon_wolff_classify(mu, mu.positions)
         assert all(not rec["finite"] for rec in out)
+
+
+class TestOneHomePerObject:
+    """The model keeps its spectral measure, perturb_selfadjoint is one row
+    of the batched line kernel, and every Clark mass comes from
+    herglotz._clark_atoms."""
+
+    @pytest.mark.parametrize("kind", ["line", "circle"])
+    def test_model_keeps_its_measure(self, kind):
+        model = random_model(3, 8, kind)
+        mu = spectral_measure(model)
+        assert spectral_measure(model) is mu
+        cls = LineAtomicMeasure if kind == "line" else CircleAtomicMeasure
+        assert mu == cls.from_atoms(zip(model.sites, model.weights))
+
+    @pytest.mark.parametrize("kind, sites, weights", [
+        ("line", (1.0, 0.0), (0.5, 0.5)),
+        ("line", (0.0, 1.0), (1.5, -0.5)),
+        ("line", (0.0, math.inf), (0.5, 0.5)),
+        ("circle", (0.0, TWO_PI), (0.5, 0.5)),
+        ("circle", (-0.1, 1.0), (0.5, 0.5)),
+    ])
+    def test_measure_checks_the_model(self, kind, sites, weights):
+        with pytest.raises(ConstructionError):
+            CyclicOperatorModel(kind, sites, weights)
+
+    def test_perturb_selfadjoint_builds_one_measure(self, monkeypatch):
+        model = random_model(0, 8, "line")
+        calls = []
+        build = LineAtomicMeasure.from_atoms.__func__
+
+        def counted(cls, atoms):
+            calls.append(cls)
+            return build(cls, atoms)
+
+        monkeypatch.setattr(LineAtomicMeasure, "from_atoms",
+                            classmethod(counted))
+        perturb_selfadjoint(model, 0.5)
+        perturb_selfadjoint(model, -2.0)
+        assert len(calls) == 2
+
+    def test_near_duplicate_sites_keep_every_atom(self):
+        # sites 1e-13 apart sit inside the merge tolerance of from_atoms;
+        # the model's measure keeps both, as the dense oracle does
+        model = CyclicOperatorModel.from_data("line", [0.0, 1.0, 1.0 + 1e-13],
+                                              [0.4, 0.3, 0.3])
+        got = perturb_selfadjoint(model, 0.5)
+        want = matrix_oracle_selfadjoint(model, 0.5)
+        assert len(got) == len(want) == 3
+        assert np.allclose(got.positions, want.positions, rtol=0, atol=1e-12)
+        assert np.allclose(got.masses, want.masses, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 8, 32])
+    def test_perturb_selfadjoint_is_the_secular_route(self, n):
+        for seed in range(10):
+            model = random_model(seed, n, "line")
+            mu0 = spectral_measure(model)
+            for lam in (0.1, -0.1, 1.0, -1.0, 10.0, -10.0):
+                roots = herglotz.secular_roots_line(mu0, lam)
+                masses = herglotz.residue_masses_line(mu0, lam, roots)
+                assert perturb_selfadjoint(model, lam) == \
+                    LineAtomicMeasure.from_atoms(zip(roots, masses))
+
+    @pytest.mark.parametrize("route", ["clark_measure", "disintegration_circle",
+                                       "build_model_space", "cayley_inverse"])
+    def test_vanishing_derivative_raises_everywhere(self, monkeypatch, route):
+        theta = BlaschkeProduct((0j, 0.5 + 0.2j, -0.3j))
+        hp = inner_from_selfadjoint(CyclicOperatorModel.from_data(
+            "line", [-0.5, 0.25, 1.0], [0.2, 0.3, 0.5]))
+        arc = BorelSetSpec("circle", ((0.5, 2.0),))
+        calls = {
+            "clark_measure": lambda: clark_measure(theta, 1j),
+            "disintegration_circle":
+                lambda: disintegration_check_circle(theta, arc),
+            "build_model_space": lambda: build_model_space(theta),
+            "cayley_inverse": lambda: herglotz.cayley_inverse(hp),
+        }
+        calls[route]()
+        monkeypatch.setattr(herglotz, "boundary_derivative_modulus",
+                            lambda theta, xi: np.zeros(np.shape(xi)))
+        with pytest.raises(ResidueError, match="vanishing angular derivative"):
+            calls[route]()

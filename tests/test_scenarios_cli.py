@@ -324,3 +324,77 @@ class TestBundledScenarios:
         assert len(names) == len(set(names))
         assert "scalar-smoke" in names
         assert "clark-degree8" in names
+
+
+def _bundled_check(scenario, index):
+    return json.loads((resources.files("clarklab") / "scenarios"
+                       / f"{scenario}.json").read_text())["checks"][index]
+
+
+# (bundled scenario, check index, count key) for every count a check reads
+COUNTS = [("clark-degree8", 0, "alpha_count"),
+          ("clark-degree8", 1, "alpha_count"),
+          ("clark-degree8", 1, "vector_count"),
+          ("clark-degree8", 2, "vector_count"),
+          ("clark-degree8", 2, "samples"),
+          ("rankn", 0, "alpha_count"),
+          ("rankn", 0, "beta_count"),
+          ("rankn", 0, "z_count"),
+          ("rankn", 1, "alpha_count"),
+          ("rankn", 1, "z_count"),
+          ("rankn", 3, "probe_count")]
+
+
+class TestCountValidation:
+    @pytest.mark.parametrize("text", ["true", "0", "-1", "2.5"])
+    @pytest.mark.parametrize("bundled, index, key", COUNTS)
+    def test_bad_count_names_the_check(self, bundled, index, key, text):
+        # the bad entry sits at index 1, after a valid check
+        obj = {"name": "x", "seed": 1,
+               "checks": [SMOKE["checks"][2],
+                          dict(_bundled_check(bundled, index),
+                               **{key: json.loads(text)})]}
+        with pytest.raises(ScenarioError, match=rf"checks\[1\]\.{key}: must "
+                           "be a positive integer"):
+            run_scenario(obj)
+
+    @pytest.mark.parametrize("text", ["true", "0", "-1", "2.5"])
+    def test_bad_xi_count_names_the_case(self, text):
+        check = _bundled_check("rankn", 4)
+        case = dict(check["cases"][0], xi_count=json.loads(text))
+        obj = {"name": "x", "seed": 1,
+               "checks": [SMOKE["checks"][2], dict(check, cases=[case])]}
+        with pytest.raises(ScenarioError, match=r"checks\[1\]\.cases\[0\]"
+                           r"\.xi_count: must be a positive integer"):
+            run_scenario(obj)
+
+    def test_count_of_two(self):
+        obj = {"name": "x", "seed": 1,
+               "checks": [dict(SMOKE["checks"][1], alpha_count=2)]}
+        report = run_scenario(obj)
+        assert report.all_passed
+        assert [r.parameters["alphas"] for r in report.records] == [2] * 4
+
+    @pytest.mark.parametrize("text", ["true", "0", "-1e-3", "Infinity"])
+    def test_bad_window_names_the_check(self, text):
+        obj = {"name": "x", "seed": 1,
+               "checks": [SMOKE["checks"][2],
+                          dict(_bundled_check("secular-sweep", 1),
+                               window=json.loads(text))]}
+        with pytest.raises(ScenarioError, match=r"checks\[1\]\.window: must "
+                           "be a positive finite number"):
+            run_scenario(obj)
+
+    def test_bool_seed_rejected(self):
+        with pytest.raises(ScenarioError, match="seed"):
+            load_scenario(dict(SMOKE, seed=True))
+
+    def test_negative_count_exits_two(self, tmp_path, capsys):
+        scen = tmp_path / "s.json"
+        scen.write_text(json.dumps(
+            {"name": "x", "seed": 1,
+             "checks": [dict(SMOKE["checks"][1], alpha_count=-1)]}))
+        assert main(["run", str(scen)]) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: checks[0].alpha_count: must be a positive "
+                       "integer\n")
