@@ -383,6 +383,13 @@ def _secular_solve(t, m, targets) -> np.ndarray:
         excess = np.where(np.isfinite(resid), resid - allowed, np.inf)
     if np.any(excess > 0.0):
         worst = int(np.argmax(excess))
+        if np.isinf(resid[worst]):
+            j = int(np.argmin(np.abs(t - x[worst])))
+            gap = np.min(np.abs(np.delete(t, j) - t[j]), initial=np.inf)
+            raise RootFindingError(
+                f"secular root at {x[worst]} coincides with the atom at "
+                f"{t[j]} (gap {gap:.3e} to the next atom): the root is "
+                "nearer to the atom than binary64 resolves")
         raise RootFindingError(
             f"secular root at {x[worst]} has residual {resid[worst]:.3e} "
             f"(allowed {allowed[worst]:.3e}); interlacing bracket "

@@ -244,15 +244,19 @@ def intertwine_check(ms: ModelSpace, alpha: complex) -> float:
     normalized kernel sqrt(m_j) k_j (see ``v_alpha``), so its matrix has
     columns sqrt(m_j) conj(e_k(xi_j)).
     """
-    alpha = complex(alpha)
-    mu = clark_measure(ms.theta, alpha)
+    return _intertwine_residual(ms, clark_measure(ms.theta, alpha),
+                                t_alpha_matrix(ms, alpha))
+
+
+def _intertwine_residual(ms: ModelSpace, mu: CircleAtomicMeasure,
+                         t: np.ndarray) -> float:
+    """``intertwine_check`` from the Clark measure and T_alpha at one alpha."""
     n = ms.dimension
     if len(mu) != n:
         raise ResidueError(f"Clark measure has {len(mu)} atoms, expected {n}")
     v_mat = (np.conj(tm_basis_values(ms.theta.zeros, mu.points()))
              * np.sqrt(np.asarray(mu.masses)))
     y = np.diag(mu.points())
-    t = t_alpha_matrix(ms, alpha)
     return float(np.linalg.norm(t - v_mat @ y @ v_mat.conj().T, 2))
 
 
@@ -275,52 +279,12 @@ def _offgrid_samples() -> np.ndarray:
     return np.exp(1j * angles)
 
 
-# Bound on the boundary residual |f0 hat(f0) - g - theta h| of the split.
-_SPLIT_RESIDUAL_TOL = 1e-9
-
-
-def _split(ms: ModelSpace, vec: ModelVector):
-    """f(0), f0, hat(f0), g and h of the Lemma 7 split of vec, verified."""
-    f_at_zero = ms.eval_vector(vec, 0.0)
-    f0 = ms.vector(ms.coefficients(vec) - f_at_zero * np.conj(ms.basis_at_zero))
-    f0_hat = hat_conjugate(ms, f0)
-    p_vals = ms.boundary_values(f0) * ms.boundary_values(f0_hat)
-    g = ms.vector(ms.project(p_vals))
-    h = ms.vector(ms.project(p_vals * np.conj(ms.theta_values)))
-
-    xi = _offgrid_samples()
-    resid = (ms.eval_vector(f0, xi) * ms.eval_vector(f0_hat, xi)
-             - ms.eval_vector(g, xi)
-             - blaschke_eval(ms.theta, xi) * ms.eval_vector(h, xi))
-    worst = float(np.max(np.abs(resid)))
-    if worst > _SPLIT_RESIDUAL_TOL:
-        raise ResidueError(
-            f"product decomposition residual {worst:.3e} exceeds "
-            f"{_SPLIT_RESIDUAL_TOL}; "
-            "basis conditioning insufficient")
-    return f_at_zero, f0, f0_hat, g, h
-
-
-def lemma7_decompose(ms: ModelSpace, vec: ModelVector
-                     ) -> tuple[ModelVector, ModelVector]:
-    """Split f0 * hat(f0) = g + theta * h with g, h in the model space.
-
-    f0 = f - f(0).  The product lies in the model space of theta^2, which is
-    the orthogonal sum of the space and theta times it, so g and h are its
-    orthogonal projections, computed exactly by the Clark quadrature of
-    theta^2; the boundary identity is re-verified on 64 boundary samples
-    away from the nodes.
-    """
-    return _split(ms, vec)[3:]
-
-
 @dataclass(frozen=True)
 class _TransformContext:
     """The point-independent data of the transforms of one vector f.
 
     ``coeffs`` holds the TM coefficients of f0 = f - f(0), hat(f0), g and h
-    as rows, with f0 * hat(f0) = g + theta h verified as in
-    ``lemma7_decompose`` when the context is built.
+    as rows, with f0 * hat(f0) = g + theta h verified by ``_split``.
     """
 
     f_at_zero: complex
@@ -335,25 +299,62 @@ class _TransformContext:
         return f0, f0_hat, g, h, self.theta_c * running[-1]
 
 
-def _transform_context(ms: ModelSpace, vec: ModelVector) -> _TransformContext:
-    """The transform context of vec, built and verified once per model
-    space; a failed split raises and caches nothing."""
-    ctx = ms._contexts.get(vec)
-    if ctx is None:
-        f_at_zero, *parts = _split(ms, vec)
-        coeffs = np.array([v.coeffs for v in parts], dtype=complex)
-        ctx = _TransformContext(f_at_zero, coeffs,
-                                np.asarray(ms.theta.zeros, dtype=complex),
-                                ms.theta.c)
-        ms._contexts[vec] = ctx
+# Bound on the boundary residual |f0 hat(f0) - g - theta h| of the split.
+_SPLIT_RESIDUAL_TOL = 1e-9
+
+
+def _split(ms: ModelSpace, vec: ModelVector) -> _TransformContext:
+    """The Lemma 7 split of vec as its transform context, verified."""
+    f_at_zero = ms.eval_vector(vec, 0.0)
+    f0 = ms.vector(ms.coefficients(vec) - f_at_zero * np.conj(ms.basis_at_zero))
+    f0_hat = hat_conjugate(ms, f0)
+    p_vals = ms.boundary_values(f0) * ms.boundary_values(f0_hat)
+    coeffs = np.array([f0.coeffs, f0_hat.coeffs, ms.project(p_vals),
+                       ms.project(p_vals * np.conj(ms.theta_values))])
+    ctx = _TransformContext(f_at_zero, coeffs,
+                            np.asarray(ms.theta.zeros, dtype=complex),
+                            ms.theta.c)
+    f0_v, f0_hat_v, g_v, h_v, theta_v = ctx.values(_offgrid_samples())
+    worst = float(np.max(np.abs(f0_v * f0_hat_v - g_v - theta_v * h_v)))
+    if worst > _SPLIT_RESIDUAL_TOL:
+        raise ResidueError(
+            f"product decomposition residual {worst:.3e} exceeds "
+            f"{_SPLIT_RESIDUAL_TOL}; "
+            "basis conditioning insufficient")
     return ctx
 
 
-def _require_in_disk(z) -> np.ndarray:
+def _transform_context(ms: ModelSpace, vec: ModelVector) -> _TransformContext:
+    """The transform context of vec, split once per model space; a failed
+    split raises and caches nothing."""
+    ctx = ms._contexts.get(vec)
+    if ctx is None:
+        ctx = ms._contexts[vec] = _split(ms, vec)
+    return ctx
+
+
+def lemma7_decompose(ms: ModelSpace, vec: ModelVector
+                     ) -> tuple[ModelVector, ModelVector]:
+    """Split f0 * hat(f0) = g + theta * h with g, h in the model space.
+
+    f0 = f - f(0).  The product lies in the model space of theta^2, which is
+    the orthogonal sum of the space and theta times it, so g and h are its
+    orthogonal projections, computed exactly by the Clark quadrature of
+    theta^2; the boundary identity is re-verified on 64 boundary samples
+    away from the nodes.  g and h are read from the transform context.
+    """
+    _, _, g, h = _transform_context(ms, vec).coeffs
+    return ms.vector(g), ms.vector(h)
+
+
+def _require_in_disk(z, closed: bool = False) -> np.ndarray:
+    """z as a complex array, inside the open unit disk (or, when ``closed``,
+    the closed disk up to rounding), else DomainError."""
     zarr = np.asarray(z, dtype=complex)
-    if np.any(np.abs(zarr) >= 1.0):
-        raise DomainError(
-            f"|z| = {np.max(np.abs(zarr))} not inside the unit disk")
+    modulus = np.abs(zarr)
+    if np.any(modulus > 1.0 + 1e-12 if closed else modulus >= 1.0):
+        raise DomainError(f"|z| = {np.max(modulus)} not inside the "
+                          f"{'closed ' if closed else ''}unit disk")
     return zarr
 
 

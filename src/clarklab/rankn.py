@@ -232,8 +232,8 @@ def knu_alpha_beta(ms: ModelSpace, vec: ModelVector, alpha: complex,
 
 
 def phi_density(ms: ModelSpace, vec: ModelVector, curve: AnalyticCurve, z):
-    """Closed-form curve-average density function phi at z (a scalar or an
-    array of points).
+    """Closed-form curve-average density function phi at z, |z| <= 1 (a
+    scalar or an array of points).
 
     phi(z) = W0 / (conj(I2(0)) + (1 - conj(I2(0))) W0) with
     W0 = (conj(I1(0)) g + h)/(1 - conj(I1(0)) theta): the value at the
@@ -241,12 +241,13 @@ def phi_density(ms: ModelSpace, vec: ModelVector, curve: AnalyticCurve, z):
     transform.  Analytic in z with |phi| <= 1/(1 - |I2(0)|); identically 1
     when both components vanish at the origin.
     """
+    zarr = _require_in_disk(z, closed=True)
     if curve.n != 2:
         raise DomainError("closed-form density is available for 2-component curves")
     ctx = _vanishing_context(ms, vec)
     c1 = np.conj(blaschke_eval(curve.components[0], 0.0))
     c2 = np.conj(blaschke_eval(curve.components[1], 0.0))
-    _, _, g, h, theta = ctx.values(np.asarray(z, dtype=complex))
+    _, _, g, h, theta = ctx.values(zarr)
     w0 = (c1 * g + h) / (1.0 - c1 * theta)
     return _shaped_like(z, w0 / (c2 + (1.0 - c2) * w0))
 
@@ -256,10 +257,11 @@ def herglotz_positivity_check(ms: ModelSpace, vec: ModelVector, alphas,
     """Minimum of Re[(conj(alpha) g + h)/(1 - conj(alpha) theta)] over grids.
 
     The fraction is the transform of a probability measure, so the minimum
-    must exceed 1/2 everywhere inside the disk.
+    must exceed 1/2 everywhere inside the open disk; it has poles on the
+    circle, so a point with |z| >= 1 raises DomainError.
     """
     _, _, g, h, theta = _vanishing_context(ms, vec).values(
-        np.asarray(zs, dtype=complex))
+        _require_in_disk(zs))
     ca = np.conj(np.asarray(alphas, dtype=complex)).reshape((-1,) + (1,) * g.ndim)
     vals = (ca * g + h) / (1.0 - ca * theta)
     return float(np.min(vals.real, initial=math.inf))

@@ -57,7 +57,7 @@ class CyclicOperatorModel:
     # the spectral measure, built by __post_init__ (see spectral_measure)
     _measure: LineAtomicMeasure | CircleAtomicMeasure = field(
         init=False, repr=False, compare=False)
-    # inner_from_unitary(self), built on first use by _model_theta
+    # inner_from_unitary(self), built on its first call and kept
     _theta: BlaschkeProduct | None = field(default=None, init=False,
                                            repr=False, compare=False)
 
@@ -245,11 +245,14 @@ def inner_from_unitary(model: CyclicOperatorModel) -> BlaschkeProduct:
     Blaschke product because Re K nu_1 > 1/2 on the disk for a probability
     measure.  Its zeros are the eigenvalues of the alpha = 0 contraction
     U - (., U^{-1} phi) phi (Clark / Aleksandrov: the spectrum of the
-    alpha-perturbation is the level set {theta = alpha}).  The returned
-    product is verified against the defining identity on sampled disk points.
+    alpha-perturbation is the level set {theta = alpha}).  The product is
+    verified against the defining identity on sampled disk points, built
+    once per model and kept on it; a build that raises keeps nothing.
     """
     if model.kind != "circle":
         raise DomainError("inner_from_unitary needs a circle model")
+    if model._theta is not None:
+        return model._theta
     nu1 = spectral_measure(model)
     roots = np.linalg.eigvals(rank_one_unitary_update(
         model.dense(), model.cyclic_vector(), 0.0))
@@ -267,14 +270,8 @@ def inner_from_unitary(model: CyclicOperatorModel) -> BlaschkeProduct:
             f"K*(1-theta) = 1 fails by {defect:.3e} on sampled disk points")
     if abs(blaschke_eval(theta, 0.0)) > 1e-10:
         raise ConstructionError("theta(0) != 0 for a unit-mass model")
+    object.__setattr__(model, "_theta", theta)
     return theta
-
-
-def _model_theta(model: CyclicOperatorModel) -> BlaschkeProduct:
-    """``inner_from_unitary(model)``, built once per model instance."""
-    if model._theta is None:
-        object.__setattr__(model, "_theta", inner_from_unitary(model))
-    return model._theta
 
 
 def inner_from_selfadjoint(model: CyclicOperatorModel) -> HalfPlaneInner:
@@ -301,7 +298,7 @@ def perturb_unitary(model: CyclicOperatorModel, alpha: complex
     alpha = _require_unimodular(alpha)
     if abs(alpha - 1.0) < 1e-14:
         return spectral_measure(model)
-    return clark_measure(_model_theta(model), alpha)
+    return clark_measure(inner_from_unitary(model), alpha)
 
 
 # ---------------------------------------------------------------------------

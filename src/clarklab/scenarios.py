@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -30,9 +31,9 @@ from .errors import ClarkLabError, ScenarioError
 from .herglotz import BlaschkeProduct, blaschke_eval, blaschke_from_json_dict
 from .measures import (BorelSetSpec, LineAtomicMeasure, TWO_PI,
                        cauchy_transform_disk, measure_from_json_dict)
-from .modelspace import (build_model_space, hat_conjugate, intertwine_check,
-                         lemma7_decompose, knu_alpha, t_alpha_matrix, v_alpha,
-                         v_alpha_star)
+from .modelspace import (_intertwine_residual, _transform_context,
+                         build_model_space, lemma7_decompose, knu_alpha,
+                         t_alpha_matrix, v_alpha, v_alpha_star)
 from .rankone import (CyclicOperatorModel, circle_measure_deviation,
                       clark_measure, disintegration_check_circle,
                       disintegration_check_line, inner_from_unitary,
@@ -136,29 +137,33 @@ def random_family(rng: np.random.Generator, dimension: int, n: int
 # Spec resolution
 # ---------------------------------------------------------------------------
 
-def _resolve_model(spec: Any, rng: np.random.Generator) -> tuple[CyclicOperatorModel, str]:
+def _resolve_model(spec: Any, rng: np.random.Generator,
+                   where: str = "checks[].models") -> tuple[CyclicOperatorModel, str]:
     if isinstance(spec, dict) and "random" in spec:
         r = spec["random"]
-        model = random_model_rng(rng, int(r["N"]), r.get("kind", "line"))
-        return model, f"random(N={r['N']},kind={r.get('kind', 'line')})"
+        n = _count(r.get("N"), f"{where}.random.N")
+        model = random_model_rng(rng, n, r.get("kind", "line"))
+        return model, f"random(N={n},kind={r.get('kind', 'line')})"
     if isinstance(spec, dict) and "kind" in spec:
         return model_from_json_dict(spec), f"explicit({spec['kind']},N={len(spec['sites'])})"
-    raise ScenarioError(f"checks[].models: unrecognized model spec {spec!r}")
+    raise ScenarioError(f"{where}: unrecognized model spec {spec!r}")
 
 
 def _resolve_theta(spec: Any, rng: np.random.Generator,
-                   zero_at_origin: bool = False) -> tuple[BlaschkeProduct, str]:
+                   where: str = "checks[].thetas", zero_at_origin: bool = False
+                   ) -> tuple[BlaschkeProduct, str]:
     if isinstance(spec, dict) and "power" in spec:
-        k = int(spec["power"])
+        k = _count(spec["power"], f"{where}.power")
         return BlaschkeProduct((0.0 + 0.0j,) * k, 1.0 + 0.0j), f"z^{k}"
     if isinstance(spec, dict) and "random_degree" in spec:
-        deg = int(spec["random_degree"])
-        theta = random_blaschke(rng, deg, float(spec.get("max_radius", 0.8)),
+        deg = _count(spec["random_degree"], f"{where}.random_degree")
+        radius = _real(spec.get("max_radius", 0.8), f"{where}.max_radius", 0, 1)
+        theta = random_blaschke(rng, deg, radius,
                                 zero_at_origin or bool(spec.get("zero_at_origin", False)))
         return theta, f"random(degree={deg})"
     if isinstance(spec, dict) and "zeros" in spec:
         return blaschke_from_json_dict(spec), f"explicit(degree={len(spec['zeros'])})"
-    raise ScenarioError(f"checks[].thetas: unrecognized inner-function spec {spec!r}")
+    raise ScenarioError(f"{where}: unrecognized inner-function spec {spec!r}")
 
 
 def _resolve_borel(spec: Any) -> BorelSetSpec:
@@ -169,25 +174,28 @@ def _resolve_borel(spec: Any) -> BorelSetSpec:
         raise ScenarioError(f"checks[].borel: malformed Borel set spec: {exc}") from exc
 
 
-def _resolve_family(spec: Any, rng: np.random.Generator
+def _resolve_family(spec: Any, rng: np.random.Generator,
+                    where: str = "checks[].families"
                     ) -> tuple[RankNPerturbationFamily, str]:
     if isinstance(spec, dict) and "random" in spec:
         r = spec["random"]
-        fam = random_family(rng, int(r["N"]), int(r.get("n", 2)))
-        return fam, f"random(N={r['N']},n={r.get('n', 2)})"
+        big_n = _count(r.get("N"), f"{where}.random.N")
+        n = _count(r.get("n", 2), f"{where}.random.n")
+        return random_family(rng, big_n, n), f"random(N={big_n},n={n})"
     if isinstance(spec, dict) and "base" in spec:
         fam = family_from_json_dict(spec)
         return fam, f"explicit(N={fam.base.dimension},n={fam.n})"
-    raise ScenarioError(f"checks[].families: unrecognized family spec {spec!r}")
+    raise ScenarioError(f"{where}: unrecognized family spec {spec!r}")
 
 
-def _resolve_curve(spec: Any, rng: np.random.Generator) -> tuple[AnalyticCurve, str]:
+def _resolve_curve(spec: Any, rng: np.random.Generator,
+                   where: str = "checks[].curves") -> tuple[AnalyticCurve, str]:
     if not isinstance(spec, dict) or "components" not in spec:
-        raise ScenarioError(f"checks[].curves: unrecognized curve spec {spec!r}")
+        raise ScenarioError(f"{where}: unrecognized curve spec {spec!r}")
     comps = []
     labels = []
-    for comp in spec["components"]:
-        theta, label = _resolve_theta(comp, rng)
+    for k, comp in enumerate(spec["components"]):
+        theta, label = _resolve_theta(comp, rng, f"{where}.components[{k}]")
         comps.append(theta)
         labels.append(label)
     return AnalyticCurve(tuple(comps)), "(" + ",".join(labels) + ")"
@@ -273,9 +281,10 @@ def report_to_json(report: RunReport, timings: bool = False) -> str:
 
 def _check_secular_oracle(seed, idx, spec, tol) -> list[CheckRecord]:
     records = []
-    lambdas = [float(x) for x in spec.get("lambdas", [0.5, -0.5])]
+    lambdas = _reals(spec.get("lambdas", [0.5, -0.5]), f"checks[{idx}].lambdas")
     for i, mspec in enumerate(spec["models"]):
-        model, label = _resolve_model(mspec, _rng(seed, idx, i))
+        model, label = _resolve_model(mspec, _rng(seed, idx, i),
+                                      f"checks[{idx}].models[{i}]")
         for lam in lambdas:
             got = perturb_selfadjoint(model, lam)
             want = matrix_oracle_selfadjoint(model, lam)
@@ -298,7 +307,7 @@ def _check_clark_correspondence(seed, idx, spec, tol) -> list[CheckRecord]:
     n_alphas = _count(spec.get("alpha_count", 8), f"checks[{idx}].alpha_count")
     for i, mspec in enumerate(spec["models"]):
         rng = _rng(seed, idx, i)
-        model, label = _resolve_model(mspec, rng)
+        model, label = _resolve_model(mspec, rng, f"checks[{idx}].models[{i}]")
         alphas = random_unimodular(rng, n_alphas)
         theta = inner_from_unitary(model)
         atom_dev = 0.0
@@ -323,7 +332,8 @@ def _check_disintegration_line(seed, idx, spec, tol) -> list[CheckRecord]:
     window = _tolerance(spec.get("window", 100.0), f"checks[{idx}].window")
     check_tol = _tolerance(spec.get("tol", 1e-3), f"checks[{idx}].tol")
     for i, mspec in enumerate(spec["models"]):
-        model, label = _resolve_model(mspec, _rng(seed, idx, i))
+        model, label = _resolve_model(mspec, _rng(seed, idx, i),
+                                      f"checks[{idx}].models[{i}]")
         for j, bspec in enumerate(spec["borel_sets"]):
             borel = _resolve_borel(bspec)
             res = disintegration_check_line(model, borel, window=window,
@@ -339,7 +349,8 @@ def _check_disintegration_circle(seed, idx, spec, tol) -> list[CheckRecord]:
     records = []
     check_tol = _tolerance(spec.get("tol", 1e-6), f"checks[{idx}].tol")
     for i, tspec in enumerate(spec["thetas"]):
-        theta, label = _resolve_theta(tspec, _rng(seed, idx, i))
+        theta, label = _resolve_theta(tspec, _rng(seed, idx, i),
+                                      f"checks[{idx}].thetas[{i}]")
         for j, bspec in enumerate(spec["borel_sets"]):
             borel = _resolve_borel(bspec)
             res = disintegration_check_circle(theta, borel, tol=check_tol)
@@ -356,7 +367,7 @@ def _check_modelspace_suite(seed, idx, spec, tol) -> list[CheckRecord]:
     n_vectors = _count(spec.get("vector_count", 20), f"checks[{idx}].vector_count")
     for i, degree in enumerate(spec["degrees"]):
         rng = _rng(seed, idx, i)
-        degree = int(degree)
+        degree = _count(degree, f"checks[{idx}].degrees[{i}]")
         theta = random_blaschke(rng, degree, zero_at_origin=True)
         ms = build_model_space(theta)
         alphas = random_unimodular(rng, n_alphas)
@@ -365,10 +376,10 @@ def _check_modelspace_suite(seed, idx, spec, tol) -> list[CheckRecord]:
         spectral_dev = 0.0
         for alpha in alphas:
             t = t_alpha_matrix(ms, alpha)
+            mu = clark_measure(theta, alpha)
             unit_dev = max(unit_dev, float(np.linalg.norm(
                 t.conj().T @ t - np.eye(degree), 2)))
-            intertwine_dev = max(intertwine_dev, intertwine_check(ms, alpha))
-            mu = clark_measure(theta, alpha)
+            intertwine_dev = max(intertwine_dev, _intertwine_residual(ms, mu, t))
             eig_angles = np.sort(np.angle(np.linalg.eigvals(t)) % TWO_PI)
             spectral_dev = max(spectral_dev, float(np.max(np.abs(np.angle(
                 np.exp(1j * (eig_angles - np.asarray(mu.angles))))))))
@@ -401,7 +412,8 @@ def _check_lemma7_suite(seed, idx, spec, tol) -> list[CheckRecord]:
     n_vectors = _count(spec.get("vector_count", 2), f"checks[{idx}].vector_count")
     for i, tspec in enumerate(spec["thetas"]):
         rng = _rng(seed, idx, i)
-        theta, label = _resolve_theta(tspec, rng, zero_at_origin=True)
+        theta, label = _resolve_theta(tspec, rng, f"checks[{idx}].thetas[{i}]",
+                                      zero_at_origin=True)
         ms = build_model_space(theta)
         for rep in range(n_vectors):
             coeffs = rng.normal(size=theta.degree) + 1j * rng.normal(size=theta.degree)
@@ -409,9 +421,7 @@ def _check_lemma7_suite(seed, idx, spec, tol) -> list[CheckRecord]:
             f = ms.vector(coeffs)
             g, h = lemma7_decompose(ms, f)
             xi = np.exp(1j * rng.uniform(0.0, TWO_PI, n_samples))
-            f0_c = ms.coefficients(f) - ms.eval_vector(f, 0.0) * np.conj(ms.basis_at_zero)
-            f0 = ms.vector(f0_c)
-            f0h = hat_conjugate(ms, f0)
+            f0, f0h = map(ms.vector, _transform_context(ms, f).coeffs[:2])
             resid = np.abs(ms.eval_vector(f0, xi) * ms.eval_vector(f0h, xi)
                            - ms.eval_vector(g, xi)
                            - blaschke_eval(ms.theta, xi) * ms.eval_vector(h, xi))
@@ -441,7 +451,7 @@ def _check_two_parameter_oracle(seed, idx, spec, tol) -> list[CheckRecord]:
     nz = _count(spec.get("z_count", 4), f"checks[{idx}].z_count")
     for i, fspec in enumerate(spec["families"]):
         rng = _rng(seed, idx, i)
-        family, label = _resolve_family(fspec, rng)
+        family, label = _resolve_family(fspec, rng, f"checks[{idx}].families[{i}]")
         ms, f = family_model_space(family)
         alphas = random_unimodular(rng, na)
         betas = random_unimodular(rng, nb)
@@ -465,10 +475,11 @@ def _check_positivity_bounds(seed, idx, spec, tol) -> list[CheckRecord]:
     records = []
     na = _count(spec.get("alpha_count", 32), f"checks[{idx}].alpha_count")
     nz = _count(spec.get("z_count", 32), f"checks[{idx}].z_count")
-    max_r = float(spec.get("max_z_radius", 0.95))
+    max_r = _real(spec.get("max_z_radius", 0.95), f"checks[{idx}].max_z_radius",
+                  0, 1)
     for i, fspec in enumerate(spec["families"]):
         rng = _rng(seed, idx, i)
-        family, label = _resolve_family(fspec, rng)
+        family, label = _resolve_family(fspec, rng, f"checks[{idx}].families[{i}]")
         ms, f = family_model_space(family)
         alphas = random_unimodular(rng, na)
         zs = max_r * np.sqrt(rng.uniform(0, 1, nz)) * random_unimodular(rng, nz)
@@ -477,7 +488,8 @@ def _check_positivity_bounds(seed, idx, spec, tol) -> list[CheckRecord]:
         records.append(CheckRecord("positivity.min_real_part", params,
                                    smallest, 0.5, 1e-9, smallest > 0.5 - 1e-9))
         for j, cspec in enumerate(spec.get("curves", [])):
-            curve, clabel = _resolve_curve(cspec, _rng(seed, idx, i, j))
+            curve, clabel = _resolve_curve(cspec, _rng(seed, idx, i, j),
+                                           f"checks[{idx}].curves[{j}]")
             bound = 1.0 / (1.0 - abs(blaschke_eval(curve.components[1], 0.0)))
             worst = float(np.max(np.abs(phi_density(ms, f, curve, zs)),
                                  initial=0.0))
@@ -493,8 +505,10 @@ def _check_curve_disintegration(seed, idx, spec, tol) -> list[CheckRecord]:
     check_tol = _tolerance(spec.get("tol", 1e-4), f"checks[{idx}].tol")
     for i, case in enumerate(spec["cases"]):
         rng = _rng(seed, idx, i)
-        family, flabel = _resolve_family(case["family"], rng)
-        curve, clabel = _resolve_curve(case["curve"], rng)
+        family, flabel = _resolve_family(case["family"], rng,
+                                         f"checks[{idx}].cases[{i}].family")
+        curve, clabel = _resolve_curve(case["curve"], rng,
+                                       f"checks[{idx}].cases[{i}].curve")
         borel = _resolve_borel(case["borel"])
         res = curve_disintegration_check(family, curve, borel, tol=check_tol)
         params = {"family": flabel, "curve": clabel, "index": i}
@@ -510,7 +524,7 @@ def _check_simon_wolff(seed, idx, spec, tol) -> list[CheckRecord]:
         mu = measure_from_json_dict(case["measure"])
         if not isinstance(mu, LineAtomicMeasure):
             raise ScenarioError("checks[].cases[].measure: simon_wolff needs a line measure")
-        probes = [float(p) for p in case["probes"]]
+        probes = _reals(case["probes"], f"checks[{idx}].cases[{i}].probes")
         # a probe's integral is finite exactly when it misses every atom
         mismatches = sum(rec["finite"] == (rec["probe"] in mu.positions)
                          for rec in simon_wolff_classify(mu, probes))
@@ -525,7 +539,7 @@ def _check_theorem4_axis(seed, idx, spec, tol) -> list[CheckRecord]:
     n_probes = _count(spec.get("probe_count", 16), f"checks[{idx}].probe_count")
     for i, fspec in enumerate(spec["families"]):
         rng = _rng(seed, idx, i)
-        family, label = _resolve_family(fspec, rng)
+        family, label = _resolve_family(fspec, rng, f"checks[{idx}].families[{i}]")
         probes = random_unimodular(rng, n_probes)
         reports = theorem4_axis_criterion(family, probes)
         bad = sum(1 for rep in reports for rec in rep["records"]
@@ -546,9 +560,12 @@ def _check_theorem9_nullset(seed, idx, spec, tol) -> list[CheckRecord]:
     records = []
     for i, case in enumerate(spec["cases"]):
         rng = _rng(seed, idx, i)
-        family, flabel = _resolve_family(case["family"], rng)
-        curve, clabel = _resolve_curve(case["curve"], rng)
-        null_angles = [float(a) for a in case.get("null_angles", [])]
+        family, flabel = _resolve_family(case["family"], rng,
+                                         f"checks[{idx}].cases[{i}].family")
+        curve, clabel = _resolve_curve(case["curve"], rng,
+                                       f"checks[{idx}].cases[{i}].curve")
+        null_angles = _reals(case.get("null_angles", []),
+                             f"checks[{idx}].cases[{i}].null_angles", empty=True)
         n_xi = _count(case.get("xi_count", 32), f"checks[{idx}].cases[{i}].xi_count")
         xi_angles = rng.uniform(0.0, TWO_PI, n_xi)
         report = theorem9_nullset_check(family, curve, null_angles, xi_angles)
@@ -603,6 +620,28 @@ def _count(val, where: str) -> int:
     if isinstance(val, bool) or not isinstance(val, int) or val < 1:
         raise ScenarioError(f"{where}: must be a positive integer")
     return val
+
+
+def _real(val, where: str, lo: float = -math.inf, hi: float = math.inf
+          ) -> float:
+    """A finite number strictly between lo and hi as a float; a bool (an
+    int in Python), NaN, an infinity or anything else raises ScenarioError
+    naming ``where``."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)) \
+            or not (lo < val < hi and abs(val) <= sys.float_info.max):
+        span = ("a finite number" if (lo, hi) == (-math.inf, math.inf)
+                else f"a number in ({lo}, {hi})")
+        raise ScenarioError(f"{where}: must be {span}")
+    return float(val)
+
+
+def _reals(values, where: str, empty: bool = False) -> list[float]:
+    """A list of numbers, each read by ``_real``; an empty list raises
+    ScenarioError unless ``empty``."""
+    if not isinstance(values, list) or not (values or empty):
+        raise ScenarioError(f"{where}: must be a "
+                            f"{'' if empty else 'non-empty '}list of numbers")
+    return [_real(v, f"{where}[{k}]") for k, v in enumerate(values)]
 
 
 def load_scenario(source) -> Scenario:

@@ -19,8 +19,9 @@ from clarklab.herglotz import (BlaschkeProduct, HalfPlaneInner,
                                level_set_batch, residue_masses_line,
                                secular_roots_line)
 from clarklab.measures import LineAtomicMeasure, cauchy_transform_line
-from clarklab.rankone import (inner_from_unitary, perturb_selfadjoint,
-                              rank_one_unitary_update, spectral_measure)
+from clarklab.rankone import (CyclicOperatorModel, inner_from_unitary,
+                              perturb_selfadjoint, rank_one_unitary_update,
+                              spectral_measure)
 from clarklab.scenarios import random_model
 
 from conftest import line_measures
@@ -214,6 +215,22 @@ class TestRequireUnimodular:
 
 
 class TestSecular:
+    def test_root_on_an_atom_names_the_atom(self):
+        # the 2e-13 gaps are below the solver's resolution; a dense
+        # eigen-solve still finds five distinct eigenvalues
+        w = np.array([0.3, 1e-9, 0.4, 1e-9, 0.3])
+        model = CyclicOperatorModel.from_data(
+            "line", [0.0, 1.0 - 2e-13, 1.0, 1.0 + 2e-13, 2.0], w / w.sum())
+        phi = model.cyclic_vector()
+        dense = model.dense() + 0.5 * np.outer(phi, phi)
+        assert np.unique(np.linalg.eigvalsh(dense)).size == 5
+        with pytest.raises(RootFindingError) as info:
+            perturb_selfadjoint(model, 0.5)
+        message = str(info.value)
+        assert "coincides with the atom at 0.9999999999998 " in message
+        assert "(gap 2.000e-13 to the next atom)" in message
+        assert "inf" not in message
+
     def test_scalar(self):
         assert secular_roots_line(DELTA0, 3.0) == pytest.approx([3.0])
 

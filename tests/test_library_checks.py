@@ -3,13 +3,17 @@
 zero form only; monomial coefficients misrepresent high-degree roots, so the
 library forms none.  The library needs numpy alone; scipy is a test-only
 dependency.  The benchmark under ``perfbench/`` traces library functions
-by name, so every name it traces must still resolve."""
+by name, so every name it traces must still resolve.  No scenario check
+solves the same level set, or builds the same T_alpha, twice."""
 
 import ast
 import importlib
 import sys
 from pathlib import Path
 
+import numpy as np
+
+from clarklab import herglotz, modelspace, scenarios
 from clarklab.herglotz import BlaschkeProduct
 from clarklab.modelspace import build_model_space
 
@@ -139,3 +143,40 @@ def test_no_unused_imports_in_library():
                    for name, line in sorted(imported.items())
                    if name not in used]
     assert unused == []
+
+
+def test_no_check_handler_repeats_a_solve(monkeypatch):
+    # Every Clark solve goes through herglotz.level_set_batch, and the
+    # model-space suite builds T_alpha through t_alpha_matrix.  A call is
+    # keyed by the identity of its theta or model space and the bytes of
+    # alpha; the keys are reset at the start of each check handler, and the
+    # keyed objects are held so that no id is reused while they count.
+    seen, repeats, current = {}, [], [None]
+
+    def watch(name, *modules):
+        original = getattr(modules[0], name)
+
+        def watched(obj, alpha, *args, **kwargs):
+            key = (name, id(obj), np.asarray(alpha, dtype=complex).tobytes())
+            if key in seen:
+                repeats.append((current[0], name))
+            seen[key] = obj
+            return original(obj, alpha, *args, **kwargs)
+
+        for module in modules:
+            monkeypatch.setattr(module, name, watched)
+
+    watch("level_set_batch", herglotz)
+    watch("t_alpha_matrix", modelspace, scenarios)
+    for check, handler in list(scenarios.CHECKS.items()):
+        def fresh(*args, _check=check, _handler=handler):
+            seen.clear()
+            current[0] = _check
+            return _handler(*args)
+
+        monkeypatch.setitem(scenarios.CHECKS, check, fresh)
+    paths = sorted((PACKAGE / "scenarios").glob("*.json"))
+    assert paths
+    for path in paths:
+        assert scenarios.run_scenario(path, workers=1).all_passed
+    assert repeats == []

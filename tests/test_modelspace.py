@@ -360,6 +360,24 @@ class TestTransformContext:
         knu_alpha(ms, ms.vector(2.0 * np.asarray(f.coeffs)), 1.0, 0.1)
         assert len(split_calls) == 2
 
+    def test_decompose_shares_the_split(self, rng, split_calls):
+        ms, f = self._space_and_vector(rng)
+        g, h = lemma7_decompose(ms, f)
+        knu_alpha(ms, f, 1j, 0.3 - 0.2j)
+        assert len(split_calls) == 1
+        coeffs = modelspace._transform_context(ms, f).coeffs
+        assert g == ms.vector(coeffs[2]) and h == ms.vector(coeffs[3])
+        assert lemma7_decompose(ms, f) == (g, h)
+        assert len(split_calls) == 1
+
+    def test_intertwine_check_is_the_residual(self, rng):
+        ms = build_model_space(_random_theta(23, 5))
+        for alpha in np.exp(2j * np.pi * rng.uniform(0, 1, 4)):
+            t = t_alpha_matrix(ms, alpha)
+            mu = clark_measure(ms.theta, alpha)
+            assert intertwine_check(ms, alpha) == modelspace._intertwine_residual(
+                ms, mu, t)
+
     def test_one_conjugation_per_context(self, rng, monkeypatch):
         ms, f = self._space_and_vector(rng)
         calls = []

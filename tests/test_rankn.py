@@ -359,6 +359,15 @@ class TestPhiDensity:
             acc /= m
             assert phi_density(ms, f, curve, z) == pytest.approx(acc, abs=1e-6)
 
+    def test_closed_disk_only(self):
+        ms, f = family_model_space(FAMILY2)
+        curve = AnalyticCurve((Z1, _moebius(0.5, -1.0)))
+        with pytest.raises(DomainError, match="closed unit disk"):
+            phi_density(ms, f, curve, 1.5)
+        with pytest.raises(DomainError):
+            phi_density(ms, f, curve, [0.2, 1.5j])
+        assert np.isfinite(phi_density(ms, f, curve, cmath.exp(0.3j)))
+
     def test_mean_value_is_one(self, rng):
         # full-circle average of every family measure has unit mass, so
         # phi(0) = 1 whatever the curve
@@ -429,6 +438,12 @@ class TestPositivity:
     def test_square_value_at_origin(self):
         ms, f = family_model_space(FAMILY2)
         assert herglotz_positivity_check(ms, f, [1.0], [0.0]) == pytest.approx(1.0)
+
+    def test_open_disk_only(self):
+        ms, f = family_model_space(FAMILY2)
+        for zs in ([1.5], [0.2, 2j], [1.0]):
+            with pytest.raises(DomainError, match="unit disk"):
+                herglotz_positivity_check(ms, f, [1.0, -1.0], zs)
 
     def test_grid_minimum(self, rng):
         fam = random_family(_rng(12), 6, 2)

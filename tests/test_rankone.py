@@ -237,13 +237,13 @@ class TestPerturbUnitary:
 
     def test_inner_function_built_once_per_model(self, monkeypatch):
         calls = []
-        original = rankone.inner_from_unitary
+        original = rankone._blaschke_with_value
 
-        def counted(model, *args, **kwargs):
-            calls.append(model)
-            return original(model, *args, **kwargs)
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
 
-        monkeypatch.setattr(rankone, "inner_from_unitary", counted)
+        monkeypatch.setattr(rankone, "_blaschke_with_value", counted)
         model = random_model(7, 8, "circle")
         for alpha in np.exp(2j * np.pi * np.arange(1, 17) / 17.0):
             perturb_unitary(model, alpha)
@@ -252,6 +252,33 @@ class TestPerturbUnitary:
         twin = CyclicOperatorModel.from_data("circle", model.sites, model.weights)
         assert twin == model and hash(twin) == hash(model)
         assert model_to_json_dict(twin) == model_to_json_dict(model)
+
+    def test_model_keeps_its_inner_function(self, monkeypatch):
+        builds = []
+        original = rankone._blaschke_with_value
+
+        def counted(*args, **kwargs):
+            builds.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(rankone, "_blaschke_with_value", counted)
+        model = random_model(5, 4, "circle")
+        theta = inner_from_unitary(model)
+        assert inner_from_unitary(model) is theta
+        perturb_unitary(model, cmath.exp(0.7j))
+        assert len(builds) == 1
+
+    def test_failed_inner_function_stores_nothing(self):
+        # sites 1e-13 apart put a zero of theta on the circle
+        model = CyclicOperatorModel.from_data("circle", [0.5, 1.0, 1.0 + 1e-13],
+                                              [0.4, 0.3, 0.3])
+        for _ in range(2):
+            with pytest.raises(ConstructionError):
+                inner_from_unitary(model)
+            assert model._theta is None
+        with pytest.raises(ConstructionError):
+            perturb_unitary(model, 1j)
+        assert model._theta is None
 
 
 def _check_eigenbasis(u, lam, q, tol=1e-12):

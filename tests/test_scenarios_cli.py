@@ -398,3 +398,86 @@ class TestCountValidation:
         err = capsys.readouterr().err
         assert err == ("error: checks[0].alpha_count: must be a positive "
                        "integer\n")
+
+
+
+CIRCLE_SET = {"space": "circle", "pieces": [[0.0, 1.0]]}
+LINE_POINT = {"space": "line", "atoms": [["0.0", "1.0"]]}
+CURVE = {"components": [{"power": 1}, {"power": 1}]}
+
+# (check entry with the number under test as "V", the field named, an
+# out-of-range value as JSON text) for every number a check entry passes on
+NUMBERS = [
+    ({"check": "secular_oracle", "models": [{"random": {"N": "V"}}]},
+     "checks[0].models[0].random.N", "0"),
+    ({"check": "secular_oracle", "models": [{"random": {"N": 2}}],
+      "lambdas": [0.5, "V"]}, "checks[0].lambdas[1]", "Infinity"),
+    ({"check": "theorem4_axis", "families": [{"random": {"N": "V", "n": 2}}]},
+     "checks[0].families[0].random.N", "-1"),
+    ({"check": "theorem4_axis", "families": [{"random": {"N": 3, "n": "V"}}]},
+     "checks[0].families[0].random.n", "0"),
+    ({"check": "disintegration_circle", "thetas": [{"power": "V"}],
+      "borel_sets": [CIRCLE_SET]}, "checks[0].thetas[0].power", "0"),
+    ({"check": "disintegration_circle", "thetas": [{"random_degree": "V"}],
+      "borel_sets": [CIRCLE_SET]}, "checks[0].thetas[0].random_degree", "2.7"),
+    ({"check": "lemma7_suite",
+      "thetas": [{"random_degree": 3, "max_radius": "V"}]},
+     "checks[0].thetas[0].max_radius", "1.0"),
+    ({"check": "modelspace_suite", "degrees": [1, "V"]},
+     "checks[0].degrees[1]", "0"),
+    ({"check": "simon_wolff",
+      "cases": [{"measure": LINE_POINT, "probes": [0.0, "V"]}]},
+     "checks[0].cases[0].probes[1]", "-Infinity"),
+    ({"check": "theorem9_nullset",
+      "cases": [{"family": {"random": {"N": 3}}, "curve": CURVE,
+                 "null_angles": ["V"]}]},
+     "checks[0].cases[0].null_angles[0]", "1e400"),
+    ({"check": "theorem9_nullset",
+      "cases": [{"family": {"random": {"N": 3}},
+                 "curve": {"components": [{"power": 1}, {"power": "V"}]}}]},
+     "checks[0].cases[0].curve.components[1].power", "-2"),
+    ({"check": "positivity_bounds", "families": [{"random": {"N": 2}}],
+      "max_z_radius": "V"}, "checks[0].max_z_radius", "3.0"),
+]
+
+
+def _scenario_text(entry, text):
+    """A one-check scenario as JSON text, "V" in ``entry`` replaced by the
+    JSON value ``text``."""
+    return json.dumps({"name": "x", "seed": 1,
+                       "checks": [entry]}).replace('"V"', text)
+
+
+class TestNumberValidation:
+    @pytest.mark.parametrize("text", ['"x"', "true", "null", "NaN", None])
+    @pytest.mark.parametrize("entry, where, out_of_range", NUMBERS)
+    def test_bad_number_exits_two(self, tmp_path, capsys, entry, where,
+                                  out_of_range, text):
+        scen = tmp_path / "s.json"
+        scen.write_text(_scenario_text(entry, text or out_of_range))
+        assert main(["run", str(scen)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {where}: must be ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("entry, where, out_of_range", NUMBERS)
+    def test_good_number_runs(self, entry, where, out_of_range):
+        value = "0.5" if where.endswith("radius") else "2"
+        report = run_scenario(json.loads(_scenario_text(entry, value)))
+        assert report.records and report.all_passed
+
+    def test_empty_lambdas_rejected(self):
+        obj = {"name": "x", "seed": 1, "checks": [
+            {"check": "secular_oracle", "models": [{"random": {"N": 2}}],
+             "lambdas": []}]}
+        with pytest.raises(ScenarioError, match=r"checks\[0\]\.lambdas: must "
+                           "be a non-empty list"):
+            run_scenario(obj)
+
+    def test_zero_coupling_stays_valid(self):
+        obj = {"name": "x", "seed": 1, "checks": [
+            {"check": "secular_oracle", "models": [{"random": {"N": 3}}],
+             "lambdas": [0, 0.0]}]}
+        report = run_scenario(obj)
+        assert report.all_passed and len(report.records) == 4
