@@ -3,10 +3,13 @@
 A scenario is a JSON file naming a seed, optional tolerance overrides and a
 list of checks; each check pulls its inputs (operator models, inner
 functions, perturbation families, Borel sets, parameter grids) either
-explicitly from the file or from the seeded generator.  All randomness
-derives from the single scenario seed through a counter-based Philox
-generator keyed by (seed, check index, item index), so reruns are
-bit-identical and checks can execute concurrently without sharing state.
+explicitly from the file or from the seeded generator.  One driver walks
+the item list of every check entry, and every field is read through a
+validating reader, so a malformed entry raises ScenarioError naming the
+field, e.g. ``checks[0].models[1].random.N``.  All randomness derives from
+the single scenario seed through a counter-based Philox generator keyed by
+(seed, check index, item index), so reruns are bit-identical and checks can
+execute concurrently without sharing state.
 
 Report values are serialized as shortest round-trip decimal strings of the
 underlying binary64 numbers; wall-clock timings are kept out of the
@@ -23,12 +26,12 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
 from .errors import ClarkLabError, ScenarioError
-from .herglotz import BlaschkeProduct, blaschke_eval, blaschke_from_json_dict
+from .herglotz import BlaschkeProduct, blaschke_eval
 from .measures import (BorelSetSpec, LineAtomicMeasure, TWO_PI,
                        cauchy_transform_disk, measure_from_json_dict)
 from .modelspace import (_intertwine_residual, _transform_context,
@@ -38,13 +41,11 @@ from .rankone import (CyclicOperatorModel, circle_measure_deviation,
                       clark_measure, disintegration_check_circle,
                       disintegration_check_line, inner_from_unitary,
                       matrix_oracle_selfadjoint, matrix_oracle_unitary,
-                      model_from_json_dict, perturb_selfadjoint,
-                      simon_wolff_classify)
+                      perturb_selfadjoint, simon_wolff_classify)
 from .rankn import (AnalyticCurve, RankNPerturbationFamily, _staged_spectra,
-                    curve_disintegration_check, family_from_json_dict,
-                    family_model_space, herglotz_positivity_check,
-                    knu_alpha_beta, phi_density, theorem4_axis_criterion,
-                    theorem9_nullset_check)
+                    curve_disintegration_check, family_model_space,
+                    herglotz_positivity_check, knu_alpha_beta, phi_density,
+                    theorem4_axis_criterion, theorem9_nullset_check)
 
 DEFAULT_TOLERANCES = {
     "algebraic": 1e-9,   # exact identities evaluated in closed form
@@ -137,21 +138,28 @@ def random_family(rng: np.random.Generator, dimension: int, n: int
 # Spec resolution
 # ---------------------------------------------------------------------------
 
-def _resolve_model(spec: Any, rng: np.random.Generator,
-                   where: str = "checks[].models") -> tuple[CyclicOperatorModel, str]:
+def _resolve_model(spec: Any, rng: np.random.Generator, where: str
+                   ) -> tuple[CyclicOperatorModel, str]:
     if isinstance(spec, dict) and "random" in spec:
         r = spec["random"]
-        n = _count(r.get("N"), f"{where}.random.N")
-        model = random_model_rng(rng, n, r.get("kind", "line"))
-        return model, f"random(N={n},kind={r.get('kind', 'line')})"
+        n = _count(_field(r, "N", f"{where}.random"), f"{where}.random.N")
+        kind = _kind(r.get("kind", "line"), f"{where}.random.kind")
+        return random_model_rng(rng, n, kind), f"random(N={n},kind={kind})"
     if isinstance(spec, dict) and "kind" in spec:
-        return model_from_json_dict(spec), f"explicit({spec['kind']},N={len(spec['sites'])})"
+        model = _explicit_model(spec, where)
+        return model, f"explicit({model.kind},N={model.dimension})"
     raise ScenarioError(f"{where}: unrecognized model spec {spec!r}")
 
 
-def _resolve_theta(spec: Any, rng: np.random.Generator,
-                   where: str = "checks[].thetas", zero_at_origin: bool = False
-                   ) -> tuple[BlaschkeProduct, str]:
+def _explicit_model(spec: Any, where: str) -> CyclicOperatorModel:
+    return CyclicOperatorModel.from_data(
+        _kind(_field(spec, "kind", where), f"{where}.kind"),
+        _reals(_field(spec, "sites", where), f"{where}.sites"),
+        _reals(_field(spec, "weights", where), f"{where}.weights"))
+
+
+def _resolve_theta(spec: Any, rng: np.random.Generator, where: str,
+                   zero_at_origin: bool = False) -> tuple[BlaschkeProduct, str]:
     if isinstance(spec, dict) and "power" in spec:
         k = _count(spec["power"], f"{where}.power")
         return BlaschkeProduct((0.0 + 0.0j,) * k, 1.0 + 0.0j), f"z^{k}"
@@ -162,39 +170,43 @@ def _resolve_theta(spec: Any, rng: np.random.Generator,
                                 zero_at_origin or bool(spec.get("zero_at_origin", False)))
         return theta, f"random(degree={deg})"
     if isinstance(spec, dict) and "zeros" in spec:
-        return blaschke_from_json_dict(spec), f"explicit(degree={len(spec['zeros'])})"
+        zeros = _complexes(spec["zeros"], f"{where}.zeros", empty=True)
+        c = complex(*_pair(_field(spec, "c", where), f"{where}.c"))
+        return BlaschkeProduct(tuple(zeros), c), f"explicit(degree={len(zeros)})"
     raise ScenarioError(f"{where}: unrecognized inner-function spec {spec!r}")
 
 
-def _resolve_borel(spec: Any) -> BorelSetSpec:
-    try:
-        return BorelSetSpec(spec["space"], tuple((float(a), float(b))
-                                                 for a, b in spec["pieces"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ScenarioError(f"checks[].borel: malformed Borel set spec: {exc}") from exc
+def _resolve_borel(spec: Any, where: str) -> BorelSetSpec:
+    space = _kind(_field(spec, "space", where), f"{where}.space")
+    pieces = _list(_field(spec, "pieces", where), f"{where}.pieces", empty=True)
+    return BorelSetSpec(space, tuple(_pair(piece, f"{where}.pieces[{k}]")
+                                     for k, piece in enumerate(pieces)))
 
 
-def _resolve_family(spec: Any, rng: np.random.Generator,
-                    where: str = "checks[].families"
+def _resolve_family(spec: Any, rng: np.random.Generator, where: str
                     ) -> tuple[RankNPerturbationFamily, str]:
     if isinstance(spec, dict) and "random" in spec:
         r = spec["random"]
-        big_n = _count(r.get("N"), f"{where}.random.N")
+        big_n = _count(_field(r, "N", f"{where}.random"), f"{where}.random.N")
         n = _count(r.get("n", 2), f"{where}.random.n")
         return random_family(rng, big_n, n), f"random(N={big_n},n={n})"
     if isinstance(spec, dict) and "base" in spec:
-        fam = family_from_json_dict(spec)
+        vectors = _list(_field(spec, "vectors", where), f"{where}.vectors")
+        fam = RankNPerturbationFamily(
+            _explicit_model(spec["base"], f"{where}.base"),
+            tuple(np.array(_complexes(v, f"{where}.vectors[{k}]"))
+                  for k, v in enumerate(vectors)))
         return fam, f"explicit(N={fam.base.dimension},n={fam.n})"
     raise ScenarioError(f"{where}: unrecognized family spec {spec!r}")
 
 
-def _resolve_curve(spec: Any, rng: np.random.Generator,
-                   where: str = "checks[].curves") -> tuple[AnalyticCurve, str]:
+def _resolve_curve(spec: Any, rng: np.random.Generator, where: str
+                   ) -> tuple[AnalyticCurve, str]:
     if not isinstance(spec, dict) or "components" not in spec:
         raise ScenarioError(f"{where}: unrecognized curve spec {spec!r}")
     comps = []
     labels = []
-    for k, comp in enumerate(spec["components"]):
+    for k, comp in enumerate(_list(spec["components"], f"{where}.components")):
         theta, label = _resolve_theta(comp, rng, f"{where}.components[{k}]")
         comps.append(theta)
         labels.append(label)
@@ -275,321 +287,300 @@ def report_to_json(report: RunReport, timings: bool = False) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Check handlers.  Each receives (scenario seed, check index, spec,
-# tolerances) and returns a list of CheckRecords.
+# Check handlers.  A check entry lists its items under one field, and its
+# body checks one item: _each turns the body into the handler that CHECKS
+# holds, which receives (scenario seed, check index, spec, tolerances) and
+# returns a list of CheckRecords.
 # ---------------------------------------------------------------------------
 
-def _check_secular_oracle(seed, idx, spec, tol) -> list[CheckRecord]:
+class _Item(NamedTuple):
+    """One entry of a check's list field, as the check's body receives it."""
+    spec: Any                 # the entry as the scenario gives it
+    index: int                # its position in the list
+    where: str                # its field path, e.g. checks[0].models[1]
+    check: str                # the check entry's path, e.g. checks[0]
+    key: tuple                # (seed, check index, index)
+    rng: np.random.Generator  # the generator keyed by ``key``
+
+
+def _each(field_name: str, body: Callable) -> Callable:
+    """The handler that runs ``body(item, spec, tol)`` on every entry of the
+    check's non-empty list ``spec[field_name]`` and joins their records in
+    list order.  A ClarkLabError raised by the body leaves carrying the
+    entry's path as ``input``."""
+    def handler(seed, idx, spec, tol) -> list[CheckRecord]:
+        check = f"checks[{idx}]"
+        where = f"{check}.{field_name}"
+        records = []
+        for i, value in enumerate(_list(spec.get(field_name), where)):
+            key = (seed, idx, i)
+            item = _Item(value, i, f"{where}[{i}]", check, key, _rng(*key))
+            try:
+                records += body(item, spec, tol)
+            except ClarkLabError as exc:
+                exc.input = item.where
+                raise
+        return records
+    return handler
+
+
+def _within(name: str, params: dict, dev: float, tol: float) -> CheckRecord:
+    """The record of a deviation from 0 that passes within ``tol``."""
+    return CheckRecord(name, params, dev, 0.0, tol, dev <= tol)
+
+
+def _check_secular_oracle(item, spec, tol) -> list[CheckRecord]:
     records = []
-    lambdas = _reals(spec.get("lambdas", [0.5, -0.5]), f"checks[{idx}].lambdas")
-    for i, mspec in enumerate(spec["models"]):
-        model, label = _resolve_model(mspec, _rng(seed, idx, i),
-                                      f"checks[{idx}].models[{i}]")
-        for lam in lambdas:
-            got = perturb_selfadjoint(model, lam)
-            want = matrix_oracle_selfadjoint(model, lam)
-            pos_dev = float(np.max(np.abs(np.asarray(got.positions)
-                                          - np.asarray(want.positions))))
-            mass_dev = float(np.max(np.abs(np.asarray(got.masses)
-                                           - np.asarray(want.masses))))
-            pos_tol = 1e-9 * (1.0 + abs(lam))
-            params = {"model": label, "index": i, "lambda": lam}
-            records.append(CheckRecord("secular_oracle.positions", params,
-                                       pos_dev, 0.0, pos_tol, pos_dev <= pos_tol))
-            records.append(CheckRecord("secular_oracle.masses", params,
-                                       mass_dev, 0.0, tol["oracle"],
-                                       mass_dev <= tol["oracle"]))
+    lambdas = _reals(spec.get("lambdas", [0.5, -0.5]), f"{item.check}.lambdas")
+    model, label = _resolve_model(item.spec, item.rng, item.where)
+    for lam in lambdas:
+        got = perturb_selfadjoint(model, lam)
+        want = matrix_oracle_selfadjoint(model, lam)
+        pos_dev = float(np.max(np.abs(np.asarray(got.positions)
+                                      - np.asarray(want.positions))))
+        mass_dev = float(np.max(np.abs(np.asarray(got.masses)
+                                       - np.asarray(want.masses))))
+        params = {"model": label, "index": item.index, "lambda": lam}
+        records += [_within("secular_oracle.positions", params, pos_dev,
+                            1e-9 * (1.0 + abs(lam))),
+                    _within("secular_oracle.masses", params, mass_dev, tol["oracle"])]
     return records
 
 
-def _check_clark_correspondence(seed, idx, spec, tol) -> list[CheckRecord]:
+def _check_clark_correspondence(item, spec, tol) -> list[CheckRecord]:
+    n_alphas = _count(spec.get("alpha_count", 8), f"{item.check}.alpha_count")
+    model, label = _resolve_model(item.spec, item.rng, item.where)
+    alphas = random_unimodular(item.rng, n_alphas)
+    theta = inner_from_unitary(model)
+    atom_dev = 0.0
+    mass_dev = 0.0
+    for alpha in alphas:
+        da, dm = circle_measure_deviation(
+            clark_measure(theta, alpha), matrix_oracle_unitary(model, alpha))
+        atom_dev = max(atom_dev, da)
+        mass_dev = max(mass_dev, dm)
+    params = {"model": label, "index": item.index, "alphas": len(alphas)}
+    return [_within("clark_correspondence.atoms", params, atom_dev, tol["algebraic"]),
+            _within("clark_correspondence.masses", params, mass_dev, tol["oracle"])]
+
+
+def _check_disintegration_line(item, spec, tol) -> list[CheckRecord]:
     records = []
-    n_alphas = _count(spec.get("alpha_count", 8), f"checks[{idx}].alpha_count")
-    for i, mspec in enumerate(spec["models"]):
-        rng = _rng(seed, idx, i)
-        model, label = _resolve_model(mspec, rng, f"checks[{idx}].models[{i}]")
-        alphas = random_unimodular(rng, n_alphas)
-        theta = inner_from_unitary(model)
-        atom_dev = 0.0
-        mass_dev = 0.0
-        for alpha in alphas:
-            da, dm = circle_measure_deviation(
-                clark_measure(theta, alpha), matrix_oracle_unitary(model, alpha))
-            atom_dev = max(atom_dev, da)
-            mass_dev = max(mass_dev, dm)
-        params = {"model": label, "index": i, "alphas": len(alphas)}
-        records.append(CheckRecord("clark_correspondence.atoms", params,
-                                   atom_dev, 0.0, tol["algebraic"],
-                                   atom_dev <= tol["algebraic"]))
-        records.append(CheckRecord("clark_correspondence.masses", params,
-                                   mass_dev, 0.0, tol["oracle"],
-                                   mass_dev <= tol["oracle"]))
+    window = _real(spec.get("window", 100.0), f"{item.check}.window", 0)
+    check_tol = _real(spec.get("tol", 1e-3), f"{item.check}.tol", 0)
+    model, label = _resolve_model(item.spec, item.rng, item.where)
+    sets = _list(spec.get("borel_sets"), f"{item.check}.borel_sets")
+    for j, bspec in enumerate(sets):
+        borel = _resolve_borel(bspec, f"{item.check}.borel_sets[{j}]")
+        res = disintegration_check_line(model, borel, window=window, tol=check_tol)
+        params = {"model": label, "index": item.index, "borel": j, "window": window}
+        records.append(CheckRecord("disintegration_line", params, res.estimate,
+                                   res.expected, check_tol, res.defect <= check_tol))
     return records
 
 
-def _check_disintegration_line(seed, idx, spec, tol) -> list[CheckRecord]:
+def _check_disintegration_circle(item, spec, tol) -> list[CheckRecord]:
     records = []
-    window = _tolerance(spec.get("window", 100.0), f"checks[{idx}].window")
-    check_tol = _tolerance(spec.get("tol", 1e-3), f"checks[{idx}].tol")
-    for i, mspec in enumerate(spec["models"]):
-        model, label = _resolve_model(mspec, _rng(seed, idx, i),
-                                      f"checks[{idx}].models[{i}]")
-        for j, bspec in enumerate(spec["borel_sets"]):
-            borel = _resolve_borel(bspec)
-            res = disintegration_check_line(model, borel, window=window,
-                                            tol=check_tol)
-            params = {"model": label, "index": i, "borel": j, "window": window}
-            records.append(CheckRecord("disintegration_line", params,
-                                       res.estimate, res.expected, check_tol,
-                                       res.defect <= check_tol))
+    check_tol = _real(spec.get("tol", 1e-6), f"{item.check}.tol", 0)
+    theta, label = _resolve_theta(item.spec, item.rng, item.where)
+    sets = _list(spec.get("borel_sets"), f"{item.check}.borel_sets")
+    for j, bspec in enumerate(sets):
+        borel = _resolve_borel(bspec, f"{item.check}.borel_sets[{j}]")
+        res = disintegration_check_circle(theta, borel, tol=check_tol)
+        params = {"theta": label, "index": item.index, "borel": j}
+        records.append(CheckRecord("disintegration_circle", params, res.estimate,
+                                   res.expected, check_tol, res.defect <= check_tol))
     return records
 
 
-def _check_disintegration_circle(seed, idx, spec, tol) -> list[CheckRecord]:
+def _check_modelspace_suite(item, spec, tol) -> list[CheckRecord]:
+    n_alphas = _count(spec.get("alpha_count", 4), f"{item.check}.alpha_count")
+    n_vectors = _count(spec.get("vector_count", 20), f"{item.check}.vector_count")
+    rng = item.rng
+    degree = _count(item.spec, item.where)
+    theta = random_blaschke(rng, degree, zero_at_origin=True)
+    ms = build_model_space(theta)
+    alphas = random_unimodular(rng, n_alphas)
+    unit_dev = 0.0
+    intertwine_dev = 0.0
+    spectral_dev = 0.0
+    for alpha in alphas:
+        t = t_alpha_matrix(ms, alpha)
+        mu = clark_measure(theta, alpha)
+        unit_dev = max(unit_dev, float(np.linalg.norm(
+            t.conj().T @ t - np.eye(degree), 2)))
+        intertwine_dev = max(intertwine_dev, _intertwine_residual(ms, mu, t))
+        eig_angles = np.sort(np.angle(np.linalg.eigvals(t)) % TWO_PI)
+        spectral_dev = max(spectral_dev, float(np.max(np.abs(np.angle(
+            np.exp(1j * (eig_angles - np.asarray(mu.angles))))))))
+    iso_dev = 0.0
+    for _ in range(n_vectors):
+        alpha = complex(random_unimodular(rng, 1)[0])
+        mu = clark_measure(theta, alpha)
+        vals = rng.normal(size=degree) + 1j * rng.normal(size=degree)
+        f = v_alpha(ms, alpha, vals, mu=mu)
+        l2 = math.sqrt(float(np.sum(np.asarray(mu.masses) * np.abs(vals) ** 2)))
+        iso_dev = max(iso_dev, abs(f.norm() - l2))
+    params = {"degree": degree, "alphas": n_alphas}
+    return [_within("modelspace.unitarity", params, unit_dev, 1e-10),
+            _within("modelspace.intertwine", params, intertwine_dev, tol["algebraic"]),
+            _within("modelspace.spectral", params, spectral_dev, tol["algebraic"]),
+            _within("modelspace.isometry", params, iso_dev, tol["algebraic"])]
+
+
+def _check_lemma7_suite(item, spec, tol) -> list[CheckRecord]:
     records = []
-    check_tol = _tolerance(spec.get("tol", 1e-6), f"checks[{idx}].tol")
-    for i, tspec in enumerate(spec["thetas"]):
-        theta, label = _resolve_theta(tspec, _rng(seed, idx, i),
-                                      f"checks[{idx}].thetas[{i}]")
-        for j, bspec in enumerate(spec["borel_sets"]):
-            borel = _resolve_borel(bspec)
-            res = disintegration_check_circle(theta, borel, tol=check_tol)
-            params = {"theta": label, "index": i, "borel": j}
-            records.append(CheckRecord("disintegration_circle", params,
-                                       res.estimate, res.expected, check_tol,
-                                       res.defect <= check_tol))
+    n_samples = _count(spec.get("samples", 64), f"{item.check}.samples")
+    n_vectors = _count(spec.get("vector_count", 2), f"{item.check}.vector_count")
+    rng = item.rng
+    theta, label = _resolve_theta(item.spec, rng, item.where, zero_at_origin=True)
+    ms = build_model_space(theta)
+    for rep in range(n_vectors):
+        coeffs = rng.normal(size=theta.degree) + 1j * rng.normal(size=theta.degree)
+        coeffs /= np.linalg.norm(coeffs)
+        f = ms.vector(coeffs)
+        g, h = lemma7_decompose(ms, f)
+        xi = np.exp(1j * rng.uniform(0.0, TWO_PI, n_samples))
+        f0, f0h = map(ms.vector, _transform_context(ms, f).coeffs[:2])
+        resid = np.abs(ms.eval_vector(f0, xi) * ms.eval_vector(f0h, xi)
+                       - ms.eval_vector(g, xi)
+                       - blaschke_eval(ms.theta, xi) * ms.eval_vector(h, xi))
+        boundary_dev = float(np.max(resid))
+        alpha = complex(random_unimodular(rng, 1)[0])
+        z = 0.6 * complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        mu = clark_measure(theta, alpha)
+        fvals = np.abs(v_alpha_star(ms, alpha, f, mu=mu)) ** 2
+        weighted = type(mu).from_atoms(zip(mu.angles, fvals * np.asarray(mu.masses)))
+        direct = cauchy_transform_disk(weighted, z)
+        closed = knu_alpha(ms, f, alpha, z)
+        transform_dev = abs(direct - closed)
+        params = {"theta": label, "index": item.index, "rep": rep}
+        records += [
+            _within("lemma7.boundary", params, boundary_dev, tol["algebraic"]),
+            _within("lemma7.transform", params, transform_dev, tol["algebraic"])]
     return records
 
 
-def _check_modelspace_suite(seed, idx, spec, tol) -> list[CheckRecord]:
-    records = []
-    n_alphas = _count(spec.get("alpha_count", 4), f"checks[{idx}].alpha_count")
-    n_vectors = _count(spec.get("vector_count", 20), f"checks[{idx}].vector_count")
-    for i, degree in enumerate(spec["degrees"]):
-        rng = _rng(seed, idx, i)
-        degree = _count(degree, f"checks[{idx}].degrees[{i}]")
-        theta = random_blaschke(rng, degree, zero_at_origin=True)
-        ms = build_model_space(theta)
-        alphas = random_unimodular(rng, n_alphas)
-        unit_dev = 0.0
-        intertwine_dev = 0.0
-        spectral_dev = 0.0
-        for alpha in alphas:
-            t = t_alpha_matrix(ms, alpha)
-            mu = clark_measure(theta, alpha)
-            unit_dev = max(unit_dev, float(np.linalg.norm(
-                t.conj().T @ t - np.eye(degree), 2)))
-            intertwine_dev = max(intertwine_dev, _intertwine_residual(ms, mu, t))
-            eig_angles = np.sort(np.angle(np.linalg.eigvals(t)) % TWO_PI)
-            spectral_dev = max(spectral_dev, float(np.max(np.abs(np.angle(
-                np.exp(1j * (eig_angles - np.asarray(mu.angles))))))))
-        iso_dev = 0.0
-        for _ in range(n_vectors):
-            alpha = complex(random_unimodular(rng, 1)[0])
-            mu = clark_measure(theta, alpha)
-            vals = rng.normal(size=degree) + 1j * rng.normal(size=degree)
-            f = v_alpha(ms, alpha, vals, mu=mu)
-            l2 = math.sqrt(float(np.sum(np.asarray(mu.masses) * np.abs(vals) ** 2)))
-            iso_dev = max(iso_dev, abs(f.norm() - l2))
-        params = {"degree": degree, "alphas": n_alphas}
-        records.append(CheckRecord("modelspace.unitarity", params, unit_dev,
-                                   0.0, 1e-10, unit_dev <= 1e-10))
-        records.append(CheckRecord("modelspace.intertwine", params,
-                                   intertwine_dev, 0.0, tol["algebraic"],
-                                   intertwine_dev <= tol["algebraic"]))
-        records.append(CheckRecord("modelspace.spectral", params, spectral_dev,
-                                   0.0, tol["algebraic"],
-                                   spectral_dev <= tol["algebraic"]))
-        records.append(CheckRecord("modelspace.isometry", params, iso_dev,
-                                   0.0, tol["algebraic"],
-                                   iso_dev <= tol["algebraic"]))
-    return records
+def _check_two_parameter_oracle(item, spec, tol) -> list[CheckRecord]:
+    na = _count(spec.get("alpha_count", 8), f"{item.check}.alpha_count")
+    nb = _count(spec.get("beta_count", 8), f"{item.check}.beta_count")
+    nz = _count(spec.get("z_count", 4), f"{item.check}.z_count")
+    rng = item.rng
+    family, label = _resolve_family(item.spec, rng, item.where)
+    ms, f = family_model_space(family)
+    alphas = random_unimodular(rng, na)
+    betas = random_unimodular(rng, nb)
+    zs = 0.7 * np.sqrt(rng.uniform(0, 1, nz)) * random_unimodular(rng, nz)
+    points = np.stack(np.meshgrid(alphas, betas, indexing="ij"),
+                      axis=-1).reshape(-1, 2)
+    angles, masses = _staged_spectra(family, points, family.vectors[1])
+    # cauchy_transform_disk of every oracle measure at every z
+    direct = np.sum(masses[:, None, :] / (
+        1.0 - np.exp(-1j * angles)[:, None, :] * zs[:, None]), axis=-1)
+    closed = np.array([knu_alpha_beta(ms, f, alpha, beta, zs)
+                       for alpha, beta in points])
+    dev = float(np.max(np.abs(direct - closed)))
+    params = {"family": label, "index": item.index, "grid": f"{na}x{nb}x{nz}"}
+    return [_within("two_parameter_oracle", params, dev, tol["oracle"])]
 
 
-def _check_lemma7_suite(seed, idx, spec, tol) -> list[CheckRecord]:
-    records = []
-    n_samples = _count(spec.get("samples", 64), f"checks[{idx}].samples")
-    n_vectors = _count(spec.get("vector_count", 2), f"checks[{idx}].vector_count")
-    for i, tspec in enumerate(spec["thetas"]):
-        rng = _rng(seed, idx, i)
-        theta, label = _resolve_theta(tspec, rng, f"checks[{idx}].thetas[{i}]",
-                                      zero_at_origin=True)
-        ms = build_model_space(theta)
-        for rep in range(n_vectors):
-            coeffs = rng.normal(size=theta.degree) + 1j * rng.normal(size=theta.degree)
-            coeffs /= np.linalg.norm(coeffs)
-            f = ms.vector(coeffs)
-            g, h = lemma7_decompose(ms, f)
-            xi = np.exp(1j * rng.uniform(0.0, TWO_PI, n_samples))
-            f0, f0h = map(ms.vector, _transform_context(ms, f).coeffs[:2])
-            resid = np.abs(ms.eval_vector(f0, xi) * ms.eval_vector(f0h, xi)
-                           - ms.eval_vector(g, xi)
-                           - blaschke_eval(ms.theta, xi) * ms.eval_vector(h, xi))
-            boundary_dev = float(np.max(resid))
-            alpha = complex(random_unimodular(rng, 1)[0])
-            z = 0.6 * complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-            mu = clark_measure(theta, alpha)
-            fvals = np.abs(v_alpha_star(ms, alpha, f, mu=mu)) ** 2
-            weighted = type(mu).from_atoms(zip(mu.angles, fvals * np.asarray(mu.masses)))
-            direct = cauchy_transform_disk(weighted, z)
-            closed = knu_alpha(ms, f, alpha, z)
-            transform_dev = abs(direct - closed)
-            params = {"theta": label, "index": i, "rep": rep}
-            records.append(CheckRecord("lemma7.boundary", params, boundary_dev,
-                                       0.0, tol["algebraic"],
-                                       boundary_dev <= tol["algebraic"]))
-            records.append(CheckRecord("lemma7.transform", params,
-                                       transform_dev, 0.0, tol["algebraic"],
-                                       transform_dev <= tol["algebraic"]))
-    return records
-
-
-def _check_two_parameter_oracle(seed, idx, spec, tol) -> list[CheckRecord]:
-    records = []
-    na = _count(spec.get("alpha_count", 8), f"checks[{idx}].alpha_count")
-    nb = _count(spec.get("beta_count", 8), f"checks[{idx}].beta_count")
-    nz = _count(spec.get("z_count", 4), f"checks[{idx}].z_count")
-    for i, fspec in enumerate(spec["families"]):
-        rng = _rng(seed, idx, i)
-        family, label = _resolve_family(fspec, rng, f"checks[{idx}].families[{i}]")
-        ms, f = family_model_space(family)
-        alphas = random_unimodular(rng, na)
-        betas = random_unimodular(rng, nb)
-        zs = 0.7 * np.sqrt(rng.uniform(0, 1, nz)) * random_unimodular(rng, nz)
-        points = np.stack(np.meshgrid(alphas, betas, indexing="ij"),
-                          axis=-1).reshape(-1, 2)
-        angles, masses = _staged_spectra(family, points, family.vectors[1])
-        # cauchy_transform_disk of every oracle measure at every z
-        direct = np.sum(masses[:, None, :] / (
-            1.0 - np.exp(-1j * angles)[:, None, :] * zs[:, None]), axis=-1)
-        closed = np.array([knu_alpha_beta(ms, f, alpha, beta, zs)
-                           for alpha, beta in points])
-        dev = float(np.max(np.abs(direct - closed)))
-        params = {"family": label, "index": i, "grid": f"{na}x{nb}x{nz}"}
-        records.append(CheckRecord("two_parameter_oracle", params, dev, 0.0,
-                                   tol["oracle"], dev <= tol["oracle"]))
-    return records
-
-
-def _check_positivity_bounds(seed, idx, spec, tol) -> list[CheckRecord]:
-    records = []
-    na = _count(spec.get("alpha_count", 32), f"checks[{idx}].alpha_count")
-    nz = _count(spec.get("z_count", 32), f"checks[{idx}].z_count")
-    max_r = _real(spec.get("max_z_radius", 0.95), f"checks[{idx}].max_z_radius",
+def _check_positivity_bounds(item, spec, tol) -> list[CheckRecord]:
+    na = _count(spec.get("alpha_count", 32), f"{item.check}.alpha_count")
+    nz = _count(spec.get("z_count", 32), f"{item.check}.z_count")
+    max_r = _real(spec.get("max_z_radius", 0.95), f"{item.check}.max_z_radius",
                   0, 1)
-    for i, fspec in enumerate(spec["families"]):
-        rng = _rng(seed, idx, i)
-        family, label = _resolve_family(fspec, rng, f"checks[{idx}].families[{i}]")
-        ms, f = family_model_space(family)
-        alphas = random_unimodular(rng, na)
-        zs = max_r * np.sqrt(rng.uniform(0, 1, nz)) * random_unimodular(rng, nz)
-        smallest = herglotz_positivity_check(ms, f, alphas, zs)
-        params = {"family": label, "index": i}
-        records.append(CheckRecord("positivity.min_real_part", params,
-                                   smallest, 0.5, 1e-9, smallest > 0.5 - 1e-9))
-        for j, cspec in enumerate(spec.get("curves", [])):
-            curve, clabel = _resolve_curve(cspec, _rng(seed, idx, i, j),
-                                           f"checks[{idx}].curves[{j}]")
-            bound = 1.0 / (1.0 - abs(blaschke_eval(curve.components[1], 0.0)))
-            worst = float(np.max(np.abs(phi_density(ms, f, curve, zs)),
-                                 initial=0.0))
-            excess = worst - bound
-            params_c = {"family": label, "curve": clabel, "index": i}
-            records.append(CheckRecord("positivity.phi_bound", params_c,
-                                       excess, 0.0, 1e-9, excess <= 1e-9))
+    rng = item.rng
+    family, label = _resolve_family(item.spec, rng, item.where)
+    ms, f = family_model_space(family)
+    alphas = random_unimodular(rng, na)
+    zs = max_r * np.sqrt(rng.uniform(0, 1, nz)) * random_unimodular(rng, nz)
+    smallest = herglotz_positivity_check(ms, f, alphas, zs)
+    params = {"family": label, "index": item.index}
+    records = [CheckRecord("positivity.min_real_part", params, smallest, 0.5, 1e-9,
+                           smallest > 0.5 - 1e-9)]
+    curves = _list(spec.get("curves", []), f"{item.check}.curves", empty=True)
+    for j, cspec in enumerate(curves):
+        curve, clabel = _resolve_curve(cspec, _rng(*item.key, j),
+                                       f"{item.check}.curves[{j}]")
+        bound = 1.0 / (1.0 - abs(blaschke_eval(curve.components[1], 0.0)))
+        worst = float(np.max(np.abs(phi_density(ms, f, curve, zs)), initial=0.0))
+        params = {"family": label, "curve": clabel, "index": item.index}
+        records.append(_within("positivity.phi_bound", params, worst - bound, 1e-9))
     return records
 
 
-def _check_curve_disintegration(seed, idx, spec, tol) -> list[CheckRecord]:
-    records = []
-    check_tol = _tolerance(spec.get("tol", 1e-4), f"checks[{idx}].tol")
-    for i, case in enumerate(spec["cases"]):
-        rng = _rng(seed, idx, i)
-        family, flabel = _resolve_family(case["family"], rng,
-                                         f"checks[{idx}].cases[{i}].family")
-        curve, clabel = _resolve_curve(case["curve"], rng,
-                                       f"checks[{idx}].cases[{i}].curve")
-        borel = _resolve_borel(case["borel"])
-        res = curve_disintegration_check(family, curve, borel, tol=check_tol)
-        params = {"family": flabel, "curve": clabel, "index": i}
-        records.append(CheckRecord("curve_disintegration", params,
-                                   res.average, res.density_integral,
-                                   check_tol, res.defect <= check_tol))
-    return records
+def _check_curve_disintegration(item, spec, tol) -> list[CheckRecord]:
+    check_tol = _real(spec.get("tol", 1e-4), f"{item.check}.tol", 0)
+    case, where = item.spec, item.where
+    family, flabel = _resolve_family(_field(case, "family", where), item.rng,
+                                     f"{where}.family")
+    curve, clabel = _resolve_curve(_field(case, "curve", where), item.rng,
+                                   f"{where}.curve")
+    borel = _resolve_borel(_field(case, "borel", where), f"{where}.borel")
+    res = curve_disintegration_check(family, curve, borel, tol=check_tol)
+    params = {"family": flabel, "curve": clabel, "index": item.index}
+    return [CheckRecord("curve_disintegration", params, res.average,
+                        res.density_integral, check_tol, res.defect <= check_tol)]
 
 
-def _check_simon_wolff(seed, idx, spec, tol) -> list[CheckRecord]:
-    records = []
-    for i, case in enumerate(spec["cases"]):
-        mu = measure_from_json_dict(case["measure"])
-        if not isinstance(mu, LineAtomicMeasure):
-            raise ScenarioError("checks[].cases[].measure: simon_wolff needs a line measure")
-        probes = _reals(case["probes"], f"checks[{idx}].cases[{i}].probes")
-        # a probe's integral is finite exactly when it misses every atom
-        mismatches = sum(rec["finite"] == (rec["probe"] in mu.positions)
-                         for rec in simon_wolff_classify(mu, probes))
-        params = {"index": i, "probes": len(probes)}
-        records.append(CheckRecord("simon_wolff.classification", params,
-                                   mismatches, 0, 0.0, mismatches == 0))
-    return records
+def _check_simon_wolff(item, spec, tol) -> list[CheckRecord]:
+    mu = measure_from_json_dict(_field(item.spec, "measure", item.where))
+    if not isinstance(mu, LineAtomicMeasure):
+        raise ScenarioError(f"{item.where}.measure: simon_wolff needs a line measure")
+    probes = _reals(_field(item.spec, "probes", item.where), f"{item.where}.probes")
+    # a probe's integral is finite exactly when it misses every atom
+    mismatches = sum(rec["finite"] == (rec["probe"] in mu.positions)
+                     for rec in simon_wolff_classify(mu, probes))
+    params = {"index": item.index, "probes": len(probes)}
+    return [CheckRecord("simon_wolff.classification", params, mismatches, 0, 0.0,
+                        mismatches == 0)]
 
 
-def _check_theorem4_axis(seed, idx, spec, tol) -> list[CheckRecord]:
-    records = []
-    n_probes = _count(spec.get("probe_count", 16), f"checks[{idx}].probe_count")
-    for i, fspec in enumerate(spec["families"]):
-        rng = _rng(seed, idx, i)
-        family, label = _resolve_family(fspec, rng, f"checks[{idx}].families[{i}]")
-        probes = random_unimodular(rng, n_probes)
-        reports = theorem4_axis_criterion(family, probes)
-        bad = sum(1 for rep in reports for rec in rep["records"]
-                  if not rec["finite"])
-        atom_probes = [complex(np.exp(1j * a)) for a in family.base.sites]
-        at_atoms = theorem4_axis_criterion(family, atom_probes)
-        bad_atoms = sum(1 for rep in at_atoms for rec in rep["records"]
-                        if rec["finite"])
-        params = {"family": label, "index": i}
-        records.append(CheckRecord("theorem4.off_atoms_finite", params, bad, 0,
-                                   0.0, bad == 0))
-        records.append(CheckRecord("theorem4.at_atoms_infinite", params,
-                                   bad_atoms, 0, 0.0, bad_atoms == 0))
-    return records
+def _check_theorem4_axis(item, spec, tol) -> list[CheckRecord]:
+    n_probes = _count(spec.get("probe_count", 16), f"{item.check}.probe_count")
+    family, label = _resolve_family(item.spec, item.rng, item.where)
+    probes = random_unimodular(item.rng, n_probes)
+    reports = theorem4_axis_criterion(family, probes)
+    bad = sum(1 for rep in reports for rec in rep["records"] if not rec["finite"])
+    atom_probes = [complex(np.exp(1j * a)) for a in family.base.sites]
+    at_atoms = theorem4_axis_criterion(family, atom_probes)
+    bad_atoms = sum(1 for rep in at_atoms for rec in rep["records"] if rec["finite"])
+    params = {"family": label, "index": item.index}
+    return [CheckRecord("theorem4.off_atoms_finite", params, bad, 0, 0.0, bad == 0),
+            CheckRecord("theorem4.at_atoms_infinite", params, bad_atoms, 0, 0.0,
+                        bad_atoms == 0)]
 
 
-def _check_theorem9_nullset(seed, idx, spec, tol) -> list[CheckRecord]:
-    records = []
-    for i, case in enumerate(spec["cases"]):
-        rng = _rng(seed, idx, i)
-        family, flabel = _resolve_family(case["family"], rng,
-                                         f"checks[{idx}].cases[{i}].family")
-        curve, clabel = _resolve_curve(case["curve"], rng,
-                                       f"checks[{idx}].cases[{i}].curve")
-        null_angles = _reals(case.get("null_angles", []),
-                             f"checks[{idx}].cases[{i}].null_angles", empty=True)
-        n_xi = _count(case.get("xi_count", 32), f"checks[{idx}].cases[{i}].xi_count")
-        xi_angles = rng.uniform(0.0, TWO_PI, n_xi)
-        report = theorem9_nullset_check(family, curve, null_angles, xi_angles)
-        params = {"family": flabel, "curve": clabel, "index": i,
-                  "null_points": len(null_angles)}
-        records.append(CheckRecord("theorem9.nullset", params,
-                                   len(report["violations"]), 0, 0.0,
-                                   report["pass"]))
-    return records
+def _check_theorem9_nullset(item, spec, tol) -> list[CheckRecord]:
+    case, where = item.spec, item.where
+    family, flabel = _resolve_family(_field(case, "family", where), item.rng,
+                                     f"{where}.family")
+    curve, clabel = _resolve_curve(_field(case, "curve", where), item.rng,
+                                   f"{where}.curve")
+    null_angles = _reals(case.get("null_angles", []), f"{where}.null_angles",
+                         empty=True)
+    n_xi = _count(case.get("xi_count", 32), f"{where}.xi_count")
+    xi_angles = item.rng.uniform(0.0, TWO_PI, n_xi)
+    report = theorem9_nullset_check(family, curve, null_angles, xi_angles)
+    params = {"family": flabel, "curve": clabel, "index": item.index,
+              "null_points": len(null_angles)}
+    return [CheckRecord("theorem9.nullset", params, len(report["violations"]), 0,
+                        0.0, report["pass"])]
 
 
 CHECKS: dict[str, Callable] = {
-    "secular_oracle": _check_secular_oracle,
-    "clark_correspondence": _check_clark_correspondence,
-    "disintegration_line": _check_disintegration_line,
-    "disintegration_circle": _check_disintegration_circle,
-    "modelspace_suite": _check_modelspace_suite,
-    "lemma7_suite": _check_lemma7_suite,
-    "two_parameter_oracle": _check_two_parameter_oracle,
-    "positivity_bounds": _check_positivity_bounds,
-    "curve_disintegration": _check_curve_disintegration,
-    "simon_wolff": _check_simon_wolff,
-    "theorem4_axis": _check_theorem4_axis,
-    "theorem9_nullset": _check_theorem9_nullset,
+    "secular_oracle": _each("models", _check_secular_oracle),
+    "clark_correspondence": _each("models", _check_clark_correspondence),
+    "disintegration_line": _each("models", _check_disintegration_line),
+    "disintegration_circle": _each("thetas", _check_disintegration_circle),
+    "modelspace_suite": _each("degrees", _check_modelspace_suite),
+    "lemma7_suite": _each("thetas", _check_lemma7_suite),
+    "two_parameter_oracle": _each("families", _check_two_parameter_oracle),
+    "positivity_bounds": _each("families", _check_positivity_bounds),
+    "curve_disintegration": _each("cases", _check_curve_disintegration),
+    "simon_wolff": _each("cases", _check_simon_wolff),
+    "theorem4_axis": _each("families", _check_theorem4_axis),
+    "theorem9_nullset": _each("cases", _check_theorem9_nullset),
 }
 
 
@@ -603,15 +594,6 @@ class Scenario:
     seed: int
     tolerances: dict
     checks: tuple
-
-
-def _tolerance(val, where: str) -> float:
-    """A tolerance as a float; a bool (an int in Python), NaN, an infinity
-    or a value <= 0 raises ScenarioError naming ``where``."""
-    if isinstance(val, bool) or not isinstance(val, (int, float)) \
-            or not 0 < val < math.inf:
-        raise ScenarioError(f"{where}: must be a positive finite number")
-    return float(val)
 
 
 def _count(val, where: str) -> int:
@@ -629,19 +611,56 @@ def _real(val, where: str, lo: float = -math.inf, hi: float = math.inf
     naming ``where``."""
     if isinstance(val, bool) or not isinstance(val, (int, float)) \
             or not (lo < val < hi and abs(val) <= sys.float_info.max):
-        span = ("a finite number" if (lo, hi) == (-math.inf, math.inf)
-                else f"a number in ({lo}, {hi})")
+        span = {(-math.inf, math.inf): "a finite number",
+                (0, math.inf): "a positive finite number"}.get(
+                    (lo, hi), f"a number in ({lo}, {hi})")
         raise ScenarioError(f"{where}: must be {span}")
     return float(val)
 
 
-def _reals(values, where: str, empty: bool = False) -> list[float]:
-    """A list of numbers, each read by ``_real``; an empty list raises
-    ScenarioError unless ``empty``."""
+def _list(values, where: str, empty: bool = False) -> list:
+    """``values`` as a list; anything else, or an empty list unless
+    ``empty``, raises ScenarioError naming ``where``."""
     if not isinstance(values, list) or not (values or empty):
         raise ScenarioError(f"{where}: must be a "
-                            f"{'' if empty else 'non-empty '}list of numbers")
-    return [_real(v, f"{where}[{k}]") for k, v in enumerate(values)]
+                            f"{'' if empty else 'non-empty '}list")
+    return values
+
+
+def _reals(values, where: str, empty: bool = False) -> list[float]:
+    """A list of numbers, each read by ``_real``."""
+    return [_real(v, f"{where}[{k}]")
+            for k, v in enumerate(_list(values, where, empty))]
+
+
+def _pair(val, where: str) -> tuple[float, float]:
+    """A list of two numbers, each read by ``_real``, as a tuple."""
+    if not isinstance(val, list) or len(val) != 2:
+        raise ScenarioError(f"{where}: must be a list of two numbers")
+    return _real(val[0], f"{where}[0]"), _real(val[1], f"{where}[1]")
+
+
+def _complexes(values, where: str, empty: bool = False) -> list[complex]:
+    """A list of [re, im] pairs, each read by ``_pair``, as complex numbers."""
+    return [complex(*_pair(v, f"{where}[{k}]"))
+            for k, v in enumerate(_list(values, where, empty))]
+
+
+def _kind(val, where: str) -> str:
+    """The kind of a model or the space of a Borel set: "line" or "circle"."""
+    if val not in ("line", "circle"):
+        raise ScenarioError(f'{where}: must be "line" or "circle"')
+    return val
+
+
+def _field(obj, key: str, where: str):
+    """The field ``key`` of the object at ``where``; a non-object or a
+    missing field raises ScenarioError naming it."""
+    if not isinstance(obj, dict):
+        raise ScenarioError(f"{where}: must be an object")
+    if key not in obj:
+        raise ScenarioError(f"{where}.{key}: required field")
+    return obj[key]
 
 
 def load_scenario(source) -> Scenario:
@@ -669,7 +688,7 @@ def load_scenario(source) -> Scenario:
     for key, val in obj.get("tolerances", {}).items():
         if key not in DEFAULT_TOLERANCES:
             raise ScenarioError(f"tolerances.{key}: unknown tolerance class")
-        tolerances[key] = _tolerance(val, f"tolerances.{key}")
+        tolerances[key] = _real(val, f"tolerances.{key}", 0)
     checks = obj.get("checks")
     if not isinstance(checks, list) or not checks:
         raise ScenarioError("checks: required non-empty list")
@@ -687,7 +706,8 @@ def run_scenario(source, workers: int = 1) -> RunReport:
 
     Records are assembled in check order regardless of completion order, so
     the report is identical for any worker count.  A ClarkLabError raised
-    by a check becomes one failed record; a ScenarioError propagates.
+    by a check becomes one failed record, which names the entry that raised
+    as ``input``; a ScenarioError propagates.
     """
     scenario = load_scenario(source)
 
@@ -702,6 +722,8 @@ def run_scenario(source, workers: int = 1) -> RunReport:
         except ClarkLabError as exc:
             params = {"index": idx, "error": type(exc).__name__,
                       "message": str(exc)}
+            if hasattr(exc, "input"):
+                params["input"] = exc.input
             records = [CheckRecord(chk["check"], params, None, None, 0.0, False)]
         elapsed = (time.perf_counter() - start) * 1e3
         for rec in records:

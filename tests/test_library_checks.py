@@ -3,7 +3,8 @@
 zero form only; monomial coefficients misrepresent high-degree roots, so the
 library forms none.  The library needs numpy alone; scipy is a test-only
 dependency.  The benchmark under ``perfbench/`` traces library functions
-by name, so every name it traces must still resolve.  No scenario check
+by name, so every name it traces must still resolve, and each check entry
+yields as many records as it counts for that entry.  No scenario check
 solves the same level set, or builds the same T_alpha, twice."""
 
 import ast
@@ -180,3 +181,33 @@ def test_no_check_handler_repeats_a_solve(monkeypatch):
     for path in paths:
         assert scenarios.run_scenario(path, workers=1).all_passed
     assert repeats == []
+
+
+def test_record_counts_follow_the_benchmark_rule(monkeypatch):
+    # perfbench's verify-all counts the records each check entry must
+    # yield; every entry of every bundled scenario must yield that many,
+    # in check order.  Read perfbench without writing bytecode into it.
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    try:
+        expected_record_count = importlib.import_module(
+            "workloads").expected_record_count
+    finally:
+        sys.modules.pop("workloads", None)
+        sys.modules.pop("oracle", None)
+    owner = {}
+    for check, handler in list(scenarios.CHECKS.items()):
+        def tagged(seed, idx, spec, tol, _handler=handler):
+            records = _handler(seed, idx, spec, tol)
+            owner.update((id(rec), idx) for rec in records)
+            return records
+
+        monkeypatch.setitem(scenarios.CHECKS, check, tagged)
+    paths = sorted((PACKAGE / "scenarios").glob("*.json"))
+    assert paths
+    for path in paths:
+        entries = scenarios.load_scenario(path).checks
+        report = scenarios.run_scenario(path, workers=2)
+        want = [idx for idx, entry in enumerate(entries)
+                for _ in range(expected_record_count(entry))]
+        assert [owner[id(rec)] for rec in report.records] == want, path.name

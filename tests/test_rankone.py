@@ -617,10 +617,12 @@ class TestDisintegrationCircle:
         idx, spec = next((k, c) for k, c in enumerate(scenario.checks)
                          if c["check"] == "disintegration_circle")
         for i, tspec in enumerate(spec["thetas"]):
-            theta, _ = _resolve_theta(tspec, _rng(scenario.seed, idx, i))
-            for bspec in spec["borel_sets"]:
+            theta, _ = _resolve_theta(tspec, _rng(scenario.seed, idx, i),
+                                      f"checks[{idx}].thetas[{i}]")
+            for j, bspec in enumerate(spec["borel_sets"]):
                 res = disintegration_check_circle(
-                    theta, _resolve_borel(bspec), tol=spec["tol"])
+                    theta, _resolve_borel(bspec, f"checks[{idx}].borel_sets[{j}]"),
+                    tol=spec["tol"])
                 assert res.defect <= 1e-12
 
 

@@ -172,7 +172,8 @@ class TestTwoParameterOracleCheck:
         assert len(records) == len(spec["families"])
         for i, (fspec, rec) in enumerate(zip(spec["families"], records)):
             rng = scenarios._rng(RANKN.seed, TWO_PARAMETER_INDEX, i)
-            family, _ = scenarios._resolve_family(fspec, rng)
+            family, _ = scenarios._resolve_family(
+                fspec, rng, f"checks[{TWO_PARAMETER_INDEX}].families[{i}]")
             ms, f = family_model_space(family)
             alphas = scenarios.random_unimodular(rng, spec["alpha_count"])
             betas = scenarios.random_unimodular(rng, spec["beta_count"])
@@ -438,6 +439,12 @@ NUMBERS = [
      "checks[0].cases[0].curve.components[1].power", "-2"),
     ({"check": "positivity_bounds", "families": [{"random": {"N": 2}}],
       "max_z_radius": "V"}, "checks[0].max_z_radius", "3.0"),
+    ({"check": "disintegration_circle", "thetas": [{"power": 1}],
+      "borel_sets": [{"space": "circle", "pieces": [[0.0, "V"]]}]},
+     "checks[0].borel_sets[0].pieces[0][1]", "Infinity"),
+    ({"check": "secular_oracle",
+      "models": [{"kind": "line", "sites": ["V"], "weights": [1.0]}]},
+     "checks[0].models[0].sites[0]", "-Infinity"),
 ]
 
 
@@ -481,3 +488,173 @@ class TestNumberValidation:
              "lambdas": [0, 0.0]}]}
         report = run_scenario(obj)
         assert report.all_passed and len(report.records) == 4
+
+
+def _assert_exits_two(tmp_path, capsys, text, where):
+    """``clark-lab run`` on the scenario ``text`` exits 2 with exactly one
+    ``error:`` line, which names ``where``, and prints nothing on stdout."""
+    scen = tmp_path / "s.json"
+    scen.write_text(text)
+    assert main(["run", str(scen)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {where}: ")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+H = math.sqrt(0.5)
+HALVES = {"kind": "circle", "sites": [0.0, math.pi], "weights": [0.5, 0.5]}
+
+# (check entry with the number under test as "V", the field named, a valid
+# value as JSON text) for the numbers whose valid value depends on the
+# others: weights sum to 1, zeros lie in the disk, c and vectors are unit
+PARTS = [
+    ({"check": "secular_oracle",
+      "models": [{"kind": "line", "sites": [0.0], "weights": ["V"]}]},
+     "checks[0].models[0].weights[0]", "1.0"),
+    ({"check": "disintegration_circle",
+      "thetas": [{"zeros": [["V", 0.0]], "c": [1.0, 0.0]}],
+      "borel_sets": [CIRCLE_SET]}, "checks[0].thetas[0].zeros[0][0]", "0.5"),
+    ({"check": "disintegration_circle",
+      "thetas": [{"zeros": [[0.5, "V"]], "c": [1.0, 0.0]}],
+      "borel_sets": [CIRCLE_SET]}, "checks[0].thetas[0].zeros[0][1]", "0.0"),
+    ({"check": "disintegration_circle",
+      "thetas": [{"zeros": [[0.0, 0.0]], "c": ["V", 0]}],
+      "borel_sets": [CIRCLE_SET]}, "checks[0].thetas[0].c[0]", "1.0"),
+    ({"check": "disintegration_circle",
+      "thetas": [{"zeros": [[0.0, 0.0]], "c": [0.0, "V"]}],
+      "borel_sets": [CIRCLE_SET]}, "checks[0].thetas[0].c[1]", "-1.0"),
+    ({"check": "theorem4_axis",
+      "families": [{"base": HALVES,
+                    "vectors": [[[H, 0.0], [H, 0.0]], [["V", 0.0], [-H, 0.0]]]}]},
+     "checks[0].families[0].vectors[1][0][0]", repr(H)),
+    ({"check": "theorem4_axis",
+      "families": [{"base": HALVES,
+                    "vectors": [[[H, 0.0], [H, 0.0]], [[H, 0.0], [-H, "V"]]]}]},
+     "checks[0].families[0].vectors[1][1][1]", "0.0"),
+]
+
+
+class TestPartValidation:
+    @pytest.mark.parametrize("text", ['"x"', "true", "null", "NaN", "Infinity"])
+    @pytest.mark.parametrize("entry, where, good", PARTS)
+    def test_bad_part_exits_two(self, tmp_path, capsys, entry, where, good,
+                                text):
+        _assert_exits_two(tmp_path, capsys, _scenario_text(entry, text), where)
+
+    @pytest.mark.parametrize("entry, where, good", PARTS)
+    def test_good_part_runs(self, entry, where, good):
+        report = run_scenario(json.loads(_scenario_text(entry, good)))
+        assert report.records and report.all_passed
+
+
+# One valid entry per check, small enough to run in well under a second
+VALID = {
+    "secular_oracle": {"models": [{"random": {"N": 2}}]},
+    "clark_correspondence": {"models": [{"random": {"N": 2, "kind": "circle"}}],
+                             "alpha_count": 2},
+    "disintegration_line": {"models": [{"random": {"N": 2}}],
+                            "borel_sets": [{"space": "line", "pieces": [[0, 1]]}]},
+    "disintegration_circle": {"thetas": [{"power": 1}], "borel_sets": [CIRCLE_SET]},
+    "modelspace_suite": {"degrees": [1], "alpha_count": 2, "vector_count": 2},
+    "lemma7_suite": {"thetas": [{"power": 1}], "vector_count": 1},
+    "two_parameter_oracle": {"families": [{"random": {"N": 2}}], "alpha_count": 2,
+                             "beta_count": 2, "z_count": 2},
+    "positivity_bounds": {"families": [{"random": {"N": 2}}], "alpha_count": 2,
+                          "z_count": 2, "curves": [CURVE]},
+    "curve_disintegration": {"cases": [{"family": {"random": {"N": 2}},
+                                        "curve": CURVE, "borel": CIRCLE_SET}]},
+    "simon_wolff": {"cases": [{"measure": LINE_POINT, "probes": [0.0, 1.0]}]},
+    "theorem4_axis": {"families": [{"random": {"N": 2}}], "probe_count": 2},
+    "theorem9_nullset": {"cases": [{"family": {"random": {"N": 2}}, "curve": CURVE}]},
+}
+
+# (check, list field) for every list a check entry walks
+LISTS = [("secular_oracle", "models"), ("clark_correspondence", "models"),
+         ("disintegration_line", "models"), ("disintegration_line", "borel_sets"),
+         ("disintegration_circle", "thetas"), ("disintegration_circle", "borel_sets"),
+         ("modelspace_suite", "degrees"), ("lemma7_suite", "thetas"),
+         ("two_parameter_oracle", "families"), ("positivity_bounds", "families"),
+         ("curve_disintegration", "cases"), ("simon_wolff", "cases"),
+         ("theorem4_axis", "families"), ("theorem9_nullset", "cases")]
+
+# (check, required field of each item of its "cases")
+CASE_FIELDS = [("curve_disintegration", "family"), ("curve_disintegration", "curve"),
+               ("curve_disintegration", "borel"), ("theorem9_nullset", "family"),
+               ("theorem9_nullset", "curve"), ("simon_wolff", "measure"),
+               ("simon_wolff", "probes")]
+
+
+def _malformed():
+    """(check entry, the field its error must name) for each structural
+    fault: three entries that ended in a Python traceback when the checks
+    indexed their lists unread, then every list field missing, 8, empty or
+    holding an item of the wrong type, every required field of a case
+    missing, and bad kinds."""
+    rows = [({"check": "secular_oracle"}, "checks[0].models"),
+            ({"check": "modelspace_suite", "degrees": 8}, "checks[0].degrees"),
+            ({"check": "secular_oracle", "models": [{"random": 5}]},
+             "checks[0].models[0].random")]
+    for check, key in LISTS:
+        entry = dict(VALID[check], check=check)
+        bad_item = "x" if key == "degrees" else 5
+        rows += [({k: v for k, v in entry.items() if k != key}, f"checks[0].{key}"),
+                 (dict(entry, **{key: 8}), f"checks[0].{key}"),
+                 (dict(entry, **{key: []}), f"checks[0].{key}"),
+                 (dict(entry, **{key: [bad_item]}), f"checks[0].{key}[0]")]
+    for check, name in CASE_FIELDS:
+        case = {k: v for k, v in VALID[check]["cases"][0].items() if k != name}
+        rows.append((dict(VALID[check], check=check, cases=[case]),
+                     f"checks[0].cases[0].{name}"))
+    curves = dict(VALID["positivity_bounds"], check="positivity_bounds")
+    rows += [(dict(curves, curves=8), "checks[0].curves"),
+             (dict(curves, curves=[5]), "checks[0].curves[0]"),
+             ({"check": "secular_oracle",
+               "models": [{"random": {"N": 3, "kind": "foo"}}]},
+              "checks[0].models[0].random.kind"),
+             ({"check": "secular_oracle",
+               "models": [{"kind": "foo", "sites": [0.0], "weights": [1.0]}]},
+              "checks[0].models[0].kind"),
+             ({"check": "disintegration_circle", "thetas": [{"power": 1}],
+               "borel_sets": [{"space": "foo", "pieces": [[0.0, 1.0]]}]},
+              "checks[0].borel_sets[0].space"),
+             ({"check": "disintegration_circle", "thetas": [{"power": 1}],
+               "borel_sets": [{"space": "circle", "pieces": [[0.0, 1.0, 2.0]]}]},
+              "checks[0].borel_sets[0].pieces[0]")]
+    return rows
+
+
+class TestStructureValidation:
+    @pytest.mark.parametrize("check", sorted(VALID))
+    def test_valid_entry_runs(self, check):
+        # each malformed entry below differs from one of these in one place
+        report = run_scenario({"name": "x", "seed": 1,
+                               "checks": [dict(VALID[check], check=check)]})
+        assert report.records and report.all_passed
+
+    def test_every_check_is_covered(self):
+        assert sorted(VALID) == sorted(scenarios.CHECKS)
+        assert {check for check, _ in LISTS} == set(scenarios.CHECKS)
+
+    @pytest.mark.parametrize("entry, where", _malformed())
+    def test_malformed_entry_exits_two(self, tmp_path, capsys, entry, where):
+        text = json.dumps({"name": "x", "seed": 1, "checks": [entry]})
+        _assert_exits_two(tmp_path, capsys, text, where)
+
+
+class TestFailedRecordInput:
+    def test_names_the_item_that_raised(self):
+        # the circle model checks; the line model has no inner function
+        obj = {"name": "x", "seed": 1, "checks": [
+            {"check": "clark_correspondence", "alpha_count": 2,
+             "models": [{"random": {"N": 2, "kind": "circle"}},
+                        {"random": {"N": 2, "kind": "line"}}]}]}
+        reports = [report_to_json(run_scenario(obj, workers=w)) for w in (1, 2)]
+        assert reports[0] == reports[1]
+        records = json.loads(reports[0])["records"]
+        assert len(records) == 1
+        assert records[0]["pass"] is False
+        assert records[0]["parameters"] == {
+            "index": 0, "error": "DomainError",
+            "message": "inner_from_unitary needs a circle model",
+            "input": "checks[0].models[1]"}
