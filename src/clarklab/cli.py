@@ -96,7 +96,8 @@ def _cmd_verify_all(args) -> int:
 
 
 def _cmd_clark(args) -> int:
-    theta = blaschke_from_json_dict(json.loads(Path(args.theta).read_text()))
+    theta = blaschke_from_json_dict(json.loads(Path(args.theta).read_text()),
+                                    "--theta")
     alpha = _parse_unimodular(args.alpha)
     mu = clark_measure(theta, alpha)
     print("angle,mass")
@@ -106,7 +107,7 @@ def _cmd_clark(args) -> int:
 
 
 def _cmd_perturb(args) -> int:
-    model = model_from_json_dict(json.loads(Path(args.model).read_text()))
+    model = model_from_json_dict(json.loads(Path(args.model).read_text()), "--model")
     mu = perturb_selfadjoint(model, args.lam)
     print("position,mass")
     for pos, mass in zip(mu.positions, mu.masses):

@@ -39,4 +39,5 @@ class CyclicityError(ClarkLabError):
 
 
 class ScenarioError(ClarkLabError):
-    """Scenario file failed to parse or validate; message names the field."""
+    """An input document (a scenario, model, inner-function, family or
+    measure object) failed to parse or validate; message names the field."""

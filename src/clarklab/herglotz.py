@@ -31,6 +31,7 @@ import numpy as np
 
 from .errors import (ConstructionError, DomainError, PoleError, ResidueError,
                      RootFindingError)
+from .fields import _complexes, _field, _pair
 from .measures import LineAtomicMeasure, cauchy_transform_line
 
 
@@ -148,9 +149,10 @@ def blaschke_to_json_dict(theta: BlaschkeProduct) -> dict:
             "c": [theta.c.real, theta.c.imag]}
 
 
-def blaschke_from_json_dict(obj: dict) -> BlaschkeProduct:
-    zeros = [complex(re, im) for re, im in obj["zeros"]]
-    c = complex(obj["c"][0], obj["c"][1])
+def blaschke_from_json_dict(obj, where: str = "theta") -> BlaschkeProduct:
+    """The product ``obj`` describes; a bad field raises ScenarioError."""
+    zeros = _complexes(_field(obj, "zeros", where), f"{where}.zeros", empty=True)
+    c = complex(*_pair(_field(obj, "c", where), f"{where}.c"))
     return BlaschkeProduct(tuple(zeros), c)
 
 

@@ -29,6 +29,7 @@ from typing import Iterable, Union
 import numpy as np
 
 from .errors import ConstructionError, DomainError, PoleError
+from .fields import _decimal, _field, _kind, _list, _pair
 
 MERGE_REL_TOL = 1e-12
 TWO_PI = 2.0 * math.pi
@@ -337,10 +338,6 @@ def _enc(x: float) -> str:
     return repr(float(x))
 
 
-def _dec(s) -> float:
-    return float(s)
-
-
 def measure_to_json_dict(mu: AtomicMeasure) -> dict:
     if isinstance(mu, LineAtomicMeasure):
         return {"space": "line",
@@ -349,17 +346,13 @@ def measure_to_json_dict(mu: AtomicMeasure) -> dict:
             "atoms": [[_enc(a), _enc(m)] for a, m in zip(mu.angles, mu.masses)]}
 
 
-def measure_from_json_dict(obj: dict) -> AtomicMeasure:
-    try:
-        space = obj["space"]
-        atoms = [(_dec(p), _dec(m)) for p, m in obj["atoms"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConstructionError(f"malformed measure object: {exc}") from exc
-    if space == "line":
-        return LineAtomicMeasure.from_atoms(atoms)
-    if space == "circle":
-        return CircleAtomicMeasure.from_atoms(atoms)
-    raise ConstructionError(f"unknown space {space!r}")
+def measure_from_json_dict(obj, where: str = "measure") -> AtomicMeasure:
+    """The measure ``obj`` describes; a bad field raises ScenarioError."""
+    space = _kind(_field(obj, "space", where), f"{where}.space")
+    atoms = _list(_field(obj, "atoms", where), f"{where}.atoms", empty=True)
+    measure = LineAtomicMeasure if space == "line" else CircleAtomicMeasure
+    return measure.from_atoms([_pair(atom, f"{where}.atoms[{k}]", _decimal)
+                               for k, atom in enumerate(atoms)])
 
 
 def measure_to_json(mu: AtomicMeasure) -> str:

@@ -173,17 +173,6 @@ def build_model_space(theta: BlaschkeProduct) -> ModelSpace:
                       basis_at_zero=at_zero.reshape(-1))
 
 
-def vector_to_json_dict(vec: ModelVector) -> dict:
-    return {"fingerprint": vec.space_fingerprint,
-            "coeffs": [[c.real, c.imag] for c in vec.coeffs]}
-
-
-def vector_from_json_dict(ms: ModelSpace, obj: dict) -> ModelVector:
-    if obj.get("fingerprint") != ms.fingerprint:
-        raise DomainError("vector fingerprint does not match this model space")
-    return ms.vector([complex(re, im) for re, im in obj["coeffs"]])
-
-
 def _require_theta_vanishes_at_zero(ms: ModelSpace):
     t0 = blaschke_eval(ms.theta, 0.0)
     if abs(t0) > 1e-10:

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstructionError, CyclicityError, DomainError
+from .fields import _complexes, _field, _list
 from .herglotz import (BlaschkeProduct, _require_unimodular, _shaped_like,
                        blaschke_eval)
 from .measures import (BorelSetSpec, CircleAtomicMeasure, TWO_PI,
@@ -35,8 +36,8 @@ from .modelspace import (ModelSpace, ModelVector, _require_in_disk,
                          _transform_context, build_model_space, v_alpha)
 from .rankone import (CyclicOperatorModel, _mass_inside, _unitary_eigenbasis,
                       inner_from_unitary, model_from_json_dict,
-                      model_to_json_dict, rank_one_unitary_update,
-                      spectral_measure, unitary_spectral_measure)
+                      rank_one_unitary_update, spectral_measure,
+                      unitary_spectral_measure)
 from .quadrature import integrate_line
 
 
@@ -123,16 +124,12 @@ class RankNPerturbationFamily:
         return len(self.vectors)
 
 
-def family_to_json_dict(family: RankNPerturbationFamily) -> dict:
-    return {"base": model_to_json_dict(family.base),
-            "vectors": [[[c.real, c.imag] for c in v] for v in family.vectors]}
-
-
-def family_from_json_dict(obj: dict) -> RankNPerturbationFamily:
-    base = model_from_json_dict(obj["base"])
-    vectors = tuple(np.array([complex(re, im) for re, im in v])
-                    for v in obj["vectors"])
-    return RankNPerturbationFamily(base, vectors)
+def family_from_json_dict(obj, where: str = "family") -> RankNPerturbationFamily:
+    """The family ``obj`` describes; a bad field raises ScenarioError."""
+    base = model_from_json_dict(_field(obj, "base", where), f"{where}.base")
+    vectors = _list(_field(obj, "vectors", where), f"{where}.vectors")
+    return RankNPerturbationFamily(base, tuple(
+        _complexes(v, f"{where}.vectors[{k}]") for k, v in enumerate(vectors)))
 
 
 def _staged_unitaries(family: RankNPerturbationFamily, points,

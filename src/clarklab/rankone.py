@@ -29,6 +29,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ConstructionError, DomainError, PoleError
+from .fields import _field, _kind, _reals
 from .herglotz import (BlaschkeProduct, HalfPlaneInner, _blaschke_with_value,
                        _clark_atoms, _perturbed_atoms_line,
                        _require_unimodular, blaschke_eval, cauchy_zeros_line,
@@ -65,9 +66,12 @@ class CyclicOperatorModel:
     def from_data(cls, kind: str, sites: Iterable[float],
                   weights: Iterable[float]) -> "CyclicOperatorModel":
         sites = [float(s) for s in sites]
+        weights = [float(w) for w in weights]
+        if len(sites) != len(weights):
+            raise ConstructionError(f"{len(sites)} sites but {len(weights)} weights")
         if kind == "circle":
             sites = [s % TWO_PI for s in sites]
-        pairs = sorted(zip(sites, (float(w) for w in weights)))
+        pairs = sorted(zip(sites, weights))
         return cls(kind, tuple(s for s, _ in pairs), tuple(w for _, w in pairs))
 
     def __post_init__(self):
@@ -102,11 +106,12 @@ def model_to_json_dict(model: CyclicOperatorModel) -> dict:
             "weights": list(model.weights)}
 
 
-def model_from_json_dict(obj: dict) -> CyclicOperatorModel:
-    try:
-        return CyclicOperatorModel.from_data(obj["kind"], obj["sites"], obj["weights"])
-    except (KeyError, TypeError) as exc:
-        raise ConstructionError(f"malformed model object: {exc}") from exc
+def model_from_json_dict(obj, where: str = "model") -> CyclicOperatorModel:
+    """The model ``obj`` describes; a bad field raises ScenarioError."""
+    return CyclicOperatorModel.from_data(
+        _kind(_field(obj, "kind", where), f"{where}.kind"),
+        _reals(_field(obj, "sites", where), f"{where}.sites"),
+        _reals(_field(obj, "weights", where), f"{where}.weights"))
 
 
 def spectral_measure(model: CyclicOperatorModel):

@@ -5,11 +5,12 @@ list of checks; each check pulls its inputs (operator models, inner
 functions, perturbation families, Borel sets, parameter grids) either
 explicitly from the file or from the seeded generator.  One driver walks
 the item list of every check entry, and every field is read through a
-validating reader, so a malformed entry raises ScenarioError naming the
-field, e.g. ``checks[0].models[1].random.N``.  All randomness derives from
-the single scenario seed through a counter-based Philox generator keyed by
-(seed, check index, item index), so reruns are bit-identical and checks can
-execute concurrently without sharing state.
+validating reader, the library's own for an explicit model, inner
+function, family or measure, so a malformed entry raises ScenarioError
+naming the field, e.g. ``checks[0].models[1].random.N``.  All randomness
+derives from the single scenario seed through a counter-based Philox
+generator keyed by (seed, check index, item index), so reruns are
+bit-identical and checks can execute concurrently without sharing state.
 
 Report values are serialized as shortest round-trip decimal strings of the
 underlying binary64 numbers; wall-clock timings are kept out of the
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -31,7 +31,8 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 
 from .errors import ClarkLabError, ScenarioError
-from .herglotz import BlaschkeProduct, blaschke_eval
+from .fields import _count, _field, _kind, _list, _pair, _real, _reals
+from .herglotz import BlaschkeProduct, blaschke_eval, blaschke_from_json_dict
 from .measures import (BorelSetSpec, LineAtomicMeasure, TWO_PI,
                        cauchy_transform_disk, measure_from_json_dict)
 from .modelspace import (_intertwine_residual, _transform_context,
@@ -41,11 +42,13 @@ from .rankone import (CyclicOperatorModel, circle_measure_deviation,
                       clark_measure, disintegration_check_circle,
                       disintegration_check_line, inner_from_unitary,
                       matrix_oracle_selfadjoint, matrix_oracle_unitary,
-                      perturb_selfadjoint, simon_wolff_classify)
+                      model_from_json_dict, perturb_selfadjoint,
+                      simon_wolff_classify)
 from .rankn import (AnalyticCurve, RankNPerturbationFamily, _staged_spectra,
-                    curve_disintegration_check, family_model_space,
-                    herglotz_positivity_check, knu_alpha_beta, phi_density,
-                    theorem4_axis_criterion, theorem9_nullset_check)
+                    curve_disintegration_check, family_from_json_dict,
+                    family_model_space, herglotz_positivity_check,
+                    knu_alpha_beta, phi_density, theorem4_axis_criterion,
+                    theorem9_nullset_check)
 
 DEFAULT_TOLERANCES = {
     "algebraic": 1e-9,   # exact identities evaluated in closed form
@@ -146,16 +149,9 @@ def _resolve_model(spec: Any, rng: np.random.Generator, where: str
         kind = _kind(r.get("kind", "line"), f"{where}.random.kind")
         return random_model_rng(rng, n, kind), f"random(N={n},kind={kind})"
     if isinstance(spec, dict) and "kind" in spec:
-        model = _explicit_model(spec, where)
+        model = model_from_json_dict(spec, where)
         return model, f"explicit({model.kind},N={model.dimension})"
     raise ScenarioError(f"{where}: unrecognized model spec {spec!r}")
-
-
-def _explicit_model(spec: Any, where: str) -> CyclicOperatorModel:
-    return CyclicOperatorModel.from_data(
-        _kind(_field(spec, "kind", where), f"{where}.kind"),
-        _reals(_field(spec, "sites", where), f"{where}.sites"),
-        _reals(_field(spec, "weights", where), f"{where}.weights"))
 
 
 def _resolve_theta(spec: Any, rng: np.random.Generator, where: str,
@@ -170,9 +166,8 @@ def _resolve_theta(spec: Any, rng: np.random.Generator, where: str,
                                 zero_at_origin or bool(spec.get("zero_at_origin", False)))
         return theta, f"random(degree={deg})"
     if isinstance(spec, dict) and "zeros" in spec:
-        zeros = _complexes(spec["zeros"], f"{where}.zeros", empty=True)
-        c = complex(*_pair(_field(spec, "c", where), f"{where}.c"))
-        return BlaschkeProduct(tuple(zeros), c), f"explicit(degree={len(zeros)})"
+        theta = blaschke_from_json_dict(spec, where)
+        return theta, f"explicit(degree={theta.degree})"
     raise ScenarioError(f"{where}: unrecognized inner-function spec {spec!r}")
 
 
@@ -191,11 +186,7 @@ def _resolve_family(spec: Any, rng: np.random.Generator, where: str
         n = _count(r.get("n", 2), f"{where}.random.n")
         return random_family(rng, big_n, n), f"random(N={big_n},n={n})"
     if isinstance(spec, dict) and "base" in spec:
-        vectors = _list(_field(spec, "vectors", where), f"{where}.vectors")
-        fam = RankNPerturbationFamily(
-            _explicit_model(spec["base"], f"{where}.base"),
-            tuple(np.array(_complexes(v, f"{where}.vectors[{k}]"))
-                  for k, v in enumerate(vectors)))
+        fam = family_from_json_dict(spec, where)
         return fam, f"explicit(N={fam.base.dimension},n={fam.n})"
     raise ScenarioError(f"{where}: unrecognized family spec {spec!r}")
 
@@ -524,7 +515,8 @@ def _check_curve_disintegration(item, spec, tol) -> list[CheckRecord]:
 
 
 def _check_simon_wolff(item, spec, tol) -> list[CheckRecord]:
-    mu = measure_from_json_dict(_field(item.spec, "measure", item.where))
+    mu = measure_from_json_dict(_field(item.spec, "measure", item.where),
+                                f"{item.where}.measure")
     if not isinstance(mu, LineAtomicMeasure):
         raise ScenarioError(f"{item.where}.measure: simon_wolff needs a line measure")
     probes = _reals(_field(item.spec, "probes", item.where), f"{item.where}.probes")
@@ -596,73 +588,6 @@ class Scenario:
     checks: tuple
 
 
-def _count(val, where: str) -> int:
-    """A count as an int >= 1; anything else, a bool (an int in Python)
-    included, raises ScenarioError naming ``where``."""
-    if isinstance(val, bool) or not isinstance(val, int) or val < 1:
-        raise ScenarioError(f"{where}: must be a positive integer")
-    return val
-
-
-def _real(val, where: str, lo: float = -math.inf, hi: float = math.inf
-          ) -> float:
-    """A finite number strictly between lo and hi as a float; a bool (an
-    int in Python), NaN, an infinity or anything else raises ScenarioError
-    naming ``where``."""
-    if isinstance(val, bool) or not isinstance(val, (int, float)) \
-            or not (lo < val < hi and abs(val) <= sys.float_info.max):
-        span = {(-math.inf, math.inf): "a finite number",
-                (0, math.inf): "a positive finite number"}.get(
-                    (lo, hi), f"a number in ({lo}, {hi})")
-        raise ScenarioError(f"{where}: must be {span}")
-    return float(val)
-
-
-def _list(values, where: str, empty: bool = False) -> list:
-    """``values`` as a list; anything else, or an empty list unless
-    ``empty``, raises ScenarioError naming ``where``."""
-    if not isinstance(values, list) or not (values or empty):
-        raise ScenarioError(f"{where}: must be a "
-                            f"{'' if empty else 'non-empty '}list")
-    return values
-
-
-def _reals(values, where: str, empty: bool = False) -> list[float]:
-    """A list of numbers, each read by ``_real``."""
-    return [_real(v, f"{where}[{k}]")
-            for k, v in enumerate(_list(values, where, empty))]
-
-
-def _pair(val, where: str) -> tuple[float, float]:
-    """A list of two numbers, each read by ``_real``, as a tuple."""
-    if not isinstance(val, list) or len(val) != 2:
-        raise ScenarioError(f"{where}: must be a list of two numbers")
-    return _real(val[0], f"{where}[0]"), _real(val[1], f"{where}[1]")
-
-
-def _complexes(values, where: str, empty: bool = False) -> list[complex]:
-    """A list of [re, im] pairs, each read by ``_pair``, as complex numbers."""
-    return [complex(*_pair(v, f"{where}[{k}]"))
-            for k, v in enumerate(_list(values, where, empty))]
-
-
-def _kind(val, where: str) -> str:
-    """The kind of a model or the space of a Borel set: "line" or "circle"."""
-    if val not in ("line", "circle"):
-        raise ScenarioError(f'{where}: must be "line" or "circle"')
-    return val
-
-
-def _field(obj, key: str, where: str):
-    """The field ``key`` of the object at ``where``; a non-object or a
-    missing field raises ScenarioError naming it."""
-    if not isinstance(obj, dict):
-        raise ScenarioError(f"{where}: must be an object")
-    if key not in obj:
-        raise ScenarioError(f"{where}.{key}: required field")
-    return obj[key]
-
-
 def load_scenario(source) -> Scenario:
     """Parse and validate a scenario from a path, JSON text, or dict."""
     if isinstance(source, dict):
@@ -685,18 +610,18 @@ def load_scenario(source) -> Scenario:
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise ScenarioError("seed: required non-negative integer")
     tolerances = dict(DEFAULT_TOLERANCES)
-    for key, val in obj.get("tolerances", {}).items():
+    overrides = obj.get("tolerances", {})
+    if not isinstance(overrides, dict):
+        raise ScenarioError("tolerances: must be an object")
+    for key, val in overrides.items():
         if key not in DEFAULT_TOLERANCES:
             raise ScenarioError(f"tolerances.{key}: unknown tolerance class")
         tolerances[key] = _real(val, f"tolerances.{key}", 0)
-    checks = obj.get("checks")
-    if not isinstance(checks, list) or not checks:
-        raise ScenarioError("checks: required non-empty list")
+    checks = _list(obj.get("checks"), "checks")
     for i, chk in enumerate(checks):
-        if not isinstance(chk, dict) or "check" not in chk:
-            raise ScenarioError(f"checks[{i}]: must be an object with a 'check' field")
-        if chk["check"] not in CHECKS:
-            raise ScenarioError(f"checks[{i}].check: unknown check {chk['check']!r}")
+        check = _field(chk, "check", f"checks[{i}]")
+        if not isinstance(check, str) or check not in CHECKS:
+            raise ScenarioError(f"checks[{i}].check: unknown check {check!r}")
     return Scenario(name=name, seed=seed, tolerances=tolerances,
                     checks=tuple(checks))
 

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from clarklab.errors import ConstructionError, DomainError, PoleError
+from clarklab.errors import (ConstructionError, DomainError, PoleError,
+                             ScenarioError)
 from clarklab.measures import (BorelSetSpec, CircleAtomicMeasure,
                                LineAtomicMeasure, cauchy_transform_disk,
                                cauchy_transform_line, measure_from_json,
@@ -255,5 +256,10 @@ class TestSerialization:
         assert back.masses == mu.masses
 
     def test_malformed(self):
-        with pytest.raises(ConstructionError):
+        with pytest.raises(ScenarioError):
             measure_from_json('{"space": "plane", "atoms": []}')
+
+    def test_invariant_fault(self):
+        # a well-formed object whose atom has no mass breaks the measure
+        with pytest.raises(ConstructionError, match="mass must be positive"):
+            measure_from_json('{"space": "line", "atoms": [["0.0", "0.0"]]}')

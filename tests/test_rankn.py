@@ -18,7 +18,7 @@ from clarklab.rankone import (CyclicOperatorModel, rank_one_unitary_update,
 from clarklab.rankn import (AnalyticCurve, RankNPerturbationFamily,
                             curve_disintegration_check, curve_sample,
                             family_from_json_dict, family_model_space,
-                            family_to_json_dict, herglotz_positivity_check,
+                            herglotz_positivity_check,
                             is_cyclic, knu_alpha_beta, phi_density,
                             recursive_unitary, spectral_measure_of_vector,
                             theorem4_axis_criterion, theorem9_nullset_check)
@@ -90,10 +90,14 @@ class TestFamily:
         assert verdicts == [schur_verdict(m, v.astype(complex)) for m, v in cases]
         assert verdicts == [True, False, False] + [True] * 6
 
-    def test_json_round_trip(self):
-        back = family_from_json_dict(family_to_json_dict(FAMILY2))
-        assert back.base == FAMILY2.base
-        assert np.allclose(back.vectors[1], FAMILY2.vectors[1])
+    def test_from_json_dict(self):
+        h = math.sqrt(0.5)
+        family = family_from_json_dict({
+            "base": {"kind": "circle", "sites": [0.0, math.pi],
+                     "weights": [0.5, 0.5]},
+            "vectors": [[[h, 0.0], [h, 0.0]], [[h, 0.0], [-h, 0.0]]]})
+        assert family.base == FAMILY2.base
+        assert np.allclose(family.vectors[1], FAMILY2.vectors[1])
 
 
 class TestRecursion:

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import time
 from importlib import resources
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
@@ -11,9 +12,12 @@ import pytest
 from clarklab import rankn, scenarios
 from clarklab.cli import main
 from clarklab.errors import ConstructionError, ResidueError, ScenarioError
-from clarklab.measures import cauchy_transform_disk
-from clarklab.rankn import (family_model_space, knu_alpha_beta,
-                            recursive_unitary, spectral_measure_of_vector)
+from clarklab.herglotz import blaschke_from_json_dict
+from clarklab.measures import cauchy_transform_disk, measure_from_json_dict
+from clarklab.rankn import (family_from_json_dict, family_model_space,
+                            knu_alpha_beta, recursive_unitary,
+                            spectral_measure_of_vector)
+from clarklab.rankone import model_from_json_dict
 from clarklab.scenarios import (load_scenario, random_model, report_to_json,
                                 run_scenario)
 
@@ -99,6 +103,17 @@ class TestScenarioValidation:
         bad.write_text('{"name": "x",\n  "seed": }')
         with pytest.raises(ScenarioError, match="line 2"):
             load_scenario(bad)
+
+    @pytest.mark.parametrize("fields, where", [
+        ('"tolerances": 5, "checks": [{"check": "simon_wolff"}]', "tolerances"),
+        ('"checks": 5', "checks"),
+        ('"checks": [5]', "checks[0]"),
+        ('"checks": [{}]', "checks[0].check"),
+        ('"checks": [{"check": ["simon_wolff"]}]', "checks[0].check")])
+    def test_malformed_top_level_exits_two(self, tmp_path, capsys, fields,
+                                           where):
+        text = '{"name": "x", "seed": 1, ' + fields + "}"
+        _assert_exits_two(tmp_path, capsys, text, where)
 
 
 class TestRunScenario:
@@ -590,7 +605,8 @@ def _malformed():
     fault: three entries that ended in a Python traceback when the checks
     indexed their lists unread, then every list field missing, 8, empty or
     holding an item of the wrong type, every required field of a case
-    missing, and bad kinds."""
+    missing, bad kinds, and Simon-Wolff measures with a bad space, a
+    boolean atom or atoms that are not a list."""
     rows = [({"check": "secular_oracle"}, "checks[0].models"),
             ({"check": "modelspace_suite", "degrees": 8}, "checks[0].degrees"),
             ({"check": "secular_oracle", "models": [{"random": 5}]},
@@ -621,6 +637,13 @@ def _malformed():
              ({"check": "disintegration_circle", "thetas": [{"power": 1}],
                "borel_sets": [{"space": "circle", "pieces": [[0.0, 1.0, 2.0]]}]},
               "checks[0].borel_sets[0].pieces[0]")]
+    for measure, where in (({"space": "plane", "atoms": []}, "space"),
+                           ({"space": "line", "atoms": [[True, "1.0"]]},
+                            "atoms[0][0]"),
+                           ({"space": "line", "atoms": 5}, "atoms")):
+        rows.append(({"check": "simon_wolff",
+                      "cases": [{"measure": measure, "probes": [0.0]}]},
+                     f"checks[0].cases[0].measure.{where}"))
     return rows
 
 
@@ -658,3 +681,139 @@ class TestFailedRecordInput:
             "index": 0, "error": "DomainError",
             "message": "inner_from_unitary needs a circle model",
             "input": "checks[0].models[1]"}
+
+
+class Format(NamedTuple):
+    """One input format, as the reader tests below use it."""
+    reader: Callable  # its library reader
+    obj: dict         # a valid object with "V" at one number
+    good: str         # that number's valid value as JSON text
+    where: str        # that number's path in the object
+    entry: dict       # a check entry holding the object as "O"
+    at: str           # the object's path in the entry
+
+    def text(self, obj=None, value=None) -> str:
+        """``obj`` (by default the valid object) as JSON text, with "V"
+        replaced by the JSON text ``value`` (by default the valid one)."""
+        return json.dumps(self.obj if obj is None else obj).replace(
+            '"V"', self.good if value is None else value)
+
+
+FORMATS = {
+    "model": Format(model_from_json_dict,
+                    {"kind": "line", "sites": ["V", 1.0], "weights": [0.5, 0.5]},
+                    "-1.0", ".sites[0]",
+                    {"check": "secular_oracle", "models": ["O"]}, "models[0]"),
+    "theta": Format(blaschke_from_json_dict,
+                    {"zeros": [[0.0, 0.0], [0.0, 0.0]], "c": ["V", 0.0]},
+                    "1.0", ".c[0]",
+                    {"check": "disintegration_circle", "thetas": ["O"],
+                     "borel_sets": [CIRCLE_SET]}, "thetas[0]"),
+    "family": Format(family_from_json_dict,
+                     {"base": HALVES, "vectors": [[[H, 0.0], [H, 0.0]],
+                                                  [["V", 0.0], [-H, 0.0]]]},
+                     repr(H), ".vectors[1][0][0]",
+                     {"check": "theorem4_axis", "families": ["O"],
+                      "probe_count": 2}, "families[0]"),
+    "measure": Format(measure_from_json_dict,
+                      {"space": "line", "atoms": [["V", "1.0"]]},
+                      '"0.0"', ".atoms[0][0]",
+                      {"check": "simon_wolff",
+                       "cases": [{"measure": "O", "probes": [0.0, 1.0]}]},
+                      "cases[0].measure"),
+}
+
+# (format, the object's field that goes missing or becomes 5 where an
+# object belongs, "" for the object itself)
+MISSING = [("model", "weights"), ("theta", "c"), ("family", "vectors"),
+           ("measure", "atoms")]
+NOT_OBJECT = [("model", ""), ("theta", ""), ("family", "base"),
+              ("measure", "")]
+
+
+def _reader_faults():
+    """(format, the object as JSON text, the path of its fault) for a bad
+    number of every format as each of "x", true, null, NaN and Infinity,
+    a missing required field and a non-object where an object belongs."""
+    rows = [(name, fmt.text(value=text), fmt.where)
+            for name, fmt in FORMATS.items()
+            for text in ('"x"', "true", "null", "NaN", "Infinity")]
+    for name, key in MISSING:
+        obj = {k: v for k, v in FORMATS[name].obj.items() if k != key}
+        rows.append((name, FORMATS[name].text(obj), f".{key}"))
+    for name, key in NOT_OBJECT:
+        obj = dict(FORMATS[name].obj, **{key: 5}) if key else 5
+        rows.append((name, FORMATS[name].text(obj), f".{key}" if key else ""))
+    return rows
+
+
+def _in_scenario(name, obj_text):
+    """A one-check scenario as JSON text holding the object ``obj_text``."""
+    return json.dumps({"name": "x", "seed": 1, "checks": [
+        FORMATS[name].entry]}).replace('"O"', obj_text)
+
+
+def _cli(name, tmp_path, text):
+    """``clark-lab clark --theta`` or ``perturb --model`` on a file holding
+    ``text``: the exit status."""
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    return main({"model": ["perturb", "--model", str(path), "--lambda", "3.0"],
+                 "theta": ["clark", "--theta", str(path), "--alpha", "1j"]}[name])
+
+
+class TestReaders:
+    @pytest.mark.parametrize("name, text, where", _reader_faults())
+    def test_library_names_the_field(self, name, text, where):
+        reader = FORMATS[name].reader
+        with pytest.raises(ScenarioError) as info:
+            reader(json.loads(text))
+        assert str(info.value).startswith(f"{name}{where}: ")
+        with pytest.raises(ScenarioError) as info:
+            reader(json.loads(text), "input")
+        assert str(info.value).startswith(f"input{where}: ")
+
+    @pytest.mark.parametrize("name, text, where", [
+        row for row in _reader_faults() if row[0] in ("model", "theta")])
+    def test_cli_exits_two(self, tmp_path, capsys, name, text, where):
+        assert _cli(name, tmp_path, text) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: --{name}{where}: ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("name, text, where", _reader_faults())
+    def test_scenario_names_the_same_field(self, tmp_path, capsys, name, text,
+                                           where):
+        _assert_exits_two(tmp_path, capsys, _in_scenario(name, text),
+                          f"checks[0].{FORMATS[name].at}{where}")
+
+    @pytest.mark.parametrize("name", sorted(FORMATS))
+    def test_valid_object_runs(self, name):
+        report = run_scenario(json.loads(_in_scenario(name, FORMATS[name].text())))
+        assert report.records and report.all_passed
+
+    @pytest.mark.parametrize("name, csv", [
+        ("model", "position,mass\n-0.3027756377319947,0.08397485283107817\n"
+                  "3.302775637731995,0.916025147168922\n"),
+        ("theta", "angle,mass\n0.7853981633974483,0.5\n"
+                  "3.9269908169872414,0.5000000000000002\n")])
+    def test_valid_file_prints_the_same_csv(self, tmp_path, capsys, name, csv):
+        assert _cli(name, tmp_path, FORMATS[name].text()) == 0
+        assert capsys.readouterr().out == csv
+
+    @pytest.mark.parametrize("reader, obj", [
+        (model_from_json_dict,
+         {"kind": "line", "sites": [0.0, 0.0], "weights": [0.5, 0.5]}),
+        (model_from_json_dict,
+         {"kind": "line", "sites": [0.0, 1.0], "weights": [0.5, 0.25]}),
+        (model_from_json_dict,
+         {"kind": "line", "sites": [0.0, 1.0, 2.0], "weights": [0.5, 0.5]}),
+        (blaschke_from_json_dict, {"zeros": [[1.5, 0.0]], "c": [1.0, 0.0]}),
+        (family_from_json_dict, {"base": HALVES, "vectors": [[[1.0, 0.0],
+                                                               [1.0, 0.0]]]}),
+        (measure_from_json_dict, {"space": "line", "atoms": [["0.0", "-1.0"]]})])
+    def test_invariant_fault_stays_construction_error(self, reader, obj):
+        # a well-formed object that breaks its type's invariant
+        with pytest.raises(ConstructionError):
+            reader(obj)
