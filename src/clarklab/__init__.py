@@ -13,17 +13,14 @@ from .errors import (ClarkLabError, ConstructionError, CyclicityError,
 from .measures import (BorelSetSpec, CircleAtomicMeasure, LineAtomicMeasure,
                        cauchy_transform_disk, cauchy_transform_line,
                        measure_from_json, measure_to_json, measure_of,
-                       poisson_integral_disk, simon_wolff_integral,
-                       simon_wolff_integral_circle, total_mass)
-from .herglotz import (BlaschkeProduct, HalfPlaneInner, alpha_to_coupling,
-                       blaschke_eval, boundary_derivative_modulus,
-                       cauchy_rational_line, cauchy_zeros_line,
-                       cayley_inverse, cayley_transfer, coupling_to_alpha,
-                       halfplane_level_set, level_set, level_set_batch,
-                       residue_masses_line, secular_roots_line)
-from .rankone import (ClarkFamily, CyclicOperatorModel, aronszajn_krein_eval,
-                      clark_measure, disintegration_check_circle,
-                      disintegration_check_line, inner_from_selfadjoint,
+                       simon_wolff_integral, simon_wolff_integral_circle,
+                       total_mass)
+from .herglotz import (BlaschkeProduct, blaschke_eval,
+                       boundary_derivative_modulus, cauchy_rational_line,
+                       cauchy_zeros_line, level_set_batch, residue_masses_line,
+                       secular_roots_line)
+from .rankone import (CyclicOperatorModel, clark_measure,
+                      disintegration_check_circle, disintegration_check_line,
                       inner_from_unitary, matrix_oracle_selfadjoint,
                       matrix_oracle_unitary, perturb_selfadjoint,
                       perturb_unitary, simon_wolff_classify, spectral_measure)

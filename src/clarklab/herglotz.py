@@ -3,7 +3,7 @@
 Cauchy transforms of finite atomic measures are rational functions, and all
 identities the verification suites check reduce to exact rational algebra.
 A transform is held in pole form only, and a line measure is its own
-transform in that form: the secular and Cayley routes take and return a
+transform in that form: the secular route takes and returns a
 ``LineAtomicMeasure``, whose atoms are the poles and whose masses are the
 residues, and ``measures.cauchy_transform_line`` evaluates it.  Monomial
 coefficients of high-degree node polynomials misrepresent their roots, so
@@ -32,14 +32,16 @@ import numpy as np
 from .errors import (ConstructionError, DomainError, PoleError, ResidueError,
                      RootFindingError)
 from .fields import _complexes, _field, _pair
-from .measures import LineAtomicMeasure, cauchy_transform_line
+from .measures import LineAtomicMeasure
 
 
 def cauchy_rational_line(mu: LineAtomicMeasure) -> LineAtomicMeasure:
     """Cauchy transform sum m_j/(t_j - z) of a line measure, in pole form.
 
-    A line measure is its own transform in pole form, so mu is returned as
-    it is; evaluate the transform with ``measures.cauchy_transform_line``.
+    A line measure is its own transform in pole form, so this is the
+    identity and mu is returned as it is; evaluate the transform with
+    ``measures.cauchy_transform_line``.  It is kept only because perfbench's
+    layer trace lists it.
     """
     return mu
 
@@ -257,11 +259,6 @@ def level_set_batch(theta: BlaschkeProduct, alphas) -> np.ndarray:
     return xi
 
 
-def level_set(theta: BlaschkeProduct, alpha: complex) -> np.ndarray:
-    """All degree(theta) boundary solutions of theta(xi) = alpha, sorted by angle."""
-    return level_set_batch(theta, alpha)[0]
-
-
 def _clark_atoms(theta: BlaschkeProduct, alphas
                  ) -> tuple[np.ndarray, np.ndarray]:
     """Clark atoms of theta at many alphas: the level-set points and their
@@ -466,98 +463,3 @@ def residue_masses_line(mu: LineAtomicMeasure, lam: float, roots) -> np.ndarray:
     lams, _ = _secular_targets(lam)
     roots = np.asarray(roots, dtype=float)
     return _residue_masses(t, m, lams, roots[None, :])[0]
-
-
-# ---------------------------------------------------------------------------
-# Disk <-> half-plane conformal transfer
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class HalfPlaneInner:
-    """Inner function on the upper half-plane, stored via its disk transfer.
-
-    eval(z) = disk Blaschke evaluated at (z - i)/(z + i); modulus < 1 on the
-    open upper half-plane and 1 on the real axis.
-    """
-
-    disk: BlaschkeProduct
-
-    def eval(self, z):
-        zarr = np.asarray(z, dtype=complex)
-        w = (zarr - 1j) / (zarr + 1j)
-        return _shaped_like(z, _blaschke_eval_array(self.disk.zeros,
-                                                    self.disk.c, w))
-
-    @property
-    def degree(self) -> int:
-        return self.disk.degree
-
-
-def cayley_transfer(mu: LineAtomicMeasure) -> HalfPlaneInner:
-    """Half-plane inner function (1 + iJ)/(1 - iJ) of the Cauchy transform J
-    of mu.
-
-    Orientation: |theta| < 1 wherever Im J > 0 (at J = i the value is 0, not
-    infinity).  With phi = sqrt(masses), J(z) = phi^T (diag(t) - z)^{-1} phi,
-    so the zeros -- the solutions of J(z) = i, i.e. of 1 + i J(z) = 0 -- are
-    the eigenvalues of diag(t) + i phi phi^T.  They lie in the upper
-    half-plane and map to disk Blaschke zeros through (z - i)/(z + i).
-    """
-    t, m = _line_pf(mu)
-    phi = np.sqrt(m)
-    zs = np.linalg.eigvals(np.diag(t) + 1j * np.outer(phi, phi))
-    if np.any(zs.imag <= 0.0):
-        raise DomainError(f"solution {zs[np.argmin(zs.imag)]} of J = i left "
-                          "the upper half-plane")
-    ws = (zs - 1j) / (zs + 1j)
-
-    def value_at(w0):
-        jz0 = cauchy_transform_line(mu, 1j * (1.0 + w0) / (1.0 - w0))
-        return (1.0 + 1j * jz0) / (1.0 - 1j * jz0)
-
-    return HalfPlaneInner(_blaschke_with_value(ws, value_at))
-
-
-def cayley_inverse(hp: HalfPlaneInner) -> LineAtomicMeasure:
-    """Recover the line measure whose Cauchy transform J has
-    (1 + iJ)/(1 - iJ) = hp.
-
-    The poles of J are the real solutions of hp = -1.  On the real axis
-    hp = exp(2i arctan J), whose phase grows at rate 2/w through a pole of
-    residue w; the phase of the disk transfer grows at |theta'(xi)| times
-    |dxi/dx| = 2/(1 + x^2): w is (1 + t^2) times the Clark mass at xi.
-    J vanishes at infinity for a finite measure, so hp.disk(1) must be 1;
-    then t = -cot(arg(xi)/2) ascends with the angle of xi.
-    """
-    at_infinity = blaschke_eval(hp.disk, 1.0)
-    if abs(at_infinity - 1.0) > 1e-9:
-        raise DomainError(f"hp(infinity) = {at_infinity} is not 1; not the "
-                          "transfer of a finite line measure")
-    (pts,), (masses,) = _clark_atoms(hp.disk, -1.0)
-    t = (1j * (1.0 + pts) / (1.0 - pts)).real
-    return LineAtomicMeasure(tuple(t), tuple((1.0 + t ** 2) * masses))
-
-
-def halfplane_level_set(hp: HalfPlaneInner, alpha: complex) -> np.ndarray:
-    """Real solutions of hp(x) = alpha, via the disk level set.
-
-    The disk point xi = 1 corresponds to x = infinity and is dropped (it
-    appears only for alpha = hp(infinity)).
-    """
-    pts = level_set(hp.disk, alpha)
-    pts = pts[np.abs(pts - 1.0) > 1e-9]
-    return np.sort((1j * (1.0 + pts) / (1.0 - pts)).real)
-
-
-def coupling_to_alpha(lam: float) -> complex:
-    """Unimodular label of the coupling lam under the conformal transfer."""
-    return (lam - 1j) / (lam + 1j)
-
-
-def alpha_to_coupling(alpha: complex) -> float:
-    """Inverse of coupling_to_alpha (alpha = 1 corresponds to lam = inf)."""
-    alpha = _require_unimodular(alpha)
-    if abs(alpha - 1.0) < 1e-14:
-        raise DomainError("alpha = 1 corresponds to infinite coupling")
-    lam = 1j * (1.0 + alpha) / (1.0 - alpha)
-    return float(lam.real)

@@ -4,13 +4,16 @@ Every spectral object in this package is a finite positive atomic measure:
 at desk scale all operators are finite matrices, so all spectral data is a
 finite list of (position, mass) atoms.  This module provides the two
 containers, Borel test sets built from closed intervals/arcs, the Cauchy
-and Poisson transforms, and the Simon-Wolff second-moment integral.
+transforms, and the Simon-Wolff second-moment integral.
 
 Conventions fixed here and relied on everywhere else:
 
-* atoms closer than ``MERGE_REL_TOL`` (relative) are merged at construction,
-  masses summed -- root finders return clustered roots for near-degenerate
-  inputs and the merge makes them well-defined measures;
+* ``from_atoms`` sorts its atoms and merges those closer than
+  ``MERGE_REL_TOL`` (relative), masses summed -- root finders return
+  clustered roots for near-degenerate inputs and the merge makes them
+  well-defined measures; the constructor merges nothing and keeps strictly
+  increasing locations however close, so a model's spectral measure has
+  one atom per site;
 * Borel pieces are closed; an atom sitting exactly on an endpoint counts as
   inside;
 * the Simon-Wolff integrals return ``math.inf`` (an explicit, machine
@@ -228,10 +231,6 @@ class BorelSetSpec:
             inside |= (t - start) % TWO_PI <= length
         return inside
 
-    def contains(self, x: float) -> bool:
-        """Closed-piece membership.  For the circle, x is an angle."""
-        return bool(self.mask(x))
-
     def intersect_interval_length(self, a: float, b: float) -> float:
         """Length of the intersection of this (line) set with [a, b]."""
         if self.space != "line":
@@ -285,16 +284,6 @@ def cauchy_transform_disk(nu: CircleAtomicMeasure, z: complex) -> complex:
     xi = nu.points()
     m = np.asarray(nu.masses)
     return complex(np.sum(m / (1.0 - np.conj(xi) * z)))
-
-
-def poisson_integral_disk(nu: CircleAtomicMeasure, z: complex) -> float:
-    """Poisson integral sum_j m_j (1 - |z|^2) / |xi_j - z|^2, |z| < 1."""
-    z = complex(z)
-    if abs(z) >= 1.0:
-        raise DomainError(f"|z| = {abs(z)} not inside the unit disk")
-    xi = nu.points()
-    m = np.asarray(nu.masses)
-    return float(np.sum(m * (1.0 - abs(z) ** 2) / np.abs(xi - z) ** 2))
 
 
 def simon_wolff_integral(mu: LineAtomicMeasure, y: float) -> float:

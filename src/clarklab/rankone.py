@@ -11,12 +11,11 @@ independent ways:
 * the dense-matrix oracle -- full eigendecomposition of the perturbed
   matrix, masses as squared projections onto the cyclic vector.
 
-The module also carries the operator <-> inner-function dictionary (with
-its conformal transfer to the half-plane), Clark measures of finite
-Blaschke products, and the two measure-disintegration identities: averaging
-the perturbed family over the coupling recovers Lebesgue measure on the
-line, and averaging a Clark family over the spectral parameter recovers
-normalized arc length.
+The module also carries the inner function of a circle model, Clark
+measures of finite Blaschke products, and the two measure-disintegration
+identities: averaging the perturbed family over the coupling recovers
+Lebesgue measure on the line, and averaging the Clark measures over the
+spectral parameter recovers normalized arc length.
 """
 
 from __future__ import annotations
@@ -28,12 +27,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConstructionError, DomainError, PoleError
+from .errors import ConstructionError, DomainError
 from .fields import _field, _kind, _reals
-from .herglotz import (BlaschkeProduct, HalfPlaneInner, _blaschke_with_value,
-                       _clark_atoms, _perturbed_atoms_line,
-                       _require_unimodular, blaschke_eval, cauchy_zeros_line,
-                       cayley_transfer, secular_roots_line)
+from .herglotz import (BlaschkeProduct, _blaschke_with_value, _clark_atoms,
+                       _perturbed_atoms_line, _require_unimodular,
+                       blaschke_eval, cauchy_zeros_line, secular_roots_line)
 from .measures import (BorelSetSpec, CircleAtomicMeasure, LineAtomicMeasure,
                        TWO_PI, cauchy_transform_disk, cauchy_transform_line,
                        simon_wolff_integral)
@@ -117,16 +115,6 @@ def model_from_json_dict(obj, where: str = "model") -> CyclicOperatorModel:
 def spectral_measure(model: CyclicOperatorModel):
     """Spectral measure of the cyclic vector, built once by the model."""
     return model._measure
-
-
-def aronszajn_krein_eval(mu0: LineAtomicMeasure, lam: float, z: complex) -> complex:
-    """Perturbed transform K0(z) / (1 + lam K0(z)), K0 the Cauchy transform
-    of mu0."""
-    val = cauchy_transform_line(mu0, z)
-    den = 1.0 + lam * val
-    if den == 0.0:
-        raise PoleError(f"1 + lam*K0 vanishes at {z}")
-    return val / den
 
 
 # ---------------------------------------------------------------------------
@@ -279,17 +267,6 @@ def inner_from_unitary(model: CyclicOperatorModel) -> BlaschkeProduct:
     return theta
 
 
-def inner_from_selfadjoint(model: CyclicOperatorModel) -> HalfPlaneInner:
-    """Half-plane inner function of the line model via the conformal transfer.
-
-    Level sets {theta = alpha(lam)} with alpha(lam) = (lam - i)/(lam + i)
-    coincide with the secular root sets {K = -1/lam}.
-    """
-    if model.kind != "line":
-        raise DomainError("inner_from_selfadjoint needs a line model")
-    return cayley_transfer(spectral_measure(model))
-
-
 def perturb_unitary(model: CyclicOperatorModel, alpha: complex
                     ) -> CircleAtomicMeasure:
     """Spectral measure of the unitary rank-one update at parameter alpha.
@@ -321,21 +298,6 @@ def clark_measure(theta: BlaschkeProduct, alpha: complex) -> CircleAtomicMeasure
     """
     (pts,), (masses,) = _clark_atoms(theta, alpha)
     return CircleAtomicMeasure.from_atoms(zip(np.angle(pts) % TWO_PI, masses))
-
-
-@dataclass(frozen=True)
-class ClarkFamily:
-    """The measure family {mu_alpha} generated by one inner function."""
-
-    theta: BlaschkeProduct
-
-    def measure(self, alpha: complex) -> CircleAtomicMeasure:
-        return clark_measure(self.theta, alpha)
-
-    def expected_total_mass(self, alpha: complex) -> float:
-        """Total mass Re((alpha + theta(0)) / (alpha - theta(0)))."""
-        t0 = blaschke_eval(self.theta, 0.0)
-        return ((alpha + t0) / (alpha - t0)).real
 
 
 def circle_measure_deviation(a: CircleAtomicMeasure, b: CircleAtomicMeasure

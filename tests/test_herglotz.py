@@ -9,13 +9,9 @@ from hypothesis import strategies as st
 from clarklab import herglotz
 from clarklab.errors import (ConstructionError, DomainError, PoleError,
                              ResidueError, RootFindingError)
-from clarklab.herglotz import (BlaschkeProduct, HalfPlaneInner,
-                               alpha_to_coupling, blaschke_eval,
+from clarklab.herglotz import (BlaschkeProduct, blaschke_eval,
                                boundary_derivative_modulus,
-                               cauchy_rational_line,
-                               cauchy_zeros_line, cayley_inverse,
-                               cayley_transfer, coupling_to_alpha,
-                               halfplane_level_set, level_set,
+                               cauchy_rational_line, cauchy_zeros_line,
                                level_set_batch, residue_masses_line,
                                secular_roots_line)
 from clarklab.measures import LineAtomicMeasure, cauchy_transform_line
@@ -38,8 +34,7 @@ class TestLineTransform:
         zero = LineAtomicMeasure((), ())
         for route in (lambda: secular_roots_line(zero, 1.0),
                       lambda: cauchy_zeros_line(zero),
-                      lambda: residue_masses_line(zero, 1.0, []),
-                      lambda: cayley_transfer(zero)):
+                      lambda: residue_masses_line(zero, 1.0, [])):
             with pytest.raises(DomainError):
                 route()
 
@@ -106,17 +101,17 @@ class TestBlaschke:
 class TestLevelSet:
     def test_identity(self):
         theta = BlaschkeProduct((0j,), 1.0)
-        assert level_set(theta, 1.0) == pytest.approx([1.0 + 0j])
+        assert level_set_batch(theta, 1.0)[0] == pytest.approx([1.0 + 0j])
 
     def test_square_at_one(self):
         theta = BlaschkeProduct((0j, 0j), 1.0)
-        pts = level_set(theta, 1.0)
+        pts = level_set_batch(theta, 1.0)[0]
         assert sorted(np.round(pts, 12)) == pytest.approx([-1.0, 1.0])
 
     def test_square_at_i(self):
         # polynomial oracle: roots of z^2 - i
         theta = BlaschkeProduct((0j, 0j), 1.0)
-        pts = level_set(theta, 1j)
+        pts = level_set_batch(theta, 1j)[0]
         oracle = np.sort(np.angle(np.roots([1.0, 0.0, -1j])) % (2 * np.pi))
         assert np.sort(np.angle(pts) % (2 * np.pi)) == pytest.approx(oracle)
 
@@ -125,7 +120,7 @@ class TestLevelSet:
             2j * np.pi * rng.uniform(0, 1, 6))
         theta = BlaschkeProduct(tuple(zeros), 1.0)
         for alpha in np.exp(2j * np.pi * rng.uniform(0, 1, 8)):
-            pts = level_set(theta, alpha)
+            pts = level_set_batch(theta, alpha)[0]
             assert pts.shape == (6,)
             assert np.max(np.abs(np.abs(pts) - 1.0)) < 1e-12
             assert np.max(np.abs(blaschke_eval(theta, pts) - alpha)) < 1e-9
@@ -144,7 +139,7 @@ class TestLevelSet:
 
     def test_constant_rejected(self):
         with pytest.raises(DomainError):
-            level_set(BlaschkeProduct((), 1.0), 1.0)
+            level_set_batch(BlaschkeProduct((), 1.0), 1.0)[0]
 
     def test_repeated_phase_branch_rejected(self, monkeypatch):
         # Two eigenvalue starts on one point polish to one root: the level
@@ -159,14 +154,15 @@ class TestLevelSet:
         monkeypatch.setattr(np.linalg, "eigvals", doubled)
         theta = BlaschkeProduct((0.3 + 0.2j, -0.5j, 0.1, -0.6 + 0.1j), 1j)
         with pytest.raises(RootFindingError, match="phase branch"):
-            level_set(theta, cmath.exp(0.7j))
+            level_set_batch(theta, cmath.exp(0.7j))[0]
 
     def test_degree_512_against_dense_eigenvalues(self):
         # |theta'| reaches 1e8 here, so most points cannot get within 1e-12
         # of alpha in binary64; the polish stops at the attainable floor.
         model = random_model(0, 512, "circle")
         alpha = cmath.exp(2.1j)
-        got = np.angle(level_set(inner_from_unitary(model), alpha)) % (2 * np.pi)
+        pts = level_set_batch(inner_from_unitary(model), alpha)[0]
+        got = np.angle(pts) % (2 * np.pi)
         want = np.sort(np.angle(np.linalg.eigvals(rank_one_unitary_update(
             model.dense(), model.cyclic_vector(), alpha))) % (2 * np.pi))
         dist = np.abs(got - want)
@@ -207,11 +203,10 @@ class TestRequireUnimodular:
         with pytest.raises(DomainError, match=r"\(nan"):
             level_set_batch(theta, [1.0, complex(math.nan, 0.0), 1j])
         assert level_set_batch(theta, np.exp(1j * np.arange(4.0))).shape == (4, 2)
-        # one alpha, as level_set passes it, is a batch of one
+        # one alpha is a batch of one
         one = level_set_batch(theta, 1j)
         assert one.shape == (1, 2)
         assert np.array_equal(one, level_set_batch(theta, [1j]))
-        assert np.array_equal(one[0], level_set(theta, 1j))
 
 
 class TestSecular:
@@ -390,57 +385,3 @@ class TestCauchyZeros:
         assert np.all((zeros > t[:-1]) & (zeros < t[1:]))
         assert np.all(np.abs([cauchy_transform_line(K, x) for x in zeros]) <= 1e-15)
 
-
-class TestCayley:
-    def test_scalar_transfer(self):
-        # J = -1/z: half-plane inner (z - i)/(z + i), disk representative w
-        hp = cayley_transfer(DELTA0)
-        assert hp.disk.zeros == pytest.approx([0j])
-        for z in (2j, 1.0 + 1j, -3.0 + 0.5j):
-            assert hp.eval(z) == pytest.approx((z - 1j) / (z + 1j), rel=1e-12)
-        assert abs(hp.eval(2j)) < 1.0
-
-    def test_fixed_point_normalization(self):
-        # J(i) = i forces theta(i) = 0: J = -1/z has J(i) = i
-        hp = cayley_transfer(DELTA0)
-        assert abs(hp.eval(1j)) < 1e-12
-
-    def test_real_axis_unimodular(self, rng):
-        mu = LineAtomicMeasure.from_atoms(
-            [(float(t), float(m)) for t, m in zip(np.linspace(-1, 1, 3),
-                                                  rng.uniform(0.2, 1, 3))])
-        hp = cayley_transfer(mu)
-        for x in rng.uniform(-5, 5, 10):
-            assert abs(abs(hp.eval(float(x))) - 1.0) < 1e-10
-
-    def test_round_trip_coefficients(self, rng):
-        mu = LineAtomicMeasure.from_atoms(
-            [(float(t), float(m)) for t, m in zip(np.linspace(-1, 1, 4),
-                                                  rng.uniform(0.2, 1, 4))])
-        measures = [mu] + [spectral_measure(random_model(seed, n, "line"))
-                           for n in (4, 24, 64, 256) for seed in range(3)]
-        for mu in measures:
-            back = cayley_inverse(cayley_transfer(mu))
-            assert back.positions == pytest.approx(mu.positions, abs=1e-10)
-            assert back.masses == pytest.approx(mu.masses, abs=1e-10)
-
-    def test_non_herglotz_rejected(self):
-        with pytest.raises(ConstructionError):
-            LineAtomicMeasure((0.0,), (-1.0,))  # 1/z
-
-    def test_inverse_needs_unit_value_at_infinity(self):
-        # (z - i)/(z + i) times -1 is -1 at infinity: J would have a pole there
-        with pytest.raises(DomainError):
-            cayley_inverse(HalfPlaneInner(BlaschkeProduct((0j,), -1.0)))
-
-    def test_level_set_relabeling(self):
-        # secular root of the scalar model at lam = 3 is {3}
-        hp = cayley_transfer(DELTA0)
-        pts = halfplane_level_set(hp, coupling_to_alpha(3.0))
-        assert pts == pytest.approx([3.0], abs=1e-9)
-
-    def test_coupling_round_trip(self):
-        for lam in (-7.0, -0.3, 0.9, 12.0):
-            alpha = coupling_to_alpha(lam)
-            assert abs(abs(alpha) - 1.0) < 1e-14
-            assert alpha_to_coupling(alpha) == pytest.approx(lam, rel=1e-12)

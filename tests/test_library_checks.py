@@ -5,7 +5,8 @@ library forms none.  The library needs numpy alone; scipy is a test-only
 dependency.  The benchmark under ``perfbench/`` traces library functions
 by name, so every name it traces must still resolve, and each check entry
 yields as many records as it counts for that entry.  No scenario check
-solves the same level set, or builds the same T_alpha, twice."""
+solves the same level set, or builds the same T_alpha, twice.  Every name
+the package exports has a caller or a stated role."""
 
 import ast
 import importlib
@@ -73,14 +74,18 @@ def test_no_scipy_in_library():
     assert offenders == []
 
 
-def test_benchmark_names_resolve(monkeypatch):
+def _traced_names(monkeypatch):
     # Read perfbench's trace list without writing bytecode into perfbench/.
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     try:
-        names = importlib.import_module("spans").traced_names()
+        return importlib.import_module("spans").traced_names()
     finally:
         sys.modules.pop("spans", None)
+
+
+def test_benchmark_names_resolve(monkeypatch):
+    names = _traced_names(monkeypatch)
     assert names
     missing = []
     for name in names:
@@ -120,6 +125,52 @@ def test_private_functions_are_referenced():
                     and not top.name.startswith("__")
                     and top.name not in referenced]
     assert unreferenced == []
+
+
+# Exports with no caller in the library or the scripts, and the role that
+# keeps each of them public.
+ROLES = {
+    "total_mass": "the total mass of a measure, a user-facing summary",
+    "measure_to_json": "writes a measure as JSON text, for saving results",
+    "measure_from_json": "reads the text that measure_to_json writes",
+}
+
+
+def _referenced_names(paths):
+    # Names and attributes each module refers to outside the top-level
+    # definition of the same name.
+    names = set()
+    for path in paths:
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            own = getattr(top, "name", None)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                else:
+                    continue
+                if name != own:
+                    names.add(name)
+    return names
+
+
+def test_public_names_are_referenced(monkeypatch):
+    # The public twin of test_private_functions_are_referenced: a name the
+    # package exports has a caller in the library (outside its own
+    # definition and __init__.py) or in scripts/, is traced by perfbench,
+    # or has a stated role in ROLES.  Anything else is dead public API.
+    init = ast.parse((PACKAGE / "__init__.py").read_text())
+    exported = {alias.asname or alias.name for node in init.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert exported
+    used = _referenced_names(p for p in sorted(PACKAGE.rglob("*.py"))
+                             if p.name != "__init__.py")
+    used |= _referenced_names(sorted((ROOT / "scripts").glob("*.py")))
+    used |= {name.split(".")[1] for name in _traced_names(monkeypatch)}
+    assert sorted(exported - used - set(ROLES)) == []
+    assert sorted(set(ROLES) - exported) == []
+    assert sorted(set(ROLES) & used) == []
 
 
 def test_no_unused_imports_in_library():

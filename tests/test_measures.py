@@ -11,8 +11,9 @@ from clarklab.measures import (BorelSetSpec, CircleAtomicMeasure,
                                LineAtomicMeasure, cauchy_transform_disk,
                                cauchy_transform_line, measure_from_json,
                                measure_of, measure_to_json,
-                               poisson_integral_disk, simon_wolff_integral,
+                               simon_wolff_integral,
                                simon_wolff_integral_circle, total_mass)
+from clarklab.rankone import CyclicOperatorModel, spectral_measure
 
 from conftest import circle_measures, line_measures
 
@@ -59,7 +60,7 @@ class TestMeasureOf:
         assert measure_of(DELTA1_C, arc) == 1.0
         assert measure_of(CircleAtomicMeasure.from_atoms([(1.0, 1.0)]), arc) == 0.0
 
-    def test_mask_matches_contains(self):
+    def test_mask_matches_scalar_calls(self):
         # closed pieces, arcs given past 2 pi or below 0, angles any real
         xs = np.array([-7.0, -0.5, 0.0, 0.5, 1.0, 2.0, 2.5, 3.0, 6.0, 6.9,
                        7.5, 13.0])
@@ -68,7 +69,7 @@ class TestMeasureOf:
                       BorelSetSpec("circle", ((-1.0, 0.5), (2.0, 3.0)))):
             mask = borel.mask(xs.reshape(3, 4))
             assert mask.shape == (3, 4)
-            assert mask.ravel().tolist() == [borel.contains(x) for x in xs]
+            assert mask.ravel().tolist() == [bool(borel.mask(x)) for x in xs]
         assert BorelSetSpec("line", ((0.0, 1.0),)).mask(1.0).shape == ()
 
     def test_space_mismatch(self):
@@ -123,23 +124,6 @@ class TestCauchyDisk:
             total_mass(nu), rel=1e-14)
 
 
-class TestPoisson:
-    def test_center(self):
-        assert poisson_integral_disk(DELTA1_C, 0.0) == 1.0
-
-    def test_delta_half(self):
-        # (1 - 1/4) / |1 - 1/2|^2
-        assert poisson_integral_disk(DELTA1_C, 0.5) == pytest.approx(3.0)
-
-    @given(circle_measures(), st.floats(min_value=0.0, max_value=0.99),
-           st.floats(min_value=0.0, max_value=2.0 * math.pi))
-    def test_poisson_cauchy_identity(self, nu, r, t):
-        z = r * complex(math.cos(t), math.sin(t))
-        lhs = poisson_integral_disk(nu, z)
-        rhs = 2.0 * cauchy_transform_disk(nu, z).real - total_mass(nu)
-        assert lhs == pytest.approx(rhs, abs=1e-12 * max(1.0, lhs))
-
-
 class TestSimonWolff:
     def test_delta_probe_off(self):
         assert simon_wolff_integral(DELTA0, 1.0) == 1.0
@@ -177,6 +161,19 @@ class TestConstruction:
         assert mu.masses[0] == pytest.approx(1.0)
         # merged position is the heaviest contributor's
         assert mu.positions[0] == 1.0 + 1e-14
+
+    def test_only_from_atoms_merges(self):
+        # the constructor keeps strictly increasing atoms however close, so
+        # a model's spectral measure has one atom per site
+        model = CyclicOperatorModel.from_data("line", [0.0, 1e-14, 1.0],
+                                              [0.3, 0.3, 0.4])
+        assert len(spectral_measure(model)) == 3
+        assert len(LineAtomicMeasure((0.0, 1e-14), (0.3, 0.3))) == 2
+        assert len(LineAtomicMeasure.from_atoms([(0.0, 0.3), (1e-14, 0.3)])) == 1
+
+    def test_non_herglotz_rejected(self):
+        with pytest.raises(ConstructionError):
+            LineAtomicMeasure((0.0,), (-1.0,))  # 1/z
 
     def test_rejects_nonpositive_mass(self):
         with pytest.raises(ConstructionError):

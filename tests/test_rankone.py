@@ -7,21 +7,16 @@ import numpy as np
 import pytest
 
 from clarklab import herglotz, rankone
-from clarklab.errors import (ConstructionError, DomainError, PoleError,
-                             ResidueError)
+from clarklab.errors import ConstructionError, DomainError, ResidueError
 from clarklab.herglotz import (BlaschkeProduct, blaschke_eval,
-                               boundary_derivative_modulus, cayley_transfer,
-                               coupling_to_alpha, halfplane_level_set)
+                               boundary_derivative_modulus)
 from clarklab.measures import (TWO_PI, BorelSetSpec, CircleAtomicMeasure,
-                               LineAtomicMeasure,
-                               cauchy_transform_disk, cauchy_transform_line,
-                               measure_of, poisson_integral_disk, total_mass)
+                               LineAtomicMeasure, cauchy_transform_disk,
+                               measure_of, total_mass)
 from clarklab.modelspace import build_model_space
-from clarklab.rankone import (ClarkFamily, CyclicOperatorModel,
-                              aronszajn_krein_eval, circle_measure_deviation,
+from clarklab.rankone import (CyclicOperatorModel, circle_measure_deviation,
                               clark_measure, disintegration_check_circle,
-                              disintegration_check_line,
-                              inner_from_selfadjoint, inner_from_unitary,
+                              disintegration_check_line, inner_from_unitary,
                               matrix_oracle_selfadjoint, matrix_oracle_unitary,
                               model_from_json_dict, model_to_json_dict,
                               perturb_selfadjoint, perturb_unitary,
@@ -35,7 +30,6 @@ SCALAR_LINE = CyclicOperatorModel.from_data("line", [0.0], [1.0])
 TWO_LINE = CyclicOperatorModel.from_data("line", [-1.0, 1.0], [0.5, 0.5])
 SCALAR_CIRCLE = CyclicOperatorModel.from_data("circle", [0.0], [1.0])
 TWO_CIRCLE = CyclicOperatorModel.from_data("circle", [0.0, math.pi], [0.5, 0.5])
-DELTA0 = LineAtomicMeasure.from_atoms([(0.0, 1.0)])
 Z1 = BlaschkeProduct((0j,), 1.0)
 Z2 = BlaschkeProduct((0j, 0j), 1.0)
 
@@ -76,28 +70,6 @@ class TestModel:
     def test_json_round_trip(self):
         back = model_from_json_dict(model_to_json_dict(TWO_LINE))
         assert back == TWO_LINE
-
-
-class TestAronszajnKrein:
-    def test_zero_coupling(self):
-        mu0 = spectral_measure(TWO_LINE)
-        for z in (1j, 2.0 + 0.5j):
-            assert aronszajn_krein_eval(mu0, 0.0, z) == cauchy_transform_line(mu0, z)
-
-    def test_scalar_shift(self):
-        # K0 = -1/z perturbs to the transform of a point mass at lam
-        for lam in (2.0, -0.7):
-            for z in (1j, 0.5 + 0.2j):
-                assert aronszajn_krein_eval(DELTA0, lam, z) == pytest.approx(
-                    1.0 / (lam - z), rel=1e-13)
-
-    def test_worked_value(self):
-        assert aronszajn_krein_eval(DELTA0, 2.0, 1j) == pytest.approx((2 + 1j) / 5)
-
-    def test_pole(self):
-        # 1 + lam*K0(z) = 0 at z = lam
-        with pytest.raises((PoleError, ZeroDivisionError)):
-            aronszajn_krein_eval(DELTA0, 2.0, 2.0)
 
 
 class TestPerturbSelfadjoint:
@@ -339,56 +311,6 @@ class TestUnitaryEigenbasis:
             (np.abs(qs.conj().T @ v) ** 2)[order_s], abs=1e-12)
 
 
-class TestInnerFromSelfadjoint:
-    def test_scalar_transfer(self):
-        hp = inner_from_selfadjoint(SCALAR_LINE)
-        assert abs(hp.eval(2j)) < 1.0
-        for x in (-2.0, 0.3, 11.0):
-            assert abs(abs(hp.eval(x)) - 1.0) < 1e-12
-
-    def test_contractive_on_upper_half_plane(self, rng):
-        hp = inner_from_selfadjoint(random_model(19, 4, "line"))
-        zs = rng.uniform(-5, 5, 30) + 1j * rng.uniform(1e-3, 5, 30)
-        assert np.max(np.abs(hp.eval(zs))) <= 1.0
-
-    def test_level_set_matches_secular_root(self):
-        hp = inner_from_selfadjoint(SCALAR_LINE)
-        pts = halfplane_level_set(hp, coupling_to_alpha(3.0))
-        assert pts == pytest.approx([3.0], abs=1e-9)
-
-    def test_level_sets_match_perturbed_atoms(self):
-        model = random_model(21, 4, "line")
-        hp = inner_from_selfadjoint(model)
-        for lam in (0.7, -2.5):
-            atoms = perturb_selfadjoint(model, lam).positions
-            pts = halfplane_level_set(hp, coupling_to_alpha(lam))
-            assert np.sort(pts) == pytest.approx(np.asarray(atoms), abs=1e-8)
-
-    @pytest.mark.parametrize("n", [24, 32, 64])
-    def test_transfer_against_dense_oracle(self, n):
-        # Evaluates hp at the oracle's eigenvalues, so the half-plane level
-        # set (a separate root finder) is not under test here.
-        for seed in range(3):
-            model = random_model(seed, n, "line")
-            hp = cayley_transfer(spectral_measure(model))
-            phi = model.cyclic_vector()
-            for lam in (0.1, -0.1, 1.0, -1.0, 10.0, -10.0):
-                x = np.linalg.eigvalsh(np.diag(model.sites) + lam * np.outer(phi, phi))
-                assert np.max(np.abs(hp.eval(x) - coupling_to_alpha(lam))) <= 1e-8
-
-    @pytest.mark.parametrize("n", [24, 64, 128])
-    def test_level_set_against_dense_oracle(self, n):
-        for seed in range(3):
-            model = random_model(seed, n, "line")
-            hp = inner_from_selfadjoint(model)
-            phi = model.cyclic_vector()
-            for lam in (0.1, -0.1, 1.0, -1.0, 10.0, -10.0):
-                x = np.linalg.eigvalsh(np.diag(model.sites) + lam * np.outer(phi, phi))
-                pts = halfplane_level_set(hp, coupling_to_alpha(lam))
-                assert pts.shape == x.shape
-                assert np.all(np.abs(pts - x) <= 1e-8 * (1.0 + np.abs(x)))
-
-
 class TestClarkMeasure:
     def test_identity_inner(self):
         alpha = cmath.exp(1.3j)
@@ -414,12 +336,14 @@ class TestClarkMeasure:
         theta = BlaschkeProduct(tuple(zeros), cmath.exp(0.9j))
         alpha = cmath.exp(2.7j)
         mu = clark_measure(theta, alpha)
+        xi, m = mu.points(), np.asarray(mu.masses)
         for _ in range(20):
             z = 0.8 * math.sqrt(rng.uniform()) * cmath.exp(
                 2j * math.pi * rng.uniform())
             want = ((alpha + blaschke_eval(theta, z))
                     / (alpha - blaschke_eval(theta, z))).real
-            assert poisson_integral_disk(mu, z) == pytest.approx(want, abs=1e-9)
+            poisson = np.sum(m * (1.0 - abs(z) ** 2) / np.abs(xi - z) ** 2)
+            assert poisson == pytest.approx(want, abs=1e-9)
 
     def test_point_mass_criterion(self, rng):
         theta = BlaschkeProduct(tuple(0.5 * np.exp(2j * np.pi
@@ -437,32 +361,31 @@ class TestClarkMeasure:
         with pytest.raises(DomainError):
             clark_measure(Z2, alpha)
 
-
-class TestClarkFamily:
     def test_total_mass_formula(self, rng):
+        # total mass Re((alpha + theta(0)) / (alpha - theta(0)))
         theta = BlaschkeProduct((0.5 + 0j, -0.2 + 0.1j), cmath.exp(0.3j))
-        fam = ClarkFamily(theta)
+        t0 = blaschke_eval(theta, 0.0)
         for alpha in np.exp(2j * np.pi * rng.uniform(0, 1, 6)):
-            mu = fam.measure(alpha)
-            assert total_mass(mu) == pytest.approx(
-                fam.expected_total_mass(alpha), abs=1e-10)
+            assert total_mass(clark_measure(theta, alpha)) == pytest.approx(
+                ((alpha + t0) / (alpha - t0)).real, abs=1e-10)
 
     def test_unit_mass_when_origin_zero(self, rng):
-        fam = ClarkFamily(inner_from_unitary(random_model(3, 4, "circle")))
+        theta = inner_from_unitary(random_model(3, 4, "circle"))
         for alpha in np.exp(2j * np.pi * rng.uniform(0, 1, 4)):
-            assert total_mass(fam.measure(alpha)) == pytest.approx(1.0, abs=1e-10)
+            assert total_mass(clark_measure(theta, alpha)) == pytest.approx(
+                1.0, abs=1e-10)
 
     def test_support_disjointness(self, rng):
         zeros = 0.6 * np.sqrt(rng.uniform(0, 1, 32)) * np.exp(
             2j * np.pi * rng.uniform(0, 1, 32))
-        fam = ClarkFamily(BlaschkeProduct(tuple(zeros), 1.0))
+        theta = BlaschkeProduct(tuple(zeros), 1.0)
         alphas = np.exp(2j * np.pi * rng.uniform(0, 1, 5))
         for i in range(len(alphas)):
             for j in range(i + 1, len(alphas)):
                 if abs(alphas[i] - alphas[j]) <= 1e-3:
                     continue
-                a = fam.measure(alphas[i]).points()
-                b = fam.measure(alphas[j]).points()
+                a = clark_measure(theta, alphas[i]).points()
+                b = clark_measure(theta, alphas[j]).points()
                 assert np.min(np.abs(a[:, None] - b[None, :])) > 1e-9
 
 
@@ -702,18 +625,15 @@ class TestOneHomePerObject:
                     LineAtomicMeasure.from_atoms(zip(roots, masses))
 
     @pytest.mark.parametrize("route", ["clark_measure", "disintegration_circle",
-                                       "build_model_space", "cayley_inverse"])
+                                       "build_model_space"])
     def test_vanishing_derivative_raises_everywhere(self, monkeypatch, route):
         theta = BlaschkeProduct((0j, 0.5 + 0.2j, -0.3j))
-        hp = inner_from_selfadjoint(CyclicOperatorModel.from_data(
-            "line", [-0.5, 0.25, 1.0], [0.2, 0.3, 0.5]))
         arc = BorelSetSpec("circle", ((0.5, 2.0),))
         calls = {
             "clark_measure": lambda: clark_measure(theta, 1j),
             "disintegration_circle":
                 lambda: disintegration_check_circle(theta, arc),
             "build_model_space": lambda: build_model_space(theta),
-            "cayley_inverse": lambda: herglotz.cayley_inverse(hp),
         }
         calls[route]()
         monkeypatch.setattr(herglotz, "boundary_derivative_modulus",
