@@ -385,3 +385,14 @@ class TestCauchyZeros:
         assert np.all((zeros > t[:-1]) & (zeros < t[1:]))
         assert np.all(np.abs([cauchy_transform_line(K, x) for x in zeros]) <= 1e-15)
 
+    def test_zeros_are_infinite_coupling_limit(self):
+        # as lam -> +-inf one secular root escapes and the others tend to the
+        # zeros of the transform, at distance about 1/(lam K')
+        for seed in range(3):
+            mu = spectral_measure(random_model(seed, 16, "line"))
+            zeros = cauchy_zeros_line(mu)
+            assert secular_roots_line(mu, 1e12)[:-1] == pytest.approx(
+                zeros, abs=1e-9)
+            assert secular_roots_line(mu, -1e12)[1:] == pytest.approx(
+                zeros, abs=1e-9)
+

@@ -124,6 +124,28 @@ class TestCauchyDisk:
             total_mass(nu), rel=1e-14)
 
 
+class TestPoisson:
+    """The Poisson integrals of a measure are the real part of its disk
+    transform and the imaginary part of its line transform."""
+
+    @given(circle_measures(), st.floats(min_value=0.0, max_value=0.99),
+           st.floats(min_value=0.0, max_value=2.0 * math.pi))
+    def test_poisson_cauchy_identity(self, nu, r, t):
+        z = r * complex(math.cos(t), math.sin(t))
+        m = np.asarray(nu.masses)
+        lhs = np.sum(m * (1.0 - r * r) / np.abs(nu.points() - z) ** 2)
+        rhs = 2.0 * cauchy_transform_disk(nu, z).real - total_mass(nu)
+        assert lhs == pytest.approx(rhs, abs=1e-12 * max(1.0, lhs))
+
+    @given(line_measures(), st.floats(min_value=1e-3, max_value=10.0),
+           st.floats(min_value=-20.0, max_value=20.0))
+    def test_line_poisson_identity(self, mu, y, x):
+        t, m = np.asarray(mu.positions), np.asarray(mu.masses)
+        lhs = np.sum(m * y / ((t - x) ** 2 + y * y))
+        rhs = cauchy_transform_line(mu, complex(x, y)).imag
+        assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
 class TestSimonWolff:
     def test_delta_probe_off(self):
         assert simon_wolff_integral(DELTA0, 1.0) == 1.0

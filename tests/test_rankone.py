@@ -9,10 +9,10 @@ import pytest
 from clarklab import herglotz, rankone
 from clarklab.errors import ConstructionError, DomainError, ResidueError
 from clarklab.herglotz import (BlaschkeProduct, blaschke_eval,
-                               boundary_derivative_modulus)
+                               boundary_derivative_modulus, level_set_batch)
 from clarklab.measures import (TWO_PI, BorelSetSpec, CircleAtomicMeasure,
                                LineAtomicMeasure, cauchy_transform_disk,
-                               measure_of, total_mass)
+                               cauchy_transform_line, measure_of, total_mass)
 from clarklab.modelspace import build_model_space
 from clarklab.rankone import (CyclicOperatorModel, circle_measure_deviation,
                               clark_measure, disintegration_check_circle,
@@ -115,6 +115,61 @@ class TestPerturbSelfadjoint:
     def test_dimension_guard(self):
         with pytest.raises(DomainError):
             matrix_oracle_selfadjoint(TWO_LINE, 1.0, max_dimension=1)
+
+
+UPPER = (1j, 0.5 + 0.2j, -3.0 + 0.01j, 2.0 + 5.0j)
+COUPLINGS = (0.1, -0.1, 1.0, -1.0, 10.0, -10.0)
+
+
+class TestAronszajnKrein:
+    """F_lam = F_0 / (1 + lam F_0) for the Cauchy transforms F of the
+    spectral measures before and after the rank-one update."""
+
+    def test_scalar_shift(self):
+        # F_0 = -1/z perturbs to the transform of a point mass at lam
+        for lam in (2.0, -0.7):
+            mu = perturb_selfadjoint(SCALAR_LINE, lam)
+            for z in (1j, 0.5 + 0.2j):
+                assert cauchy_transform_line(mu, z) == pytest.approx(
+                    1.0 / (lam - z), rel=1e-13)
+
+    def test_worked_value(self):
+        mu = perturb_selfadjoint(SCALAR_LINE, 2.0)
+        assert cauchy_transform_line(mu, 1j) == pytest.approx((2 + 1j) / 5)
+
+    def test_pole(self):
+        # the poles of F_lam are the zeros of 1 + lam F_0
+        model = random_model(17, 6, "line")
+        mu0 = spectral_measure(model)
+        for lam in (0.5, -3.0):
+            for x in perturb_selfadjoint(model, lam).positions:
+                assert abs(1.0 + lam * cauchy_transform_line(mu0, x)) <= 1e-13
+
+    @pytest.mark.parametrize("n", [4, 24, 64, 256])
+    def test_formula(self, n):
+        for seed in range(3):
+            model = random_model(seed, n, "line")
+            mu0 = spectral_measure(model)
+            for lam in COUPLINGS:
+                mu = perturb_selfadjoint(model, lam)
+                for z in UPPER:
+                    f0 = cauchy_transform_line(mu0, z)
+                    assert cauchy_transform_line(mu, z) == pytest.approx(
+                        f0 / (1.0 + lam * f0), rel=1e-9)
+
+    @pytest.mark.parametrize("n", [8, 64])
+    def test_resolvent_against_dense_oracle(self, n):
+        # F_lam(z) = (phi, (A + lam phi phi* - z)^{-1} phi) off the real axis
+        for seed in range(3):
+            model = random_model(seed, n, "line")
+            phi = model.cyclic_vector()
+            for lam in COUPLINGS:
+                a = np.diag(model.sites) + lam * np.outer(phi, phi)
+                mu = perturb_selfadjoint(model, lam)
+                for z in UPPER:
+                    want = phi @ np.linalg.solve(a - z * np.eye(n), phi)
+                    assert cauchy_transform_line(mu, z) == pytest.approx(
+                        want, rel=1e-9)
 
 
 class TestInnerFromUnitary:
@@ -239,6 +294,24 @@ class TestPerturbUnitary:
         assert inner_from_unitary(model) is theta
         perturb_unitary(model, cmath.exp(0.7j))
         assert len(builds) == 1
+
+    @pytest.mark.parametrize("n", [1, 4, 24, 64])
+    def test_aronszajn_krein_formula(self, n, rng):
+        # unitary twin of Aronszajn-Krein: with K_1 the transform of the
+        # base measure, K_alpha = K_1 / ((1 - conj(alpha)) K_1 + conj(alpha))
+        zs = 0.8 * np.sqrt(rng.uniform(0, 1, 6)) * np.exp(
+            2j * np.pi * rng.uniform(0, 1, 6))
+        for seed in range(3):
+            model = random_model(seed, n, "circle")
+            nu1 = spectral_measure(model)
+            for alpha in np.exp(2j * np.pi * rng.uniform(0, 1, 4)):
+                nu = perturb_unitary(model, alpha)
+                for z in zs:
+                    k1 = cauchy_transform_disk(nu1, z)
+                    want = k1 / ((1.0 - alpha.conjugate()) * k1
+                                 + alpha.conjugate())
+                    assert cauchy_transform_disk(nu, z) == pytest.approx(
+                        want, rel=1e-9)
 
     def test_failed_inner_function_stores_nothing(self):
         # sites 1e-13 apart put a zero of theta on the circle
@@ -387,6 +460,99 @@ class TestClarkMeasure:
                 a = clark_measure(theta, alphas[i]).points()
                 b = clark_measure(theta, alphas[j]).points()
                 assert np.min(np.abs(a[:, None] - b[None, :])) > 1e-9
+
+
+def _circle_image(model):
+    """The circle model of U = (A - i)(A + i)^{-1} and the unit vector
+    along (A + i)^{-1} phi, for the line model (A, phi); the vector is
+    taken up to the phase of each coordinate."""
+    t, w = np.asarray(model.sites), np.asarray(model.weights)
+    v = w / (1.0 + t * t)
+    return CyclicOperatorModel.from_data(
+        "circle", np.angle((t - 1j) / (t + 1j)) % TWO_PI, v / math.fsum(v))
+
+
+def _circle_alpha(model, lam):
+    """The unitary parameter that the Cayley map gives coupling lam:
+    (1 + lam F(i)) / (1 + lam conj F(i)) for the transform F of the
+    model's spectral measure."""
+    f = cauchy_transform_line(spectral_measure(model), 1j)
+    return (1.0 + lam * f) / (1.0 + lam * f.conjugate())
+
+
+def _line_points(xi):
+    """x = i (1 + xi)/(1 - xi) = -cot(s/2) for xi = e^{is}, sorted."""
+    return np.sort(-1.0 / np.tan(np.angle(xi) / 2.0))
+
+
+class TestSelfadjointThroughCayley:
+    """The paper's Example 2: the Cayley map carries the self-adjoint
+    rank-one family onto a unitary one, so the perturbed spectra of a line
+    model are level sets of the inner function of its circle image."""
+
+    def test_cayley_carries_the_family(self):
+        model = random_model(1, 6, "line")
+        a, phi, eye = np.diag(model.sites), model.cyclic_vector(), np.eye(6)
+
+        def cayley(b):
+            return (b - 1j * eye) @ np.linalg.inv(b + 1j * eye)
+
+        circle = _circle_image(model)
+        psi = np.linalg.solve(a + 1j * eye, phi)
+        psi /= np.linalg.norm(psi)
+        assert np.max(np.abs(cayley(a) - circle.dense())) <= 1e-14
+        assert np.abs(psi) ** 2 == pytest.approx(circle.weights, abs=1e-15)
+        for lam in (0.3, -2.0, 10.0):
+            alpha = _circle_alpha(model, lam)
+            assert abs(abs(alpha) - 1.0) <= 1e-14
+            got = rank_one_unitary_update(circle.dense(), psi, alpha)
+            want = cayley(a + lam * np.outer(phi, phi))
+            assert np.max(np.abs(got - want)) <= 1e-13
+
+    def test_level_set_matches_secular_root(self):
+        theta = inner_from_unitary(_circle_image(SCALAR_LINE))
+        pts = level_set_batch(theta, _circle_alpha(SCALAR_LINE, 3.0))[0]
+        assert _line_points(pts) == pytest.approx([3.0], abs=1e-9)
+
+    def test_level_sets_match_perturbed_atoms(self):
+        model = random_model(21, 4, "line")
+        theta = inner_from_unitary(_circle_image(model))
+        for lam in (0.7, -2.5):
+            atoms = perturb_selfadjoint(model, lam).positions
+            pts = level_set_batch(theta, _circle_alpha(model, lam))[0]
+            assert _line_points(pts) == pytest.approx(np.asarray(atoms),
+                                                      abs=1e-8)
+
+    @pytest.mark.parametrize("n", [8, 24, 64, 128])
+    def test_level_set_against_dense_oracle(self, n):
+        for seed in range(3):
+            model = random_model(seed, n, "line")
+            theta = inner_from_unitary(_circle_image(model))
+            phi = model.cyclic_vector()
+            rows = level_set_batch(theta, [_circle_alpha(model, lam)
+                                           for lam in COUPLINGS])
+            for lam, pts in zip(COUPLINGS, rows):
+                x = np.linalg.eigvalsh(np.diag(model.sites)
+                                       + lam * np.outer(phi, phi))
+                assert np.all(np.abs(_line_points(pts) - x)
+                              <= 1e-8 * (1.0 + np.abs(x)))
+
+    @pytest.mark.parametrize("n", [8, 64, 128])
+    def test_clark_masses_match_perturbed_masses(self, n):
+        # Clark mass at the image of x: |1 + lam F(i)|^2 mu_lam{x} /
+        # ((1 + x^2) Im F(i))
+        for seed in range(3):
+            model = random_model(seed, n, "line")
+            theta = inner_from_unitary(_circle_image(model))
+            f = cauchy_transform_line(spectral_measure(model), 1j)
+            for lam in COUPLINGS:
+                nu = clark_measure(theta, _circle_alpha(model, lam))
+                mu = perturb_selfadjoint(model, lam)
+                x, m = np.asarray(mu.positions), np.asarray(mu.masses)
+                want = abs(1.0 + lam * f) ** 2 * m / ((1.0 + x * x) * f.imag)
+                order = np.argsort(-1.0 / np.tan(np.asarray(nu.angles) / 2.0))
+                assert np.asarray(nu.masses)[order] == pytest.approx(
+                    want, abs=1e-10)
 
 
 class TestCorrespondence:
