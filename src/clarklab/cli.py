@@ -22,6 +22,7 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import ClarkLabError, ScenarioError
+from .fields import _count
 from .herglotz import blaschke_from_json_dict
 from .rankone import clark_measure, model_from_json_dict, perturb_selfadjoint
 from .scenarios import RunReport, report_to_json, run_scenario
@@ -45,15 +46,16 @@ def _parse_unimodular(text: str) -> complex:
 
 def _workers(args) -> int:
     if args.workers is not None:
-        return max(1, args.workers)
+        return _count(args.workers, "--workers")
     env = os.environ.get("CLARK_LAB_WORKERS")
     if not env:
         return 1
     try:
-        return max(1, int(env))
+        workers = int(env)
     except ValueError as exc:
         raise ScenarioError(
             f"CLARK_LAB_WORKERS: expected an integer, got {env!r}") from exc
+    return _count(workers, "CLARK_LAB_WORKERS")
 
 
 def _emit_report(report: RunReport, out: str | None, timings: bool) -> None:

@@ -185,10 +185,10 @@ _LEVEL_SET_TOL = 1e-12
 _LEVEL_SET_MAX_NEWTON = 50
 
 
-def _unitary_realization(theta: BlaschkeProduct):
-    """(A, B, C, D) with theta(z) = D + z C (I - z A)^{-1} B and the block
-    matrix [[A, B], [C, D]] unitary: a cascade of one unitary section per
-    zero, in stored order."""
+def _clark_unitaries(theta: BlaschkeProduct, alphas) -> np.ndarray:
+    """Clark unitaries W(alpha) = A + B C / (alpha - D) at unimodular alphas,
+    an (L, N, N) stack, from theta(z) = D + z C (I - z A)^{-1} B with
+    [[A, B], [C, D]] unitary: one unitary section per zero, in stored order."""
     n = theta.degree
     a_mat = np.zeros((n, n), dtype=complex)
     b = np.zeros(n, dtype=complex)
@@ -202,7 +202,8 @@ def _unitary_realization(theta: BlaschkeProduct):
         c[:k] *= -ak
         c[k] = sk
         d *= -ak
-    return a_mat, b, theta.c * c, theta.c * d
+    return (a_mat + np.outer(b, theta.c * c)
+            / (np.atleast_1d(alphas) - theta.c * d)[:, None, None])
 
 
 def level_set_batch(theta: BlaschkeProduct, alphas) -> np.ndarray:
@@ -210,19 +211,17 @@ def level_set_batch(theta: BlaschkeProduct, alphas) -> np.ndarray:
 
     Returns an (len(alphas), degree) array of unimodular points, each row
     sorted by angle.  theta(xi) = alpha exactly when conj(xi) is an
-    eigenvalue of the unitary W = A + B C / (alpha - D) of the unitary
-    realization (|D| = |theta(0)| < 1).  The eigenvalues are polished by
-    Newton in the boundary angle, dividing by |theta'| > 0.  The boundary
-    phase arg c + N t - 2 sum_j arg(1 - conj(z_j) e^{it}) increases by
-    2 pi N over [0, 2 pi), so the sorted points must lie in N consecutive
-    branches of it; a repeated or missing point raises RootFindingError.
+    eigenvalue of the Clark unitary W(alpha) (``_clark_unitaries``).  The
+    eigenvalues are polished by Newton in the boundary angle, dividing by
+    |theta'| > 0.  The boundary phase arg c + N t - 2 sum_j
+    arg(1 - conj(z_j) e^{it}) increases by 2 pi N over [0, 2 pi), so the
+    sorted points must lie in N consecutive branches of it; a repeated or
+    missing point raises RootFindingError.
     """
     if theta.degree == 0:
         raise DomainError("level sets need a nonconstant inner function")
     alphas = np.atleast_1d(_require_unimodular(alphas))
-    a_mat, b, c, d = _unitary_realization(theta)
-    w = a_mat + np.outer(b, c) / (alphas - d)[:, None, None]
-    t = -np.angle(np.linalg.eigvals(w))
+    t = -np.angle(np.linalg.eigvals(_clark_unitaries(theta, alphas)))
 
     n = theta.degree
     for _ in range(_LEVEL_SET_MAX_NEWTON):

@@ -38,6 +38,13 @@ MERGE_REL_TOL = 1e-12
 TWO_PI = 2.0 * math.pi
 
 
+def _wrap_angle(angle: float) -> float:
+    """angle reduced to [0, 2*pi).  A tiny negative angle, such as -1e-17,
+    has the remainder 2*pi in binary64; it is 0.0 on the circle."""
+    angle = float(angle) % TWO_PI
+    return 0.0 if angle == TWO_PI else angle
+
+
 def _merge_sorted_atoms(pairs: list[tuple[float, float]]) -> list[tuple[float, float]]:
     """Merge positions closer than MERGE_REL_TOL (relative); masses add.
 
@@ -132,7 +139,7 @@ class CircleAtomicMeasure:
 
     @classmethod
     def from_atoms(cls, atoms: Iterable[tuple[float, float]]) -> "CircleAtomicMeasure":
-        wrapped = [(float(a) % TWO_PI, m) for a, m in atoms]
+        wrapped = [(_wrap_angle(a), m) for a, m in atoms]
         pairs = _validated_atoms(wrapped, "CircleAtomicMeasure")
         # The merge above is linear in angle; also merge across the 0/2*pi seam
         # (keeping the near-zero angle preserves the sorted invariant).
@@ -170,7 +177,7 @@ def _normalize_arc(start: float, end: float) -> tuple[float, float]:
         raise ConstructionError(f"arc ({start}, {end}) has non-positive length")
     if length > TWO_PI:
         raise ConstructionError(f"arc ({start}, {end}) longer than the circle")
-    return start % TWO_PI, length
+    return _wrap_angle(start), length
 
 
 @dataclass(frozen=True)

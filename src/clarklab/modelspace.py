@@ -17,8 +17,10 @@ Clark's theorem makes the normalized boundary kernels at a level set
 (D. Clark, J. Anal. Math. 25, 1972).  So the 2N-node quadrature
 <p, q> = sum_eta p(eta) conj(q(eta)) / |Theta'(eta)| is exact for p, q in
 K_Theta.  That covers every use here: K_theta, theta * K_theta and the
-product of two elements of K_theta all lie in K_Theta.  The basis Gram
-matrix is verified to be the identity in this quadrature at construction.
+product of two elements of K_theta all lie in K_Theta.  Theta is never
+formed: the nodes {Theta = -1} are theta's level sets at i and -i, and the
+weights, with |Theta'| = 2 |theta'|, half theta's Clark masses there.  The
+basis Gram matrix is verified to be the identity there at construction.
 
 The operator content:
 
@@ -53,8 +55,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConstructionError, DomainError, ResidueError
-from .herglotz import (BlaschkeProduct, _clark_atoms, _require_unimodular,
-                       _shaped_like, _unitary_realization, blaschke_eval,
+from .herglotz import (BlaschkeProduct, _clark_atoms, _clark_unitaries,
+                       _require_unimodular, _shaped_like, blaschke_eval,
                        blaschke_to_json_dict)
 from .measures import CircleAtomicMeasure, TWO_PI
 from .rankone import clark_measure
@@ -92,8 +94,8 @@ class ModelSpace:
 
     theta: BlaschkeProduct
     fingerprint: str
-    grid: np.ndarray          # (2N,) nodes: the level set {theta^2 = -1}
-    weights: np.ndarray       # (2N,) 1 / |(theta^2)'| at the nodes
+    grid: np.ndarray          # (2N,) nodes {theta = i} u {theta = -i}
+    weights: np.ndarray       # (2N,) 1 / (2 |theta'|): half the Clark masses
     basis: np.ndarray         # (N, 2N) TM basis values at the nodes
     theta_values: np.ndarray  # (2N,) theta at the nodes
     basis_at_zero: np.ndarray  # (N,)
@@ -152,14 +154,14 @@ class ModelVector:
 def build_model_space(theta: BlaschkeProduct) -> ModelSpace:
     """Construct the model space of theta with a verified orthonormal basis.
 
-    The nodes and weights are the atoms and masses of the Clark measure of
-    theta^2 at -1: the level set {theta^2 = -1} and 1/|(theta^2)'| there
-    (Clark's theorem; see the module docstring).
-    """
+    The nodes and weights are the Clark measure of theta^2 at -1, the mean
+    of theta's own at i and -i: the level sets {theta = +-i} sorted by angle,
+    with half the masses 1/|theta'| (Clark's theorem; see the module doc)."""
     if theta.degree < 1:
         raise DomainError("model space needs a nonconstant inner function")
-    square = BlaschkeProduct(theta.zeros + theta.zeros, theta.c ** 2)
-    (nodes,), (weights,) = _clark_atoms(square, -1.0)
+    points, masses = (a.ravel() for a in _clark_atoms(theta, [1j, -1j]))
+    order = np.argsort(np.angle(points) % TWO_PI)
+    nodes, weights = points[order], 0.5 * masses[order]
     basis = tm_basis_values(theta.zeros, nodes)
     gram = (basis * weights) @ basis.conj().T
     defect = float(np.max(np.abs(gram - np.eye(theta.degree))))
@@ -184,14 +186,12 @@ def t_alpha_matrix(ms: ModelSpace, alpha: complex) -> np.ndarray:
 
     f -> z*(f - (f, theta/z) theta/z) + (f, theta/z) alpha in the TM basis.
     Requires theta(0) = 0 (so theta/z and the constants live in the space).
-    In the TM basis this is conj(A + B C / (alpha - D)) for the unitary
-    realization (A, B, C, D) of theta; its eigenvalues are the level set
+    In the TM basis this is the conjugate of theta's Clark unitary
+    W(alpha) = A + B C / (alpha - D); its eigenvalues are the level set
     {theta = alpha}.
     """
     _require_theta_vanishes_at_zero(ms)
-    alpha = _require_unimodular(alpha)
-    a_mat, b, c, d = _unitary_realization(ms.theta)
-    t = np.conj(a_mat + np.outer(b, c) / (alpha - d))
+    t = np.conj(_clark_unitaries(ms.theta, _require_unimodular(alpha))[0])
     # Frobenius bounds the spectral norm from above: a stricter check
     defect = np.linalg.norm(t.conj().T @ t - np.eye(ms.dimension), "fro")
     if defect > 1e-10:

@@ -2,9 +2,13 @@
 
 A rank-n perturbation of a unitary is built recursively, one unimodular
 parameter at a time, since a sum of rank-one unitary updates is not unitary;
-every intermediate stage is checked for unitarity and for cyclicity of the
-next perturbation vector (a lost cyclic vector would silently invalidate
-every spectral identity downstream).
+every intermediate stage is checked for unitarity.  Each perturbation
+vector is checked for cyclicity against the base operator when the family
+is built; ``recursive_unitary`` also checks, stage by stage, that the next
+vector is cyclic for the current operator (a lost cyclic vector would
+silently invalidate every spectral identity downstream), while the staged
+dense oracle behind every library check (``_staged_spectra``) checks
+unitarity only.
 
 For n = 2 the closed-form spectral transforms are available through the
 model space of the base operator: with f the model-space function

@@ -33,8 +33,8 @@ from .herglotz import (BlaschkeProduct, _blaschke_with_value, _clark_atoms,
                        _perturbed_atoms_line, _require_unimodular,
                        blaschke_eval, cauchy_zeros_line, secular_roots_line)
 from .measures import (BorelSetSpec, CircleAtomicMeasure, LineAtomicMeasure,
-                       TWO_PI, cauchy_transform_disk, cauchy_transform_line,
-                       simon_wolff_integral)
+                       TWO_PI, _wrap_angle, cauchy_transform_disk,
+                       cauchy_transform_line, simon_wolff_integral)
 from .quadrature import integrate_circle, integrate_line
 
 WEIGHT_SUM_TOL = 1e-12
@@ -68,7 +68,7 @@ class CyclicOperatorModel:
         if len(sites) != len(weights):
             raise ConstructionError(f"{len(sites)} sites but {len(weights)} weights")
         if kind == "circle":
-            sites = [s % TWO_PI for s in sites]
+            sites = [_wrap_angle(s) for s in sites]
         pairs = sorted(zip(sites, weights))
         return cls(kind, tuple(s for s, _ in pairs), tuple(w for _, w in pairs))
 

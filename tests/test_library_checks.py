@@ -5,8 +5,9 @@ library forms none.  The library needs numpy alone; scipy is a test-only
 dependency.  The benchmark under ``perfbench/`` traces library functions
 by name, so every name it traces must still resolve, and each check entry
 yields as many records as it counts for that entry.  No scenario check
-solves the same level set, or builds the same T_alpha, twice.  Every name
-the package exports has a caller or a stated role."""
+solves the same level set, or builds the same T_alpha, twice, and a model
+space solves one level set, of theta itself.  Every name the package
+exports has a caller or a stated role."""
 
 import ast
 import importlib
@@ -232,6 +233,27 @@ def test_no_check_handler_repeats_a_solve(monkeypatch):
     for path in paths:
         assert scenarios.run_scenario(path, workers=1).all_passed
     assert repeats == []
+
+
+def test_model_space_solves_one_level_set_of_theta(monkeypatch):
+    # The 2N nodes are theta's own level sets at +-i: one level_set_batch
+    # call, on theta (degree N), never on the degree-2N product theta^2.
+    calls = []
+    original = herglotz.level_set_batch
+
+    def watched(theta, alphas):
+        calls.append((theta, np.asarray(alphas, dtype=complex)))
+        return original(theta, alphas)
+
+    monkeypatch.setattr(herglotz, "level_set_batch", watched)
+    for n in (1, 3, 16):
+        calls.clear()
+        theta = scenarios.random_blaschke(scenarios._rng(n), n,
+                                          zero_at_origin=True)
+        ms = build_model_space(theta)
+        assert [(solved is theta, solved.degree, alphas.tolist())
+                for solved, alphas in calls] == [(True, n, [1j, -1j])]
+        assert ms.grid.size == 2 * n
 
 
 def test_record_counts_follow_the_benchmark_rule(monkeypatch):

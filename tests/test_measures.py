@@ -10,7 +10,8 @@ from clarklab.errors import (ConstructionError, DomainError, PoleError,
 from clarklab.measures import (BorelSetSpec, CircleAtomicMeasure,
                                LineAtomicMeasure, cauchy_transform_disk,
                                cauchy_transform_line, measure_from_json,
-                               measure_of, measure_to_json,
+                               measure_from_json_dict, measure_of,
+                               measure_to_json, _normalize_arc,
                                simon_wolff_integral,
                                simon_wolff_integral_circle, total_mass)
 from clarklab.rankone import CyclicOperatorModel, spectral_measure
@@ -233,6 +234,19 @@ class TestConstruction:
     def test_circle_wraps_angles(self):
         nu = CircleAtomicMeasure.from_atoms([(-math.pi, 1.0)])
         assert nu.angles[0] == pytest.approx(math.pi)
+
+    # -1e-17 % (2 pi) is 2 pi in binary64; every reduction maps it to 0.0
+    @pytest.mark.parametrize("reduced", [
+        lambda: CircleAtomicMeasure.from_atoms([(-1e-17, 1.0)]).angles,
+        lambda: CyclicOperatorModel.from_data("circle", [-1e-17, 1.0],
+                                              [0.5, 0.5]).sites,
+        lambda: measure_from_json_dict(
+            {"space": "circle", "atoms": [["-1e-17", "1.0"]]}).angles,
+        lambda: _normalize_arc(-1e-17, 1.0),
+    ], ids=["from_atoms", "from_data", "measure_from_json_dict",
+            "normalize_arc"])
+    def test_seam_wraps_to_zero(self, reduced):
+        assert reduced()[0] == 0.0
 
     def test_circle_seam_merge(self):
         nu = CircleAtomicMeasure.from_atoms([(0.0, 0.5), (2.0 * math.pi - 1e-14, 0.5)])

@@ -6,7 +6,8 @@ import pytest
 
 from clarklab import modelspace
 from clarklab.errors import DomainError
-from clarklab.herglotz import BlaschkeProduct, blaschke_eval
+from clarklab.herglotz import (BlaschkeProduct, blaschke_eval,
+                               boundary_derivative_modulus, level_set_batch)
 from clarklab.measures import cauchy_transform_disk, CircleAtomicMeasure
 from clarklab.modelspace import (build_model_space,
                                  hat_conjugate, intertwine_check, knu_alpha,
@@ -109,6 +110,24 @@ class TestClarkQuadratureAtScale:
             coeffs = rng.normal(size=n) + 1j * rng.normal(size=n)
             lemma7_decompose(ms, ms.vector(coeffs / np.linalg.norm(coeffs)))
             assert intertwine_check(ms, cmath.exp(0.7j)) <= 1e-9
+
+
+class TestNodesOfTheSquare:
+    # The nodes and weights are the Clark atoms of theta^2 at -1; the
+    # reference forms theta^2 (degree 2N) and solves its level set.
+    @pytest.mark.parametrize("source", ["random", "model"])
+    @pytest.mark.parametrize("n", [1, 2, 8, 64, 256])
+    def test_clark_atoms_of_the_square(self, n, source):
+        for seed in range(3):
+            theta = (_random_theta(seed, n) if source == "random" else
+                     inner_from_unitary(random_model(seed, n, "circle")))
+            square = BlaschkeProduct(theta.zeros + theta.zeros, theta.c ** 2)
+            (nodes,) = level_set_batch(square, -1.0)
+            ms = build_model_space(theta)
+            assert np.max(np.abs(np.angle(ms.grid / nodes))) <= 1e-13
+            np.testing.assert_allclose(
+                ms.weights, 1.0 / boundary_derivative_modulus(square, nodes),
+                rtol=1e-8, atol=0.0)
 
 
 class TestTAlpha:

@@ -291,6 +291,21 @@ class TestCli:
         assert main(["run", str(scen)]) == 2
         assert capsys.readouterr().err.startswith("error: CLARK_LAB_WORKERS")
 
+    @pytest.mark.parametrize("flag, env, name", [
+        ("0", None, "--workers"), ("-2", None, "--workers"),
+        (None, "0", "CLARK_LAB_WORKERS"), (None, "-1", "CLARK_LAB_WORKERS")],
+        ids=["flag-0", "flag-negative", "env-0", "env-negative"])
+    def test_workers_below_one_rejected(self, tmp_path, monkeypatch, capsys,
+                                        flag, env, name):
+        scen = tmp_path / "s.json"
+        scen.write_text(json.dumps(SMOKE))
+        if env is not None:
+            monkeypatch.setenv("CLARK_LAB_WORKERS", env)
+        argv = ["run", str(scen)] + (["--workers", flag] if flag else [])
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {name}: must be a positive integer\n"
+
     def test_failing_check_exit_one(self, tmp_path, capsys):
         # an impossible tolerance forces failures; exit status must be 1
         failing = dict(SMOKE, name="forced-failure",
