@@ -146,6 +146,19 @@ def boundary_derivative_modulus(theta: BlaschkeProduct, xi):
     return float(out) if xiarr.ndim == 0 else out
 
 
+def _boundary_phase(theta: BlaschkeProduct, t):
+    """A branch-free argument of theta(e^{it}) for real t (any array):
+    arg c + N t - 2 sum_j arg(1 - conj(z_j) e^{it}).  Each arg in the sum
+    stays in (-pi/2, pi/2), so the lift is continuous in t, increases by
+    2 pi N over a period, and its derivative is |theta'|."""
+    t = np.asarray(t, dtype=float)
+    xi = np.exp(1j * t)
+    phase = np.angle(theta.c) + theta.degree * t
+    for zj in theta.zeros:
+        phase = phase - 2.0 * np.angle(1.0 - np.conj(zj) * xi)
+    return phase
+
+
 def blaschke_to_json_dict(theta: BlaschkeProduct) -> dict:
     return {"zeros": [[z.real, z.imag] for z in theta.zeros],
             "c": [theta.c.real, theta.c.imag]}
@@ -215,8 +228,9 @@ def level_set_batch(theta: BlaschkeProduct, alphas) -> np.ndarray:
     eigenvalues are polished by Newton in the boundary angle, dividing by
     |theta'| > 0.  The boundary phase arg c + N t - 2 sum_j
     arg(1 - conj(z_j) e^{it}) increases by 2 pi N over [0, 2 pi), so the
-    sorted points must lie in N consecutive branches of it; a repeated or
-    missing point raises RootFindingError.
+    sorted points must lie in N consecutive branches of it
+    (``_boundary_phase``); a repeated or missing point raises
+    RootFindingError.
     """
     if theta.degree == 0:
         raise DomainError("level sets need a nonconstant inner function")
@@ -244,9 +258,7 @@ def level_set_batch(theta: BlaschkeProduct, alphas) -> np.ndarray:
 
     t = np.sort(t % (2.0 * math.pi), axis=1)
     xi = np.exp(1j * t)
-    phase = np.angle(theta.c) + n * t - np.angle(alphas)[:, None]
-    for zj in theta.zeros:
-        phase -= 2.0 * np.angle(1.0 - np.conj(zj) * xi)
+    phase = _boundary_phase(theta, t) - np.angle(alphas)[:, None]
     branch = np.round(phase / (2.0 * math.pi))
     gaps = np.diff(branch, axis=1) != 1.0
     if np.any(gaps):

@@ -21,6 +21,14 @@ density function phi; its positive boundary density is 2 Re(phi) - 1 (the
 Poisson pairing -- for curves with I_k(0) = 0 this collapses to phi = 1).
 General n is exercised through the recursive matrix construction and the
 dense-matrix oracle only; no closed forms beyond n = 2 are guessed.
+
+The xi-average of nu_{gamma(xi)}(B) is integrated between its jumps, the
+xi at which an eigenvalue of the staged unitary crosses an endpoint of B.
+The matrix determinant lemma reduces a crossing to a 2x2 determinant that
+is affine in the second parameter, so the crossings of an endpoint are the
+passes of one strictly increasing, branch-free phase through the multiples
+of 2 pi (``_endpoint_crossings``).  They are hints: the dense oracle keeps
+only those across which its count of atoms in B changes.
 """
 
 from __future__ import annotations
@@ -32,8 +40,8 @@ import numpy as np
 
 from .errors import ConstructionError, CyclicityError, DomainError
 from .fields import _complexes, _field, _list
-from .herglotz import (BlaschkeProduct, _require_unimodular, _shaped_like,
-                       blaschke_eval)
+from .herglotz import (BlaschkeProduct, _boundary_phase, _require_unimodular,
+                       _shaped_like, blaschke_eval, boundary_derivative_modulus)
 from .measures import (BorelSetSpec, CircleAtomicMeasure, TWO_PI,
                        simon_wolff_integral_circle)
 from .modelspace import (ModelSpace, ModelVector, _require_in_disk,
@@ -279,6 +287,111 @@ class CurveDisintegrationResult:
         return abs(self.average - self.density_integral)
 
 
+_CROSSING_GRID = 16         # lift samples per expected crossing
+_CROSSING_MAX_NEWTON = 60
+_CROSSING_STEP = 1e-12      # a Newton step this short is the last one
+_CROSSING_PROBE = 1e-9      # offset at which the dense oracle vets a hint
+
+
+def _endpoint_crossings(family: RankNPerturbationFamily, curve: AnalyticCurve,
+                        b: float) -> np.ndarray:
+    """Angles s in [0, 2 pi) at which e^{ib} is an eigenvalue of the staged
+    unitary at the curve point gamma(e^{is}) of a two-vector family; hints
+    only, which the caller vets against the dense oracle.
+
+    The staged unitary is U = (I + Phi M Phi*) U_0 with Phi = [phi_1 phi_2]
+    and M = [[alpha - 1, 0], [(beta - 1)(alpha - 1) phi_2* phi_1, beta - 1]],
+    so by the matrix determinant lemma det(U - lam) = det(U_0 - lam)
+    det(I_2 + M G) with G = Phi* U_0 (U_0 - lam)^{-1} Phi, a 2x2 matrix.
+    det(I_2 + M G) = P(alpha) + (beta - 1) Q(alpha) is affine in beta, so
+    lam is an eigenvalue exactly when beta = (Q - P)/Q (alpha), a Moebius
+    map of alpha; with alpha = I_1 and beta = I_2 the crossings are the
+    angles where I_2 Q(I_1) / (Q - P)(I_1) = 1.  The argument of that
+    quotient has a branch-free lift in s: the Blaschke lift of I_2 plus the
+    arg of the two affine factors u_0 + u_1 alpha, each lifted through its
+    larger coefficient.  The lift increases strictly, by 2 pi (d_1 + d_2)
+    over a period; the crossings are its passes through multiples of 2 pi,
+    bracketed on a grid and polished by safeguarded Newton.  An endpoint
+    within 1e-8 of a base site, a factor with |u_0| ~ |u_1|, or a lift that
+    does not rise by 2 pi (d_1 + d_2) gives no hints.
+    """
+    none = np.empty(0)
+    sites = np.asarray(family.base.sites, dtype=float)
+    offset = np.remainder(sites - b + math.pi, TWO_PI) - math.pi
+    if np.min(np.abs(offset)) <= 1e-8:
+        return none
+    base = np.exp(1j * sites)
+    phi = np.column_stack(family.vectors)
+    g = phi.conj().T @ ((base / (base - np.exp(1j * b)))[:, None] * phi)
+    k = np.vdot(phi[:, 1], phi[:, 0]) * g[0, 1] + np.linalg.det(g)
+    # (sign, u_0, u_1): Q enters the quotient's argument with +, Q - P with -
+    factors = ((1.0, g[1, 1] - k, k),
+               (-1.0, g[1, 1] + g[0, 0] - k - 1.0, k - g[0, 0]))
+    if any(abs(abs(u0) - abs(u1)) <= 1e-8 * max(abs(u0), abs(u1))
+           for _, u0, u1 in factors):
+        return none
+    first, second = curve.components
+
+    def lift(s):
+        xi = np.exp(1j * s)
+        arg_alpha = _boundary_phase(first, s)
+        alpha = np.exp(1j * arg_alpha)
+        speed = boundary_derivative_modulus(first, xi)
+        value = _boundary_phase(second, s)
+        slope = boundary_derivative_modulus(second, xi)
+        for sign, u0, u1 in factors:
+            if abs(u1) > abs(u0):
+                arg = (np.angle(u1) + arg_alpha
+                       + np.angle(1.0 + u0 / (u1 * alpha)))
+            else:
+                arg = np.angle(u0) + np.angle(1.0 + u1 * alpha / u0)
+            value = value + sign * arg
+            slope = slope + sign * speed * (u1 * alpha / (u0 + u1 * alpha)).real
+        return value, slope
+
+    count = first.degree + second.degree
+    grid = np.linspace(0.0, TWO_PI, _CROSSING_GRID * count + 1)
+    values, _ = lift(grid)
+    rise = values[-1] - values[0]
+    if not (abs(rise - TWO_PI * count) <= 1e-6
+            and np.all(np.diff(values) > 0.0)):
+        return none
+    targets = TWO_PI * (math.ceil(values[0] / TWO_PI) + np.arange(count))
+    j = np.searchsorted(values, targets, side="right") - 1
+    lo, hi = grid[j], grid[j + 1]
+    s = lo + (hi - lo) * (targets - values[j]) / (values[j + 1] - values[j])
+    for _ in range(_CROSSING_MAX_NEWTON):
+        value, slope = lift(s)
+        value -= targets
+        lo = np.where(value < 0.0, s, lo)
+        hi = np.where(value > 0.0, s, hi)
+        newton = s - value / slope
+        close = np.abs(newton - s) <= _CROSSING_STEP
+        s = np.where(close | ((newton > lo) & (newton < hi)), newton,
+                     0.5 * (lo + hi))
+        if close.all():
+            break
+    return s % TWO_PI
+
+
+def _curve_breakpoints(family: RankNPerturbationFamily, curve: AnalyticCurve,
+                       borel: BorelSetSpec) -> list[float]:
+    """The angles s in [0, 2 pi) where xi -> nu_{gamma(xi)}(B) jumps: the
+    crossings of B's endpoints (``_endpoint_crossings``) at which the dense
+    oracle's count of atoms in B differs between s -/+ 1e-9, in one stacked
+    call.  A hint that fails that check is dropped."""
+    ends = {float(x) % TWO_PI for piece in borel.pieces for x in piece}
+    hints = np.concatenate([_endpoint_crossings(family, curve, b)
+                            for b in sorted(ends)])
+    if not hints.size:
+        return []
+    probes = np.concatenate([hints - _CROSSING_PROBE, hints + _CROSSING_PROBE])
+    angles, _ = _staged_spectra(
+        family, curve_sample(curve, np.exp(1j * probes)), family.vectors[1])
+    inside = np.count_nonzero(borel.mask(angles), axis=-1)
+    return sorted(hints[inside[:hints.size] != inside[hints.size:]].tolist())
+
+
 def curve_disintegration_check(family: RankNPerturbationFamily,
                                curve: AnalyticCurve, borel: BorelSetSpec,
                                tol: float = 1e-4) -> CurveDisintegrationResult:
@@ -288,8 +401,13 @@ def curve_disintegration_check(family: RankNPerturbationFamily,
     measure of the second vector for the staged perturbation at gamma(xi),
     built and diagonalized for all the nodes of a quadrature refinement
     round at once (one stacked eigen-solve, with the unitarity check of
-    every stage and the torus check of every curve point).  It shares
-    nothing with the closed form it judges.
+    every stage and the torus check of every curve point).  Its breakpoints
+    are the jumps of the integrand, the eigenvalue crossings of B's
+    endpoints (``_curve_breakpoints``): found from a 2x2 determinant and a
+    monotone lift, and never trusted until the dense oracle's count of
+    atoms in B changes across them.  The integrand's values come from the
+    dense oracle only, so a dropped hint costs refinement, not accuracy, and
+    the left side shares nothing with the closed form it judges.
     Right side: the integral over B of the positive boundary density
     2 Re(phi) - 1 of the averaged measure (the real/Poisson pairing of the
     closed-form phi; equal to phi when the curve passes through the origin
@@ -308,7 +426,9 @@ def curve_disintegration_check(family: RankNPerturbationFamily,
         return _mass_inside(masses, borel.mask(angles))
 
     lhs, err1 = integrate_line(lhs_integrand, 0.0, TWO_PI,
-                               tol=0.25 * tol * TWO_PI)
+                               tol=0.25 * tol * TWO_PI,
+                               breakpoints=_curve_breakpoints(family, curve,
+                                                              borel))
 
     def rhs_integrand(s_arr: np.ndarray) -> np.ndarray:
         vals = phi_density(ms, f, curve, np.exp(1j * np.asarray(s_arr)))

@@ -6,8 +6,9 @@ dependency.  The benchmark under ``perfbench/`` traces library functions
 by name, so every name it traces must still resolve, and each check entry
 yields as many records as it counts for that entry.  No scenario check
 solves the same level set, or builds the same T_alpha, twice, and a model
-space solves one level set, of theta itself.  Every name the package
-exports has a caller or a stated role."""
+space solves one level set, of theta itself.  The curve average
+integrates between its jumps.  Every name the package exports has a caller
+or a stated role."""
 
 import ast
 import importlib
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from clarklab import herglotz, modelspace, scenarios
+from clarklab import herglotz, modelspace, rankn, scenarios
 from clarklab.herglotz import BlaschkeProduct
 from clarklab.modelspace import build_model_space
 
@@ -254,6 +255,38 @@ def test_model_space_solves_one_level_set_of_theta(monkeypatch):
         assert [(solved is theta, solved.degree, alphas.tolist())
                 for solved, alphas in calls] == [(True, n, [1j, -1j])]
         assert ms.grid.size == 2 * n
+
+
+def test_curve_average_integrates_between_its_jumps(monkeypatch):
+    # The left side of curve_disintegration_check, its first integrate_line
+    # call, gets the eigenvalue crossings of the arc endpoints as
+    # breakpoints, so GK15 never bisects a jump: on each bundled curve case
+    # it sees a few smooth panels (bisecting took 1,005 to 1,095 nodes).
+    cases = []
+    check = scenarios.curve_disintegration_check
+    integrate = rankn.integrate_line
+
+    def tracked(*args, **kwargs):
+        cases.append([])
+        return check(*args, **kwargs)
+
+    def counting(f, *args, **kwargs):
+        nodes = [0]
+        cases[-1].append(nodes)
+
+        def counted(s):
+            nodes[0] += np.size(s)
+            return f(s)
+
+        return integrate(counted, *args, **kwargs)
+
+    monkeypatch.setattr(scenarios, "curve_disintegration_check", tracked)
+    monkeypatch.setattr(rankn, "integrate_line", counting)
+    assert scenarios.run_scenario(PACKAGE / "scenarios" / "rankn.json",
+                                  workers=1).all_passed
+    left = [calls[0][0] for calls in cases]
+    assert len(left) == 3
+    assert max(left) <= 150
 
 
 def test_record_counts_follow_the_benchmark_rule(monkeypatch):

@@ -3,11 +3,12 @@ import dataclasses
 import gc
 import math
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from clarklab import rankn
+from clarklab import rankn, scenarios
 from clarklab.errors import (ConstructionError, CyclicityError, DomainError,
                              ResidueError)
 from clarklab.herglotz import BlaschkeProduct, blaschke_eval
@@ -22,8 +23,9 @@ from clarklab.rankn import (AnalyticCurve, RankNPerturbationFamily,
                             is_cyclic, knu_alpha_beta, phi_density,
                             recursive_unitary, spectral_measure_of_vector,
                             theorem4_axis_criterion, theorem9_nullset_check)
-from clarklab.scenarios import (random_family, random_model,
-                                random_orthogonal_unit_vector, _rng)
+from clarklab.scenarios import (random_blaschke, random_family, random_model,
+                                random_orthogonal_unit_vector, run_scenario,
+                                _rng)
 
 Z1 = BlaschkeProduct((0j,), 1.0)
 
@@ -381,6 +383,18 @@ class TestPhiDensity:
         assert phi_density(ms, f, curve, 0.0) == pytest.approx(1.0, abs=1e-10)
 
 
+def _dense_count(fam, curve, borel, s):
+    """Per angle s, the number of atoms of the dense oracle in B."""
+    angles, _ = rankn._staged_spectra(
+        fam, curve_sample(curve, np.exp(1j * np.asarray(s))), fam.vectors[1])
+    return np.count_nonzero(borel.mask(angles), axis=-1)
+
+
+NONCONSTANT = (random_family(_rng(11), 3, 2),
+               AnalyticCurve((_moebius(0.4 + 0.2j), _moebius(-0.3 + 0.25j))),
+               BorelSetSpec("circle", ((1.0, 2.5),)))
+
+
 class TestCurveDisintegration:
     def test_origin_curve_is_arc_length(self):
         curve = AnalyticCurve((Z1, Z1))
@@ -429,13 +443,79 @@ class TestCurveDisintegration:
             curve_disintegration_check(FAMILY2, AnalyticCurve((Z1, Z1)), borel)
 
     def test_nonconstant_density(self):
-        fam = random_family(_rng(11), 3, 2)
-        curve = AnalyticCurve((_moebius(0.4 + 0.2j), _moebius(-0.3 + 0.25j)))
-        borel = BorelSetSpec("circle", ((1.0, 2.5),))
-        res = curve_disintegration_check(fam, curve, borel, tol=1e-4)
+        _, _, borel = NONCONSTANT
+        res = curve_disintegration_check(*NONCONSTANT, tol=1e-4)
         assert res.defect <= 1e-4
         # density genuinely differs from arc length here
         assert abs(res.density_integral - borel.total_length() / (2 * math.pi)) > 1e-3
+
+
+class TestCurveCrossings:
+    @pytest.mark.parametrize("dim", [2, 3, 8, 32])
+    def test_each_endpoint_crossed_once_per_degree(self, dim):
+        # along the curve every eigenvalue crossing of an arc endpoint flips
+        # the dense count of atoms in B, and there are d_1 + d_2 of them
+        for seed in range(10):
+            rng = _rng(seed, dim, 23)
+            fam = random_family(rng, dim, 2)
+            curve = AnalyticCurve(tuple(
+                random_blaschke(rng, int(rng.integers(1, 4)), max_radius=0.9)
+                for _ in range(2)))
+            start = rng.uniform(0.0, 2 * math.pi)
+            borel = BorelSetSpec("circle",
+                                 ((start, start + rng.uniform(0.2, 3.0)),))
+            degree = sum(c.degree for c in curve.components)
+            hints = []
+            for b in sorted({x % (2 * math.pi) for x in borel.pieces[0]}):
+                crossings = rankn._endpoint_crossings(fam, curve, b)
+                assert crossings.size == degree, (seed, b)
+                hints += crossings.tolist()
+            hints = np.array(hints)
+            below = _dense_count(fam, curve, borel, hints - 1e-10)
+            above = _dense_count(fam, curve, borel, hints + 1e-10)
+            assert np.all(below != above), seed
+            assert rankn._curve_breakpoints(fam, curve, borel) == sorted(hints)
+
+    def test_defect_at_rounding_level(self):
+        # between the crossings the integrand is smooth, so GK15 meets the
+        # density integral far below the check's 1e-4 (bisecting the jumps
+        # left up to 9.4e-6 on the bundled cases)
+        path = Path(scenarios.__file__).parent / "scenarios" / "rankn.json"
+        records = [rec for rec in run_scenario(path, workers=1).records
+                   if rec.check == "curve_disintegration"]
+        defects = [abs(rec.observed - rec.expected) for rec in records]
+        res = curve_disintegration_check(*NONCONSTANT, tol=1e-4)
+        defects.append(res.defect)
+        assert len(defects) == 4
+        assert max(defects) <= 1e-10
+
+    def test_check_holds_without_hints(self, monkeypatch):
+        monkeypatch.setattr(rankn, "_endpoint_crossings",
+                            lambda *args: np.empty(0))
+        assert rankn._curve_breakpoints(*NONCONSTANT) == []
+        res = curve_disintegration_check(*NONCONSTANT, tol=1e-4)
+        assert res.defect <= 1e-4
+
+    def test_endpoint_on_a_base_site_gives_no_hints(self):
+        fam, curve, _ = NONCONSTANT
+        site = fam.base.sites[1]
+        borel = BorelSetSpec("circle", ((site, site + 1.5),))
+        assert rankn._endpoint_crossings(fam, curve, site).size == 0
+        assert len(rankn._curve_breakpoints(fam, curve, borel)) == 2
+        res = curve_disintegration_check(fam, curve, borel, tol=1e-4)
+        assert res.defect <= 1e-4
+
+    def test_hint_without_a_jump_is_dropped(self, monkeypatch):
+        true = rankn._curve_breakpoints(*NONCONSTANT)
+        crossings = rankn._endpoint_crossings
+
+        def with_strays(*args):
+            found = crossings(*args)
+            return np.concatenate([found, found + 0.05])
+
+        monkeypatch.setattr(rankn, "_endpoint_crossings", with_strays)
+        assert len(true) == 4
+        assert rankn._curve_breakpoints(*NONCONSTANT) == true
 
 
 class TestPositivity:
