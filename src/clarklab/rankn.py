@@ -357,7 +357,10 @@ def _endpoint_crossings(family: RankNPerturbationFamily, curve: AnalyticCurve,
             and np.all(np.diff(values) > 0.0)):
         return none
     targets = TWO_PI * (math.ceil(values[0] / TWO_PI) + np.arange(count))
-    j = np.searchsorted(values, targets, side="right") - 1
+    # a crossing at s = 0 can round its target just outside the grid; the
+    # clipped end bracket then converges onto that end
+    j = np.clip(np.searchsorted(values, targets, side="right") - 1,
+                0, grid.size - 2)
     lo, hi = grid[j], grid[j + 1]
     s = lo + (hi - lo) * (targets - values[j]) / (values[j + 1] - values[j])
     for _ in range(_CROSSING_MAX_NEWTON):
@@ -381,8 +384,8 @@ def _curve_breakpoints(family: RankNPerturbationFamily, curve: AnalyticCurve,
     oracle's count of atoms in B differs between s -/+ 1e-9, in one stacked
     call.  A hint that fails that check is dropped."""
     ends = {float(x) % TWO_PI for piece in borel.pieces for x in piece}
-    hints = np.concatenate([_endpoint_crossings(family, curve, b)
-                            for b in sorted(ends)])
+    hints = np.concatenate([np.empty(0)] + [_endpoint_crossings(family, curve, b)
+                                            for b in sorted(ends)])
     if not hints.size:
         return []
     probes = np.concatenate([hints - _CROSSING_PROBE, hints + _CROSSING_PROBE])

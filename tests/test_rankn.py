@@ -489,6 +489,38 @@ class TestCurveCrossings:
         assert len(defects) == 4
         assert max(defects) <= 1e-10
 
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    def test_endpoint_that_is_an_eigenvalue_at_gamma_one(self, dim):
+        # the crossing then sits at s = 0, where rounding can put its target
+        # just outside the lift's grid; it must still be found, at 0 or 2 pi
+        for seed in range(10):
+            rng = _rng(seed, dim, 99)
+            fam = random_family(rng, dim, 2)
+            curve = AnalyticCurve(tuple(
+                random_blaschke(rng, int(rng.integers(1, 4)), max_radius=0.9)
+                for _ in range(2)))
+            degree = sum(c.degree for c in curve.components)
+            start, _ = rankn._staged_spectra(
+                fam, curve_sample(curve, np.ones(1)), fam.vectors[1])
+            for b in start[0] % (2 * math.pi):
+                crossings = rankn._endpoint_crossings(fam, curve, float(b))
+                assert crossings.size == degree, (seed, b)
+                to_zero = np.minimum(crossings, 2 * math.pi - crossings)
+                assert to_zero.min() <= 1e-9, (seed, b)
+                borel = BorelSetSpec("circle", ((b, b + 1.0),))
+                below = _dense_count(fam, curve, borel, crossings - 1e-10)
+                above = _dense_count(fam, curve, borel, crossings + 1e-10)
+                assert np.all(below != above), (seed, b)
+        res = curve_disintegration_check(fam, curve, borel, tol=1e-4)
+        assert res.defect <= 1e-10
+
+    def test_empty_set_has_no_breakpoints(self):
+        fam, curve, _ = NONCONSTANT
+        empty = BorelSetSpec("circle", ())
+        assert rankn._curve_breakpoints(fam, curve, empty) == []
+        res = curve_disintegration_check(fam, curve, empty, tol=1e-4)
+        assert res.average == 0.0 and res.density_integral == 0.0
+
     def test_check_holds_without_hints(self, monkeypatch):
         monkeypatch.setattr(rankn, "_endpoint_crossings",
                             lambda *args: np.empty(0))

@@ -670,6 +670,15 @@ class TestStructureValidation:
                                "checks": [dict(VALID[check], check=check)]})
         assert report.records and report.all_passed
 
+    def test_empty_borel_set_runs(self):
+        # "pieces": [] is a valid Borel set; its curve average is 0
+        case = dict(VALID["curve_disintegration"]["cases"][0],
+                    borel={"space": "circle", "pieces": []})
+        report = run_scenario({"name": "x", "seed": 1, "checks": [
+            {"check": "curve_disintegration", "cases": [case]}]})
+        assert [rec.observed for rec in report.records] == [0.0]
+        assert report.all_passed
+
     def test_every_check_is_covered(self):
         assert sorted(VALID) == sorted(scenarios.CHECKS)
         assert {check for check, _ in LISTS} == set(scenarios.CHECKS)
