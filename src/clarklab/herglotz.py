@@ -25,7 +25,7 @@ kernels) and checked against the branches of the boundary phase.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -63,6 +63,9 @@ class BlaschkeProduct:
 
     zeros: tuple[complex, ...]
     c: complex = 1.0 + 0.0j
+    # the unitary realization, built by _realization on its first call and kept
+    _realized: tuple | None = field(default=None, init=False, repr=False,
+                                    compare=False)
 
     def __post_init__(self):
         zeros = tuple(complex(z) for z in self.zeros)
@@ -198,25 +201,36 @@ _LEVEL_SET_TOL = 1e-12
 _LEVEL_SET_MAX_NEWTON = 50
 
 
+def _realization(theta: BlaschkeProduct) -> tuple:
+    """theta(z) = D + z C (I - z A)^{-1} B with [[A, B], [C, D]] unitary, one
+    unitary section per zero in stored order, as the parts the Clark
+    unitaries take: A, the outer product B (c C) and c D.  Built once per
+    theta and kept on it, read-only."""
+    if theta._realized is None:
+        n = theta.degree
+        a_mat = np.zeros((n, n), dtype=complex)
+        b = np.zeros(n, dtype=complex)
+        c = np.zeros(n, dtype=complex)
+        d = 1.0 + 0.0j
+        for k, ak in enumerate(theta.zeros):
+            sk = math.sqrt(1.0 - abs(ak) ** 2)
+            a_mat[k, :k] = sk * c[:k]
+            a_mat[k, k] = ak.conjugate()
+            b[k] = sk * d
+            c[:k] *= -ak
+            c[k] = sk
+            d *= -ak
+        bc = np.outer(b, theta.c * c)
+        a_mat.flags.writeable = bc.flags.writeable = False
+        object.__setattr__(theta, "_realized", (a_mat, bc, theta.c * d))
+    return theta._realized
+
+
 def _clark_unitaries(theta: BlaschkeProduct, alphas) -> np.ndarray:
     """Clark unitaries W(alpha) = A + B C / (alpha - D) at unimodular alphas,
-    an (L, N, N) stack, from theta(z) = D + z C (I - z A)^{-1} B with
-    [[A, B], [C, D]] unitary: one unitary section per zero, in stored order."""
-    n = theta.degree
-    a_mat = np.zeros((n, n), dtype=complex)
-    b = np.zeros(n, dtype=complex)
-    c = np.zeros(n, dtype=complex)
-    d = 1.0 + 0.0j
-    for k, ak in enumerate(theta.zeros):
-        sk = math.sqrt(1.0 - abs(ak) ** 2)
-        a_mat[k, :k] = sk * c[:k]
-        a_mat[k, k] = ak.conjugate()
-        b[k] = sk * d
-        c[:k] *= -ak
-        c[k] = sk
-        d *= -ak
-    return (a_mat + np.outer(b, theta.c * c)
-            / (np.atleast_1d(alphas) - theta.c * d)[:, None, None])
+    an (L, N, N) stack, from theta's realization (``_realization``)."""
+    a_mat, bc, cd = _realization(theta)
+    return a_mat + bc / (np.atleast_1d(alphas) - cd)[:, None, None]
 
 
 def level_set_batch(theta: BlaschkeProduct, alphas) -> np.ndarray:
@@ -253,8 +267,9 @@ def level_set_batch(theta: BlaschkeProduct, alphas) -> np.ndarray:
     else:
         worst = np.unravel_index(np.argmax(resid / floor), resid.shape)
         raise RootFindingError(
-            f"level-set Newton polish stalled at residual {resid[worst]:.3e} "
-            f"(floor {floor[worst]:.3e}) for degree {n}")
+            f"degree-{n} level set at alpha = {alphas[worst[0]]:.6f}: Newton "
+            f"polish stalled at residual {resid[worst]:.3e} "
+            f"(floor {floor[worst]:.3e})")
 
     t = np.sort(t % (2.0 * math.pi), axis=1)
     xi = np.exp(1j * t)
@@ -274,11 +289,15 @@ def _clark_atoms(theta: BlaschkeProduct, alphas
                  ) -> tuple[np.ndarray, np.ndarray]:
     """Clark atoms of theta at many alphas: the level-set points and their
     masses 1/|theta'|, (L, degree) arrays with one row per alpha sorted by
-    angle; a vanishing angular derivative raises ResidueError."""
+    angle; a vanishing angular derivative raises ResidueError naming its
+    alpha."""
     pts = level_set_batch(theta, alphas)
     deriv = boundary_derivative_modulus(theta, pts)
-    if np.any(deriv < 1e-12):
-        raise ResidueError("vanishing angular derivative at a level-set point")
+    flat = np.any(deriv < 1e-12, axis=1)
+    if flat.any():
+        alpha = np.atleast_1d(np.asarray(alphas, dtype=complex))[flat][0]
+        raise ResidueError("vanishing angular derivative at a level-set point "
+                           f"of alpha = {alpha:.6f}")
     return pts, 1.0 / deriv
 
 
@@ -393,15 +412,18 @@ def _secular_solve(t, m, targets) -> np.ndarray:
         excess = np.where(np.isfinite(resid), resid - allowed, np.inf)
     if np.any(excess > 0.0):
         worst = int(np.argmax(excess))
+        # the row's coupling is -1/target; a zero target solves K = 0
+        root = (f"secular root at {x[worst]} for coupling {-1.0 / target[worst]}"
+                if outside else f"zero of the transform at {x[worst]}")
         if np.isinf(resid[worst]):
             j = int(np.argmin(np.abs(t - x[worst])))
             gap = np.min(np.abs(np.delete(t, j) - t[j]), initial=np.inf)
             raise RootFindingError(
-                f"secular root at {x[worst]} coincides with the atom at "
-                f"{t[j]} (gap {gap:.3e} to the next atom): the root is "
-                "nearer to the atom than binary64 resolves")
+                f"{root} coincides with the atom at {t[j]} (gap {gap:.3e} to "
+                "the next atom): the root is nearer to the atom than binary64 "
+                "resolves")
         raise RootFindingError(
-            f"secular root at {x[worst]} has residual {resid[worst]:.3e} "
+            f"{root} has residual {resid[worst]:.3e} "
             f"(allowed {allowed[worst]:.3e}); interlacing bracket "
             f"may be violated")
     return x.reshape(shape)

@@ -181,23 +181,26 @@ def _require_theta_vanishes_at_zero(ms: ModelSpace):
         raise DomainError(f"theta(0) = {t0} must vanish for this operation")
 
 
-def t_alpha_matrix(ms: ModelSpace, alpha: complex) -> np.ndarray:
+def t_alpha_matrix(ms: ModelSpace, alpha) -> np.ndarray:
     """Matrix of the unitary rank-one perturbation of the compressed shift.
 
     f -> z*(f - (f, theta/z) theta/z) + (f, theta/z) alpha in the TM basis.
     Requires theta(0) = 0 (so theta/z and the constants live in the space).
     In the TM basis this is the conjugate of theta's Clark unitary
     W(alpha) = A + B C / (alpha - D); its eigenvalues are the level set
-    {theta = alpha}.
+    {theta = alpha}.  An array of alphas gives an (L, N, N) stack, each
+    matrix checked as one alpha's is.
     """
     _require_theta_vanishes_at_zero(ms)
-    t = np.conj(_clark_unitaries(ms.theta, _require_unimodular(alpha))[0])
+    alphas = _require_unimodular(alpha)
+    t = np.conj(_clark_unitaries(ms.theta, alphas))
     # Frobenius bounds the spectral norm from above: a stricter check
-    defect = np.linalg.norm(t.conj().T @ t - np.eye(ms.dimension), "fro")
-    if defect > 1e-10:
+    defect = np.linalg.norm(np.swapaxes(t.conj(), -1, -2) @ t
+                            - np.eye(ms.dimension), axis=(-2, -1))
+    if not np.all(defect <= 1e-10):
         raise ConstructionError(
-            f"perturbed shift is not unitary: defect {defect:.3e}")
-    return t
+            f"perturbed shift is not unitary: defect {np.max(defect):.3e}")
+    return t if np.ndim(alphas) else t[0]
 
 
 def v_alpha(ms: ModelSpace, alpha: complex, values_at_atoms,

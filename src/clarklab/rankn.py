@@ -47,9 +47,9 @@ from .measures import (BorelSetSpec, CircleAtomicMeasure, TWO_PI,
 from .modelspace import (ModelSpace, ModelVector, _require_in_disk,
                          _transform_context, build_model_space, v_alpha)
 from .rankone import (CyclicOperatorModel, _mass_inside, _unitary_eigenbasis,
-                      inner_from_unitary, model_from_json_dict,
-                      rank_one_unitary_update, spectral_measure,
-                      unitary_spectral_measure)
+                      _unitary_spectra, inner_from_unitary,
+                      model_from_json_dict, rank_one_unitary_update,
+                      spectral_measure, unitary_spectral_measure)
 from .quadrature import integrate_line
 
 
@@ -196,9 +196,7 @@ def _staged_spectra(family: RankNPerturbationFamily, points, vector
     """Dense oracle at an (L, n) array of parameter points: eigenvalue
     angles in [0, 2 pi) and the masses |<vector, eigvec>|^2, (L, N) arrays,
     of the staged unitaries; one stack and one stacked eigen-solve."""
-    evals, q = _unitary_eigenbasis(_staged_unitaries(family, points))
-    masses = np.abs(np.swapaxes(q.conj(), -1, -2) @ vector) ** 2
-    return np.angle(evals) % TWO_PI, masses
+    return _unitary_spectra(_staged_unitaries(family, points), vector)
 
 
 def family_model_space(family: RankNPerturbationFamily
@@ -294,10 +292,12 @@ _CROSSING_PROBE = 1e-9      # offset at which the dense oracle vets a hint
 
 
 def _endpoint_crossings(family: RankNPerturbationFamily, curve: AnalyticCurve,
-                        b: float) -> np.ndarray:
+                        ends) -> np.ndarray:
     """Angles s in [0, 2 pi) at which e^{ib} is an eigenvalue of the staged
-    unitary at the curve point gamma(e^{is}) of a two-vector family; hints
-    only, which the caller vets against the dense oracle.
+    unitary at the curve point gamma(e^{is}) of a two-vector family, for
+    each endpoint b of ``ends`` (one angle or an array of them): a flat
+    array, endpoint by endpoint in the given order.  Hints only, which the
+    caller vets against the dense oracle.
 
     The staged unitary is U = (I + Phi M Phi*) U_0 with Phi = [phi_1 phi_2]
     and M = [[alpha - 1, 0], [(beta - 1)(alpha - 1) phi_2* phi_1, beta - 1]],
@@ -311,81 +311,99 @@ def _endpoint_crossings(family: RankNPerturbationFamily, curve: AnalyticCurve,
     arg of the two affine factors u_0 + u_1 alpha, each lifted through its
     larger coefficient.  The lift increases strictly, by 2 pi (d_1 + d_2)
     over a period; the crossings are its passes through multiples of 2 pi,
-    bracketed on a grid and polished by safeguarded Newton.  An endpoint
-    within 1e-8 of a base site, a factor with |u_0| ~ |u_1|, or a lift that
-    does not rise by 2 pi (d_1 + d_2) gives no hints.
+    bracketed on a grid and polished by safeguarded Newton, every endpoint
+    in the same grid lift and the same Newton, each endpoint's Newton
+    stopping when all of its crossings have.  An endpoint within 1e-8 of a
+    base site, a factor with |u_0| ~ |u_1|, or a lift that does not rise by
+    2 pi (d_1 + d_2) gives no hints for that endpoint.
     """
-    none = np.empty(0)
+    ends = np.atleast_1d(np.asarray(ends, dtype=float))
     sites = np.asarray(family.base.sites, dtype=float)
-    offset = np.remainder(sites - b + math.pi, TWO_PI) - math.pi
-    if np.min(np.abs(offset)) <= 1e-8:
-        return none
+    offset = np.remainder(sites - ends[:, None] + math.pi, TWO_PI) - math.pi
+    ends = ends[np.min(np.abs(offset), axis=1) > 1e-8]
+    if not ends.size:
+        return np.empty(0)
     base = np.exp(1j * sites)
     phi = np.column_stack(family.vectors)
-    g = phi.conj().T @ ((base / (base - np.exp(1j * b)))[:, None] * phi)
-    k = np.vdot(phi[:, 1], phi[:, 0]) * g[0, 1] + np.linalg.det(g)
-    # (sign, u_0, u_1): Q enters the quotient's argument with +, Q - P with -
-    factors = ((1.0, g[1, 1] - k, k),
-               (-1.0, g[1, 1] + g[0, 0] - k - 1.0, k - g[0, 0]))
-    if any(abs(abs(u0) - abs(u1)) <= 1e-8 * max(abs(u0), abs(u1))
-           for _, u0, u1 in factors):
-        return none
+    g = phi.conj().T @ ((base / (base - np.exp(1j * ends)[:, None]))[..., None]
+                        * phi)
+    k = np.vdot(phi[:, 1], phi[:, 0]) * g[:, 0, 1] + np.linalg.det(g)
+    # the factors (u_0, u_1) of Q and Q - P, one row per factor and one
+    # column per endpoint
+    u0 = np.stack([g[:, 1, 1] - k, g[:, 1, 1] + g[:, 0, 0] - k - 1.0])
+    u1 = np.stack([k, k - g[:, 0, 0]])
+    keep = ~np.any(np.abs(np.abs(u0) - np.abs(u1))
+                   <= 1e-8 * np.maximum(np.abs(u0), np.abs(u1)), axis=0)
+    u0, u1 = u0[:, keep, None], u1[:, keep, None]
+    # which coefficient is larger, and the arg of each
+    factors = (u0, u1, np.abs(u1) > np.abs(u0), np.angle(u0), np.angle(u1))
     first, second = curve.components
 
-    def lift(s):
+    def lift(s, factors):
+        # s broadcasts against the (endpoints, 1) columns of ``factors``
+        u0, u1, big, arg0, arg1 = factors
         xi = np.exp(1j * s)
         arg_alpha = _boundary_phase(first, s)
-        alpha = np.exp(1j * arg_alpha)
-        speed = boundary_derivative_modulus(first, xi)
-        value = _boundary_phase(second, s)
-        slope = boundary_derivative_modulus(second, xi)
-        for sign, u0, u1 in factors:
-            if abs(u1) > abs(u0):
-                arg = (np.angle(u1) + arg_alpha
-                       + np.angle(1.0 + u0 / (u1 * alpha)))
-            else:
-                arg = np.angle(u0) + np.angle(1.0 + u1 * alpha / u0)
-            value = value + sign * arg
-            slope = slope + sign * speed * (u1 * alpha / (u0 + u1 * alpha)).real
-        return value, slope
+        u1_alpha = u1 * np.exp(1j * arg_alpha)
+        # both ratios are formed; a zero coefficient only feeds the one
+        # that is not taken
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(big, u0 / u1_alpha, u1_alpha / u0)
+        arg = np.where(big, arg1 + arg_alpha, arg0) + np.angle(1.0 + ratio)
+        drift = (boundary_derivative_modulus(first, xi)
+                 * (u1_alpha / (u0 + u1_alpha)).real)
+        # Q enters the quotient's argument with +, Q - P with -
+        return (_boundary_phase(second, s) + arg[0] - arg[1],
+                boundary_derivative_modulus(second, xi) + drift[0] - drift[1])
 
     count = first.degree + second.degree
     grid = np.linspace(0.0, TWO_PI, _CROSSING_GRID * count + 1)
-    values, _ = lift(grid)
-    rise = values[-1] - values[0]
-    if not (abs(rise - TWO_PI * count) <= 1e-6
-            and np.all(np.diff(values) > 0.0)):
-        return none
-    targets = TWO_PI * (math.ceil(values[0] / TWO_PI) + np.arange(count))
-    # a crossing at s = 0 can round its target just outside the grid; the
-    # clipped end bracket then converges onto that end
-    j = np.clip(np.searchsorted(values, targets, side="right") - 1,
-                0, grid.size - 2)
+    values, _ = lift(grid, factors)
+    rise = values[:, -1] - values[:, 0]
+    rows = np.flatnonzero((np.abs(rise - TWO_PI * count) <= 1e-6)
+                          & np.all(np.diff(values, axis=1) > 0.0, axis=1))
+    values = values[rows]
+    targets = TWO_PI * (np.ceil(values[:, :1] / TWO_PI) + np.arange(count))
+    # the last grid value at or below each target (searchsorted, side
+    # "right"); a crossing at s = 0 can round its target just outside the
+    # grid, and the clipped end bracket then converges onto that end
+    j = np.clip(np.count_nonzero(values[:, :, None] <= targets[:, None, :],
+                                 axis=1) - 1, 0, grid.size - 2)
+    below = np.take_along_axis(values, j, axis=1)
+    above = np.take_along_axis(values, j + 1, axis=1)
     lo, hi = grid[j], grid[j + 1]
-    s = lo + (hi - lo) * (targets - values[j]) / (values[j + 1] - values[j])
+    s = lo + (hi - lo) * (targets - below) / (above - below)
+    # an endpoint leaves the iteration once all its crossings have converged
+    todo = np.arange(rows.size)
+    factors = [f[:, rows] for f in factors]
     for _ in range(_CROSSING_MAX_NEWTON):
-        value, slope = lift(s)
-        value -= targets
-        lo = np.where(value < 0.0, s, lo)
-        hi = np.where(value > 0.0, s, hi)
-        newton = s - value / slope
-        close = np.abs(newton - s) <= _CROSSING_STEP
-        s = np.where(close | ((newton > lo) & (newton < hi)), newton,
-                     0.5 * (lo + hi))
-        if close.all():
+        if not todo.size:
             break
-    return s % TWO_PI
+        s_t = s[todo]
+        value, slope = lift(s_t, factors)
+        value -= targets[todo]
+        lo_t = lo[todo] = np.where(value < 0.0, s_t, lo[todo])
+        hi_t = hi[todo] = np.where(value > 0.0, s_t, hi[todo])
+        newton = s_t - value / slope
+        close = np.abs(newton - s_t) <= _CROSSING_STEP
+        s[todo] = np.where(close | ((newton > lo_t) & (newton < hi_t)), newton,
+                           0.5 * (lo_t + hi_t))
+        going = ~close.all(axis=1)
+        if not going.all():
+            todo = todo[going]
+            factors = [f[:, going] for f in factors]
+    return (s % TWO_PI).ravel()
 
 
 def _curve_breakpoints(family: RankNPerturbationFamily, curve: AnalyticCurve,
                        borel: BorelSetSpec) -> list[float]:
     """The angles s in [0, 2 pi) where xi -> nu_{gamma(xi)}(B) jumps: the
-    crossings of B's endpoints (``_endpoint_crossings``) at which the dense
-    oracle's count of atoms in B differs between s -/+ 1e-9, in one stacked
-    call.  A hint that fails that check is dropped."""
-    ends = {float(x) % TWO_PI for piece in borel.pieces for x in piece}
-    hints = np.concatenate([np.empty(0)] + [_endpoint_crossings(family, curve, b)
-                                            for b in sorted(ends)])
+    crossings of B's endpoints (``_endpoint_crossings``, all endpoints in
+    one call) at which the dense oracle's count of atoms in B differs
+    between s -/+ 1e-9, in one stacked call.  A hint that fails that check
+    is dropped."""
+    ends = sorted({float(x) % TWO_PI for piece in borel.pieces for x in piece})
+    hints = _endpoint_crossings(family, curve, ends)
     if not hints.size:
         return []
     probes = np.concatenate([hints - _CROSSING_PROBE, hints + _CROSSING_PROBE])

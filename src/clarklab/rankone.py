@@ -121,6 +121,24 @@ def spectral_measure(model: CyclicOperatorModel):
 # Self-adjoint family
 # ---------------------------------------------------------------------------
 
+def _perturbed_selfadjoint(model: CyclicOperatorModel, lams
+                           ) -> list[LineAtomicMeasure]:
+    """``perturb_selfadjoint`` at each coupling of a list, in order: one
+    batched secular solve for all the nonzero couplings, and the unperturbed
+    measure at each lam = 0."""
+    if model.kind != "line":
+        raise DomainError("self-adjoint perturbation needs a line model")
+    mu0 = spectral_measure(model)
+    lams = np.array(lams, dtype=float, ndmin=1)
+    moved = np.flatnonzero(lams != 0.0)
+    out = [mu0] * lams.size
+    if moved.size:
+        roots, masses = _perturbed_atoms_line(mu0, lams[moved])
+        for k, row, mrow in zip(moved, roots, masses):
+            out[k] = LineAtomicMeasure.from_atoms(zip(row, mrow))
+    return out
+
+
 def perturb_selfadjoint(model: CyclicOperatorModel, lam: float) -> LineAtomicMeasure:
     """Spectral measure of the rank-one update at coupling lam.
 
@@ -129,26 +147,30 @@ def perturb_selfadjoint(model: CyclicOperatorModel, lam: float) -> LineAtomicMea
     returns the unperturbed measure, and an infinite or NaN coupling raises
     DomainError.
     """
-    if model.kind != "line":
-        raise DomainError("self-adjoint perturbation needs a line model")
-    mu0 = spectral_measure(model)
-    if lam == 0.0:
-        return mu0
-    (roots,), (masses,) = _perturbed_atoms_line(mu0, lam)
-    return LineAtomicMeasure.from_atoms(zip(roots, masses))
+    return _perturbed_selfadjoint(model, [lam])[0]
 
 
-def matrix_oracle_selfadjoint(model: CyclicOperatorModel, lam: float,
-                              max_dimension: int = 4096) -> LineAtomicMeasure:
-    """Independent oracle: dense eigendecomposition of diag + lam phi phi*."""
+def _selfadjoint_oracle(model: CyclicOperatorModel, lams,
+                        max_dimension: int = 4096
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """``matrix_oracle_selfadjoint`` at each coupling of a list: eigenvalues
+    and masses, (L, N) arrays, from one stacked ``eigh``."""
     if model.kind != "line":
         raise DomainError("self-adjoint oracle needs a line model")
     if model.dimension > max_dimension:
         raise DomainError(f"dimension {model.dimension} exceeds {max_dimension}")
     phi = model.cyclic_vector()
-    a = np.diag(np.asarray(model.sites, dtype=float)) + lam * np.outer(phi, phi)
+    lams = np.array(lams, dtype=float, ndmin=1)
+    a = (np.diag(np.asarray(model.sites, dtype=float))
+         + lams[:, None, None] * np.outer(phi, phi))
     evals, evecs = np.linalg.eigh(a)
-    masses = (evecs.T @ phi) ** 2
+    return evals, (np.swapaxes(evecs, -1, -2) @ phi) ** 2
+
+
+def matrix_oracle_selfadjoint(model: CyclicOperatorModel, lam: float,
+                              max_dimension: int = 4096) -> LineAtomicMeasure:
+    """Independent oracle: dense eigendecomposition of diag + lam phi phi*."""
+    (evals,), (masses,) = _selfadjoint_oracle(model, [lam], max_dimension)
     return LineAtomicMeasure.from_atoms(zip(evals, masses))
 
 
@@ -189,6 +211,34 @@ def _unitary_eigenbasis(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.sum(q.conj() * (matrix @ q), axis=-2), q
 
 
+def _unitary_spectra(matrices: np.ndarray, vector: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalue angles in [0, 2 pi) and the masses |<vector, q_j>|^2 of
+    each unitary of an (L, N, N) stack, (L, N) arrays, in the orthonormal
+    eigenbasis of ``_unitary_eigenbasis``; a matrix whose U*U is more than
+    1e-9 from I (Frobenius, which bounds the spectral norm from above)
+    raises DomainError naming its row."""
+    matrices = np.asarray(matrices, dtype=complex)
+    defect = np.linalg.norm(np.swapaxes(matrices.conj(), -1, -2) @ matrices
+                            - np.eye(matrices.shape[-1]), axis=(-2, -1))
+    if not np.all(defect <= 1e-9):
+        row = int(np.argmax(~(defect <= 1e-9)))
+        raise DomainError(f"matrix {row} of the stack is not unitary: "
+                          f"||U*U - I|| = {defect[row]:.3e}")
+    evals, q = _unitary_eigenbasis(matrices)
+    masses = np.abs(np.swapaxes(q.conj(), -1, -2)
+                    @ np.asarray(vector, dtype=complex)) ** 2
+    return np.angle(evals) % TWO_PI, masses
+
+
+def _circle_measures(angles: np.ndarray, masses: np.ndarray
+                     ) -> list[CircleAtomicMeasure]:
+    """One measure per row of (L, N) atom arrays, each built (merged and
+    validated) by from_atoms."""
+    return [CircleAtomicMeasure.from_atoms(zip(row, mrow))
+            for row, mrow in zip(angles, masses)]
+
+
 def unitary_spectral_measure(matrix: np.ndarray, vector: np.ndarray
                              ) -> CircleAtomicMeasure:
     """Spectral measure of ``vector`` for a unitary matrix.
@@ -196,16 +246,8 @@ def unitary_spectral_measure(matrix: np.ndarray, vector: np.ndarray
     Uses the orthonormal eigenbasis of ``_unitary_eigenbasis``, which keeps
     masses accurate even for clustered eigenvalues.
     """
-    matrix = np.asarray(matrix, dtype=complex)
-    n = matrix.shape[0]
-    # Frobenius bounds the spectral norm from above: a stricter check
-    defect = np.linalg.norm(matrix.conj().T @ matrix - np.eye(n), "fro")
-    if defect > 1e-9:
-        raise DomainError(f"matrix is not unitary: ||U*U - I|| = {defect:.3e}")
-    evals, q = _unitary_eigenbasis(matrix)
-    masses = np.abs(q.conj().T @ np.asarray(vector, dtype=complex)) ** 2
-    angles = np.angle(evals) % TWO_PI
-    return CircleAtomicMeasure.from_atoms(zip(angles, masses))
+    return _circle_measures(*_unitary_spectra(np.asarray(matrix)[None],
+                                              vector))[0]
 
 
 def rank_one_unitary_update(matrix: np.ndarray, vector: np.ndarray,
@@ -221,14 +263,21 @@ def rank_one_unitary_update(matrix: np.ndarray, vector: np.ndarray,
     return matrix + scale * (v[:, None] * np.conj(uinv_v)[..., None, :])
 
 
+def _unitary_oracle(model: CyclicOperatorModel, alphas
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """``matrix_oracle_unitary`` at each alpha of a list: eigenvalue angles
+    and masses, (L, N) arrays, from one stack of updates."""
+    if model.kind != "circle":
+        raise DomainError("unitary oracle needs a circle model")
+    v = model.cyclic_vector().astype(complex)
+    alphas = np.array(alphas, dtype=complex, ndmin=1)
+    return _unitary_spectra(rank_one_unitary_update(model.dense(), v, alphas), v)
+
+
 def matrix_oracle_unitary(model: CyclicOperatorModel, alpha: complex
                           ) -> CircleAtomicMeasure:
     """Dense oracle for the unitary rank-one family."""
-    if model.kind != "circle":
-        raise DomainError("unitary oracle needs a circle model")
-    u = model.dense()
-    v = model.cyclic_vector().astype(complex)
-    return unitary_spectral_measure(rank_one_unitary_update(u, v, alpha), v)
+    return _circle_measures(*_unitary_oracle(model, [alpha]))[0]
 
 
 def inner_from_unitary(model: CyclicOperatorModel) -> BlaschkeProduct:
@@ -296,8 +345,13 @@ def clark_measure(theta: BlaschkeProduct, alpha: complex) -> CircleAtomicMeasure
     everywhere on the circle so every level set is simple and every alpha
     is regular.
     """
-    (pts,), (masses,) = _clark_atoms(theta, alpha)
-    return CircleAtomicMeasure.from_atoms(zip(np.angle(pts) % TWO_PI, masses))
+    return _clark_measures(theta, alpha)[0]
+
+
+def _clark_measures(theta: BlaschkeProduct, alphas) -> list[CircleAtomicMeasure]:
+    """``clark_measure`` at each alpha of a list, from one level-set solve."""
+    pts, masses = _clark_atoms(theta, alphas)
+    return _circle_measures(np.angle(pts) % TWO_PI, masses)
 
 
 def circle_measure_deviation(a: CircleAtomicMeasure, b: CircleAtomicMeasure

@@ -38,11 +38,11 @@ from .measures import (BorelSetSpec, LineAtomicMeasure, TWO_PI,
 from .modelspace import (_intertwine_residual, _transform_context,
                          build_model_space, lemma7_decompose, knu_alpha,
                          t_alpha_matrix, v_alpha, v_alpha_star)
-from .rankone import (CyclicOperatorModel, circle_measure_deviation,
-                      clark_measure, disintegration_check_circle,
-                      disintegration_check_line, inner_from_unitary,
-                      matrix_oracle_selfadjoint, matrix_oracle_unitary,
-                      model_from_json_dict, perturb_selfadjoint,
+from .rankone import (CyclicOperatorModel, _circle_measures, _clark_measures,
+                      _perturbed_selfadjoint, _selfadjoint_oracle,
+                      _unitary_oracle, circle_measure_deviation, clark_measure,
+                      disintegration_check_circle, disintegration_check_line,
+                      inner_from_unitary, model_from_json_dict,
                       simon_wolff_classify)
 from .rankn import (AnalyticCurve, RankNPerturbationFamily, _staged_spectra,
                     curve_disintegration_check, family_from_json_dict,
@@ -324,12 +324,14 @@ def _check_secular_oracle(item, spec, tol) -> list[CheckRecord]:
     records = []
     lambdas = _reals(spec.get("lambdas", [0.5, -0.5]), f"{item.check}.lambdas")
     model, label = _resolve_model(item.spec, item.rng, item.where)
-    for lam in lambdas:
-        got = perturb_selfadjoint(model, lam)
-        want = matrix_oracle_selfadjoint(model, lam)
-        pos_dev = float(np.max(np.abs(np.asarray(got.positions)
+    got = _perturbed_selfadjoint(model, lambdas)
+    want_positions, want_masses = _selfadjoint_oracle(model, lambdas)
+    for lam, mu, positions, masses in zip(lambdas, got, want_positions,
+                                          want_masses):
+        want = LineAtomicMeasure.from_atoms(zip(positions, masses))
+        pos_dev = float(np.max(np.abs(np.asarray(mu.positions)
                                       - np.asarray(want.positions))))
-        mass_dev = float(np.max(np.abs(np.asarray(got.masses)
+        mass_dev = float(np.max(np.abs(np.asarray(mu.masses)
                                        - np.asarray(want.masses))))
         params = {"model": label, "index": item.index, "lambda": lam}
         records += [_within("secular_oracle.positions", params, pos_dev,
@@ -342,12 +344,12 @@ def _check_clark_correspondence(item, spec, tol) -> list[CheckRecord]:
     n_alphas = _count(spec.get("alpha_count", 8), f"{item.check}.alpha_count")
     model, label = _resolve_model(item.spec, item.rng, item.where)
     alphas = random_unimodular(item.rng, n_alphas)
-    theta = inner_from_unitary(model)
+    got = _clark_measures(inner_from_unitary(model), alphas)
+    want = _circle_measures(*_unitary_oracle(model, alphas))
     atom_dev = 0.0
     mass_dev = 0.0
-    for alpha in alphas:
-        da, dm = circle_measure_deviation(
-            clark_measure(theta, alpha), matrix_oracle_unitary(model, alpha))
+    for mu, oracle in zip(got, want):
+        da, dm = circle_measure_deviation(mu, oracle)
         atom_dev = max(atom_dev, da)
         mass_dev = max(mass_dev, dm)
     params = {"model": label, "index": item.index, "alphas": len(alphas)}
@@ -392,23 +394,24 @@ def _check_modelspace_suite(item, spec, tol) -> list[CheckRecord]:
     theta = random_blaschke(rng, degree, zero_at_origin=True)
     ms = build_model_space(theta)
     alphas = random_unimodular(rng, n_alphas)
-    unit_dev = 0.0
+    # the isometry draws keep their order: alpha_1, vals_1, alpha_2, ...
+    iso_alphas, iso_vals = [], []
+    for _ in range(n_vectors):
+        iso_alphas.append(random_unimodular(rng, 1)[0])
+        iso_vals.append(rng.normal(size=degree) + 1j * rng.normal(size=degree))
+    mus = _clark_measures(theta, np.concatenate([alphas, iso_alphas]))
+    ts = t_alpha_matrix(ms, alphas)
+    unit_dev = float(np.max(np.linalg.norm(
+        np.swapaxes(ts.conj(), -1, -2) @ ts - np.eye(degree), 2, axis=(-2, -1))))
+    eig_angles = np.sort(np.angle(np.linalg.eigvals(ts)) % TWO_PI, axis=-1)
     intertwine_dev = 0.0
     spectral_dev = 0.0
-    for alpha in alphas:
-        t = t_alpha_matrix(ms, alpha)
-        mu = clark_measure(theta, alpha)
-        unit_dev = max(unit_dev, float(np.linalg.norm(
-            t.conj().T @ t - np.eye(degree), 2)))
+    for mu, t, angles in zip(mus, ts, eig_angles):
         intertwine_dev = max(intertwine_dev, _intertwine_residual(ms, mu, t))
-        eig_angles = np.sort(np.angle(np.linalg.eigvals(t)) % TWO_PI)
         spectral_dev = max(spectral_dev, float(np.max(np.abs(np.angle(
-            np.exp(1j * (eig_angles - np.asarray(mu.angles))))))))
+            np.exp(1j * (angles - np.asarray(mu.angles))))))))
     iso_dev = 0.0
-    for _ in range(n_vectors):
-        alpha = complex(random_unimodular(rng, 1)[0])
-        mu = clark_measure(theta, alpha)
-        vals = rng.normal(size=degree) + 1j * rng.normal(size=degree)
+    for alpha, mu, vals in zip(iso_alphas, mus[n_alphas:], iso_vals):
         f = v_alpha(ms, alpha, vals, mu=mu)
         l2 = math.sqrt(float(np.sum(np.asarray(mu.masses) * np.abs(vals) ** 2)))
         iso_dev = max(iso_dev, abs(f.norm() - l2))
@@ -468,8 +471,7 @@ def _check_two_parameter_oracle(item, spec, tol) -> list[CheckRecord]:
     # cauchy_transform_disk of every oracle measure at every z
     direct = np.sum(masses[:, None, :] / (
         1.0 - np.exp(-1j * angles)[:, None, :] * zs[:, None]), axis=-1)
-    closed = np.array([knu_alpha_beta(ms, f, alpha, beta, zs)
-                       for alpha, beta in points])
+    closed = knu_alpha_beta(ms, f, points[:, :1], points[:, 1:], zs)
     dev = float(np.max(np.abs(direct - closed)))
     params = {"family": label, "index": item.index, "grid": f"{na}x{nb}x{nz}"}
     return [_within("two_parameter_oracle", params, dev, tol["oracle"])]

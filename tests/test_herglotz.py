@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -156,6 +157,41 @@ class TestLevelSet:
         with pytest.raises(RootFindingError, match="phase branch"):
             level_set_batch(theta, cmath.exp(0.7j))[0]
 
+    def test_stalled_polish_names_its_alpha(self, monkeypatch):
+        # one row of a stack starts 1e-3 off its level set and gets one
+        # Newton step; the stall names that row's alpha
+        theta = BlaschkeProduct((0.3 + 0.2j, -0.5j, 0.1), 1j)
+        alphas = np.exp(1j * np.array([0.4, 1.7, 5.2]))
+        unitaries = herglotz._clark_unitaries
+
+        def rotated(theta, alphas):
+            w = unitaries(theta, alphas)
+            w[1] *= cmath.exp(1e-3j)
+            return w
+
+        monkeypatch.setattr(herglotz, "_clark_unitaries", rotated)
+        monkeypatch.setattr(herglotz, "_LEVEL_SET_MAX_NEWTON", 1)
+        named = f"alpha = {herglotz._require_unimodular(alphas)[1]:.6f}: Newton"
+        with pytest.raises(RootFindingError, match=re.escape(named)):
+            level_set_batch(theta, alphas)
+
+    def test_vanishing_derivative_names_its_alpha(self, monkeypatch):
+        theta = BlaschkeProduct((0j, 0.5 + 0.2j, -0.3j))
+        alphas = np.exp(1j * np.array([0.4, 1.7, 5.2]))
+        modulus = herglotz.boundary_derivative_modulus
+
+        def flat_last_row(theta, xi):
+            out = modulus(theta, xi)
+            if np.ndim(out) == 2:
+                out[2] = 0.0
+            return out
+
+        monkeypatch.setattr(herglotz, "boundary_derivative_modulus",
+                            flat_last_row)
+        named = f"of alpha = {alphas[2]:.6f}"
+        with pytest.raises(ResidueError, match=re.escape(named)):
+            herglotz._clark_atoms(theta, alphas)
+
     def test_degree_512_against_dense_eigenvalues(self):
         # |theta'| reaches 1e8 here, so most points cannot get within 1e-12
         # of alpha in binary64; the polish stops at the attainable floor.
@@ -224,7 +260,21 @@ class TestSecular:
         message = str(info.value)
         assert "coincides with the atom at 0.9999999999998 " in message
         assert "(gap 2.000e-13 to the next atom)" in message
+        assert "for coupling 0.5 " in message
         assert "inf" not in message
+
+    def test_failed_root_in_a_stack_names_its_coupling(self):
+        # the model above, solved at two couplings in one call: the message
+        # names one of them, and that coupling fails on its own too
+        w = np.array([0.3, 1e-9, 0.4, 1e-9, 0.3])
+        model = CyclicOperatorModel.from_data(
+            "line", [0.0, 1.0 - 2e-13, 1.0, 1.0 + 2e-13, 2.0], w / w.sum())
+        with pytest.raises(RootFindingError) as info:
+            herglotz._perturbed_atoms_line(spectral_measure(model), [0.5, -2.0])
+        lam = float(re.search(r"for coupling (\S+) ", str(info.value)).group(1))
+        assert lam in (0.5, -2.0)
+        with pytest.raises(RootFindingError, match=f"for coupling {lam} "):
+            perturb_selfadjoint(model, lam)
 
     def test_scalar(self):
         assert secular_roots_line(DELTA0, 3.0) == pytest.approx([3.0])

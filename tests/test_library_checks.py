@@ -5,14 +5,16 @@ library forms none.  The library needs numpy alone; scipy is a test-only
 dependency.  The benchmark under ``perfbench/`` traces library functions
 by name, so every name it traces must still resolve, and each check entry
 yields as many records as it counts for that entry.  No scenario check
-solves the same level set, or builds the same T_alpha, twice, and a model
-space solves one level set, of theta itself.  The curve average
+solves the same level set, or builds the same T_alpha, twice; each check
+over a parameter grid solves an item's grid in one call, and a model space
+solves one level set, of theta itself.  The curve average
 integrates between its jumps.  Every name the package exports has a caller
 or a stated role."""
 
 import ast
 import importlib
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -234,6 +236,46 @@ def test_no_check_handler_repeats_a_solve(monkeypatch):
     for path in paths:
         assert scenarios.run_scenario(path, workers=1).all_passed
     assert repeats == []
+
+
+def test_each_check_solves_its_grid_in_one_call(monkeypatch):
+    # Per item, clark_correspondence solves all its alphas in one level
+    # set call and modelspace_suite in one besides build_model_space's;
+    # secular_oracle solves all its couplings in one secular solve, and
+    # two_parameter_oracle its (alpha, beta) grid in one knu_alpha_beta.
+    per_item = {("clark_correspondence", "level_set_batch"): 1,
+                ("modelspace_suite", "level_set_batch"): 2,
+                ("secular_oracle", "_secular_solve"): 1,
+                ("two_parameter_oracle", "knu_alpha_beta"): 1}
+    field = {"clark_correspondence": "models", "modelspace_suite": "degrees",
+             "secular_oracle": "models", "two_parameter_oracle": "families"}
+    calls, items, current = Counter(), Counter(), [None]
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[current[0], name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(herglotz, "level_set_batch")
+    count(herglotz, "_secular_solve")
+    count(scenarios, "knu_alpha_beta")
+    for check, handler in list(scenarios.CHECKS.items()):
+        def tagged(seed, idx, spec, tol, _check=check, _handler=handler):
+            current[0] = _check
+            if _check in field:
+                items[_check] += len(spec[field[_check]])
+            return _handler(seed, idx, spec, tol)
+
+        monkeypatch.setitem(scenarios.CHECKS, check, tagged)
+    for path in sorted((PACKAGE / "scenarios").glob("*.json")):
+        assert scenarios.run_scenario(path, workers=1).all_passed
+    assert all(items[check] for check in field)
+    assert {key: calls[key] for key in per_item} == \
+        {key: n * items[key[0]] for key, n in per_item.items()}
 
 
 def test_model_space_solves_one_level_set_of_theta(monkeypatch):

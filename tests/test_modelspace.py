@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from clarklab import modelspace
-from clarklab.errors import DomainError
+from clarklab import herglotz, modelspace
+from clarklab.errors import ConstructionError, DomainError
 from clarklab.herglotz import (BlaschkeProduct, blaschke_eval,
                                boundary_derivative_modulus, level_set_batch)
 from clarklab.measures import cauchy_transform_disk, CircleAtomicMeasure
@@ -24,6 +24,27 @@ Z3 = BlaschkeProduct((0j, 0j, 0j), 1.0)
 
 def _random_theta(seed, degree):
     return random_blaschke(_rng(seed), degree, zero_at_origin=True)
+
+
+def _rebuilt_clark_unitary(theta, alpha):
+    """W(alpha) = A + B C / (alpha - D) with theta's unitary realization
+    rebuilt from its zeros, as every call once did: the reference that the
+    realization kept on theta must reproduce bit for bit."""
+    n = theta.degree
+    a_mat = np.zeros((n, n), dtype=complex)
+    b = np.zeros(n, dtype=complex)
+    c = np.zeros(n, dtype=complex)
+    d = 1.0 + 0.0j
+    for k, ak in enumerate(theta.zeros):
+        sk = math.sqrt(1.0 - abs(ak) ** 2)
+        a_mat[k, :k] = sk * c[:k]
+        a_mat[k, k] = ak.conjugate()
+        b[k] = sk * d
+        c[:k] *= -ak
+        c[k] = sk
+        d *= -ak
+    return (a_mat + np.outer(b, theta.c * c)
+            / (np.atleast_1d(alpha) - theta.c * d)[:, None, None])[0]
 
 
 # Independent oracle for the H^2 inner product: a boundary mean over a
@@ -180,6 +201,37 @@ class TestTAlpha:
         ms = build_model_space(theta)
         with pytest.raises(DomainError):
             t_alpha_matrix(ms, 1.0)
+
+    def test_kept_realization_gives_the_rebuilt_matrix(self):
+        # theta keeps its realization after the first solve; T_alpha, for
+        # one alpha or a stack, equals the per-call rebuild bit for bit
+        alphas = np.exp(1j * np.array([0.3, 2.0, 4.4]))
+        for degree in range(1, 65):
+            theta = _random_theta(200 + degree, degree)
+            ms = build_model_space(theta)
+            kept = herglotz._realization(theta)
+            stack = t_alpha_matrix(ms, alphas)
+            assert stack.shape == (3, degree, degree)
+            for alpha, row in zip(alphas, stack):
+                want = np.conj(_rebuilt_clark_unitary(
+                    theta, herglotz._require_unimodular(complex(alpha))))
+                assert np.array_equal(t_alpha_matrix(ms, alpha), want)
+                assert np.array_equal(row, want)
+            assert herglotz._realization(theta) is kept
+
+    def test_stack_with_a_non_unitary_row_rejected(self, monkeypatch):
+        ms = build_model_space(_random_theta(9, 4))
+        unitaries = modelspace._clark_unitaries
+
+        def scaled(theta, alphas):
+            w = unitaries(theta, alphas)
+            w[1:2] *= 1.01
+            return w
+
+        monkeypatch.setattr(modelspace, "_clark_unitaries", scaled)
+        t_alpha_matrix(ms, 1j)
+        with pytest.raises(ConstructionError, match="not unitary"):
+            t_alpha_matrix(ms, [1j, -1j, 1.0])
 
 
 class TestClarkOperator:

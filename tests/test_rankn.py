@@ -450,6 +450,29 @@ class TestCurveDisintegration:
         assert abs(res.density_integral - borel.total_length() / (2 * math.pi)) > 1e-3
 
 
+class TestEndpointsTogether:
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    def test_one_call_equals_one_call_per_endpoint(self, dim):
+        # every endpoint in one grid lift and one Newton, each endpoint
+        # stopping when its crossings have: the same bits as one endpoint
+        # per call, an endpoint on a base site adding no hints
+        for seed in range(10):
+            rng = _rng(seed, dim, 24)
+            fam = random_family(rng, dim, 2)
+            curve = AnalyticCurve(tuple(
+                random_blaschke(rng, int(rng.integers(1, 4)), max_radius=0.9)
+                for _ in range(2)))
+            ends = list(rng.uniform(0.0, 2 * math.pi, 4)) + [fam.base.sites[0]]
+            alone = [rankn._endpoint_crossings(fam, curve, b) for b in ends]
+            assert alone[-1].size == 0
+            together = rankn._endpoint_crossings(fam, curve, ends)
+            assert np.array_equal(together, np.concatenate(alone)), seed
+
+    def test_no_endpoints_no_hints(self):
+        fam, curve, _ = NONCONSTANT
+        assert rankn._endpoint_crossings(fam, curve, []).size == 0
+
+
 class TestCurveCrossings:
     @pytest.mark.parametrize("dim", [2, 3, 8, 32])
     def test_each_endpoint_crossed_once_per_degree(self, dim):

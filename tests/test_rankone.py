@@ -806,3 +806,77 @@ class TestOneHomePerObject:
                             lambda theta, xi: np.zeros(np.shape(xi)))
         with pytest.raises(ResidueError, match="vanishing angular derivative"):
             calls[route]()
+
+
+class TestBatchedOracles:
+    """Each batched dense oracle equals its one-row wrapper bit for bit, row
+    by row, and keeps the wrapper's checks for every row of the stack."""
+
+    LAMS = (-10.0, -0.5, 0.0, 0.5, 3.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 32, 128])
+    def test_selfadjoint_rows_equal_one_row_calls(self, n):
+        model = random_model(n + 1, n, "line")
+        evals, masses = rankone._selfadjoint_oracle(model, self.LAMS)
+        assert evals.shape == masses.shape == (len(self.LAMS), n)
+        for lam, row, mrow in zip(self.LAMS, evals, masses):
+            (one,), (one_m,) = rankone._selfadjoint_oracle(model, [lam])
+            assert np.array_equal(row, one) and np.array_equal(mrow, one_m)
+            assert matrix_oracle_selfadjoint(model, lam) == \
+                LineAtomicMeasure.from_atoms(zip(row, mrow))
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 32, 128])
+    def test_unitary_rows_equal_one_row_calls(self, n):
+        model = random_model(n + 2, n, "circle")
+        alphas = np.exp(1j * _rng(n).uniform(0.0, TWO_PI, 5))
+        angles, masses = rankone._unitary_oracle(model, alphas)
+        assert angles.shape == masses.shape == (alphas.size, n)
+        v = model.cyclic_vector().astype(complex)
+        stack = rank_one_unitary_update(model.dense(), v, alphas)
+        spectra = rankone._unitary_spectra(stack, v)
+        for k, alpha in enumerate(alphas):
+            (one,), (one_m,) = rankone._unitary_oracle(model, [alpha])
+            assert np.array_equal(angles[k], one)
+            assert np.array_equal(masses[k], one_m)
+            assert np.array_equal(spectra[0][k], one)
+            assert np.array_equal(spectra[1][k], one_m)
+            want = CircleAtomicMeasure.from_atoms(zip(one, one_m))
+            assert matrix_oracle_unitary(model, alpha) == want
+            assert rankone.unitary_spectral_measure(stack[k], v) == want
+
+    def test_non_unitary_row_rejected(self):
+        model = random_model(4, 8, "circle")
+        v = model.cyclic_vector().astype(complex)
+        stack = rank_one_unitary_update(model.dense(), v,
+                                        np.exp(1j * np.arange(4.0)))
+        stack[2] *= 1.01
+        rankone._unitary_spectra(stack[:2], v)
+        with pytest.raises(DomainError, match="matrix 2 of the stack"):
+            rankone._unitary_spectra(stack, v)
+        with pytest.raises(DomainError, match="not unitary"):
+            rankone.unitary_spectral_measure(stack[2], v)
+
+    def test_oracles_keep_their_guards(self):
+        line, circle = random_model(5, 6, "line"), random_model(5, 6, "circle")
+        with pytest.raises(DomainError, match="exceeds 4"):
+            rankone._selfadjoint_oracle(line, self.LAMS, max_dimension=4)
+        with pytest.raises(DomainError):
+            rankone._selfadjoint_oracle(circle, self.LAMS)
+        with pytest.raises(DomainError):
+            rankone._unitary_oracle(line, [1j])
+
+    @pytest.mark.parametrize("n", [1, 8, 32])
+    def test_perturbed_rows_match_one_row_calls(self, n):
+        # the route's rows come from one batched secular solve, which may
+        # sum K in another order than one row alone; a zero coupling keeps
+        # the unperturbed measure itself
+        model = random_model(n + 3, n, "line")
+        got = rankone._perturbed_selfadjoint(model, self.LAMS)
+        assert got[self.LAMS.index(0.0)] is spectral_measure(model)
+        for lam, mu in zip(self.LAMS, got):
+            want = perturb_selfadjoint(model, lam)
+            np.testing.assert_allclose(mu.positions, want.positions,
+                                       rtol=1e-14, atol=1e-15)
+            np.testing.assert_allclose(mu.masses, want.masses, rtol=1e-12)
+        with pytest.raises(DomainError):
+            rankone._perturbed_selfadjoint(random_model(1, n, "circle"), [0.5])

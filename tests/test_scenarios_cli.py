@@ -9,7 +9,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 import pytest
 
-from clarklab import rankn, scenarios
+from clarklab import modelspace, rankn, scenarios
 from clarklab.cli import main
 from clarklab.errors import ConstructionError, ResidueError, ScenarioError
 from clarklab.herglotz import blaschke_from_json_dict
@@ -17,7 +17,11 @@ from clarklab.measures import cauchy_transform_disk, measure_from_json_dict
 from clarklab.rankn import (family_from_json_dict, family_model_space,
                             knu_alpha_beta, recursive_unitary,
                             spectral_measure_of_vector)
-from clarklab.rankone import model_from_json_dict
+from clarklab.modelspace import build_model_space, t_alpha_matrix, v_alpha
+from clarklab.rankone import (circle_measure_deviation, clark_measure,
+                              inner_from_unitary, matrix_oracle_selfadjoint,
+                              matrix_oracle_unitary, model_from_json_dict,
+                              perturb_selfadjoint)
 from clarklab.scenarios import (load_scenario, random_model, report_to_json,
                                 run_scenario)
 
@@ -224,6 +228,157 @@ class TestTwoParameterOracleCheck:
         spec = RANKN.checks[TWO_PARAMETER_INDEX]
         grid = spec["alpha_count"] * spec["beta_count"]
         assert stages == [(grid,), (grid,)]
+
+
+# The four grid checks one point at a time, as they ran before each item's
+# grid became one stacked route call and one stacked oracle call: the
+# reference their records must equal exactly.
+
+def _secular_by_point(item, spec, tol):
+    records = []
+    lambdas = scenarios._reals(spec.get("lambdas", [0.5, -0.5]),
+                               f"{item.check}.lambdas")
+    model, label = scenarios._resolve_model(item.spec, item.rng, item.where)
+    for lam in lambdas:
+        got = perturb_selfadjoint(model, lam)
+        want = matrix_oracle_selfadjoint(model, lam)
+        pos_dev = float(np.max(np.abs(np.asarray(got.positions)
+                                      - np.asarray(want.positions))))
+        mass_dev = float(np.max(np.abs(np.asarray(got.masses)
+                                       - np.asarray(want.masses))))
+        params = {"model": label, "index": item.index, "lambda": lam}
+        records += [
+            scenarios._within("secular_oracle.positions", params, pos_dev,
+                              1e-9 * (1.0 + abs(lam))),
+            scenarios._within("secular_oracle.masses", params, mass_dev,
+                              tol["oracle"])]
+    return records
+
+
+def _clark_by_point(item, spec, tol):
+    n_alphas = spec.get("alpha_count", 8)
+    model, label = scenarios._resolve_model(item.spec, item.rng, item.where)
+    alphas = scenarios.random_unimodular(item.rng, n_alphas)
+    theta = inner_from_unitary(model)
+    atom_dev = mass_dev = 0.0
+    for alpha in alphas:
+        da, dm = circle_measure_deviation(clark_measure(theta, alpha),
+                                          matrix_oracle_unitary(model, alpha))
+        atom_dev, mass_dev = max(atom_dev, da), max(mass_dev, dm)
+    params = {"model": label, "index": item.index, "alphas": len(alphas)}
+    return [scenarios._within("clark_correspondence.atoms", params, atom_dev,
+                              tol["algebraic"]),
+            scenarios._within("clark_correspondence.masses", params, mass_dev,
+                              tol["oracle"])]
+
+
+def _modelspace_by_point(item, spec, tol):
+    n_alphas = spec.get("alpha_count", 4)
+    n_vectors = spec.get("vector_count", 20)
+    rng, degree = item.rng, item.spec
+    theta = scenarios.random_blaschke(rng, degree, zero_at_origin=True)
+    ms = build_model_space(theta)
+    alphas = scenarios.random_unimodular(rng, n_alphas)
+    unit_dev = intertwine_dev = spectral_dev = 0.0
+    for alpha in alphas:
+        t = t_alpha_matrix(ms, alpha)
+        mu = clark_measure(theta, alpha)
+        unit_dev = max(unit_dev, float(np.linalg.norm(
+            t.conj().T @ t - np.eye(degree), 2)))
+        intertwine_dev = max(intertwine_dev,
+                             modelspace._intertwine_residual(ms, mu, t))
+        eig_angles = np.sort(np.angle(np.linalg.eigvals(t)) % (2 * math.pi))
+        spectral_dev = max(spectral_dev, float(np.max(np.abs(np.angle(
+            np.exp(1j * (eig_angles - np.asarray(mu.angles))))))))
+    iso_dev = 0.0
+    for _ in range(n_vectors):
+        alpha = complex(scenarios.random_unimodular(rng, 1)[0])
+        mu = clark_measure(theta, alpha)
+        vals = rng.normal(size=degree) + 1j * rng.normal(size=degree)
+        f = v_alpha(ms, alpha, vals, mu=mu)
+        l2 = math.sqrt(float(np.sum(np.asarray(mu.masses) * np.abs(vals) ** 2)))
+        iso_dev = max(iso_dev, abs(f.norm() - l2))
+    params = {"degree": degree, "alphas": n_alphas}
+    return [scenarios._within("modelspace.unitarity", params, unit_dev, 1e-10),
+            scenarios._within("modelspace.intertwine", params, intertwine_dev,
+                              tol["algebraic"]),
+            scenarios._within("modelspace.spectral", params, spectral_dev,
+                              tol["algebraic"]),
+            scenarios._within("modelspace.isometry", params, iso_dev,
+                              tol["algebraic"])]
+
+
+def _two_parameter_by_point(item, spec, tol):
+    na, nb, nz = (spec.get(key, default) for key, default in
+                  (("alpha_count", 8), ("beta_count", 8), ("z_count", 4)))
+    rng = item.rng
+    family, label = scenarios._resolve_family(item.spec, rng, item.where)
+    ms, f = family_model_space(family)
+    alphas = scenarios.random_unimodular(rng, na)
+    betas = scenarios.random_unimodular(rng, nb)
+    zs = 0.7 * np.sqrt(rng.uniform(0, 1, nz)) * scenarios.random_unimodular(
+        rng, nz)
+    points = np.stack(np.meshgrid(alphas, betas, indexing="ij"),
+                      axis=-1).reshape(-1, 2)
+    angles, masses = rankn._staged_spectra(family, points, family.vectors[1])
+    direct = np.sum(masses[:, None, :] / (
+        1.0 - np.exp(-1j * angles)[:, None, :] * zs[:, None]), axis=-1)
+    closed = np.array([knu_alpha_beta(ms, f, alpha, beta, zs)
+                       for alpha, beta in points])
+    dev = float(np.max(np.abs(direct - closed)))
+    params = {"family": label, "index": item.index, "grid": f"{na}x{nb}x{nz}"}
+    return [scenarios._within("two_parameter_oracle", params, dev,
+                              tol["oracle"])]
+
+
+BY_POINT = {"secular_oracle": ("models", _secular_by_point),
+            "clark_correspondence": ("models", _clark_by_point),
+            "modelspace_suite": ("degrees", _modelspace_by_point),
+            "two_parameter_oracle": ("families", _two_parameter_by_point)}
+
+# Entries beyond the bundled ones: a zero coupling among the couplings,
+# larger sizes, and degree 1 beside degree 16.
+EXTRA_GRID_ENTRIES = [
+    {"check": "secular_oracle", "lambdas": [0.0, 0.5],
+     "models": [{"random": {"N": 3}}, {"random": {"N": 64}},
+                {"kind": "line", "sites": [0.0], "weights": [1.0]}]},
+    {"check": "clark_correspondence", "alpha_count": 5,
+     "models": [{"random": {"N": 32, "kind": "circle"}},
+                {"kind": "circle", "sites": [0.0], "weights": [1.0]}]},
+    {"check": "modelspace_suite", "degrees": [1, 16], "alpha_count": 3,
+     "vector_count": 4},
+    {"check": "two_parameter_oracle", "alpha_count": 3, "beta_count": 5,
+     "z_count": 2, "families": [{"random": {"N": 8, "n": 2}}]},
+]
+
+
+def _grid_entries():
+    """(id, seed, check index, entry) of every bundled entry of the four
+    checks, then of the extra ones."""
+    for path in sorted((resources.files("clarklab") / "scenarios").iterdir()):
+        if path.name.endswith(".json"):
+            scen = load_scenario(json.loads(path.read_text()))
+            for idx, entry in enumerate(scen.checks):
+                if entry["check"] in BY_POINT:
+                    yield f"{path.name}:{idx}", scen.seed, idx, entry
+    for idx, entry in enumerate(EXTRA_GRID_ENTRIES):
+        yield f"extra:{idx}", 24, idx, entry
+
+
+GRID_ENTRIES = list(_grid_entries())
+
+
+class TestStackedGridChecks:
+    @pytest.mark.parametrize("seed, idx, entry",
+                             [case[1:] for case in GRID_ENTRIES],
+                             ids=[case[0] for case in GRID_ENTRIES])
+    def test_records_equal_the_per_point_loop(self, seed, idx, entry):
+        field, body = BY_POINT[entry["check"]]
+        tol = dict(scenarios.DEFAULT_TOLERANCES)
+        want = scenarios._each(field, body)(seed, idx, entry, tol)
+        got = scenarios.CHECKS[entry["check"]](seed, idx, entry, tol)
+        assert got == want
+        assert all(rec.passed for rec in got)
 
 
 class TestCli:
