@@ -412,9 +412,11 @@ def _secular_solve(t, m, targets) -> np.ndarray:
         excess = np.where(np.isfinite(resid), resid - allowed, np.inf)
     if np.any(excess > 0.0):
         worst = int(np.argmax(excess))
-        # the row's coupling is -1/target; a zero target solves K = 0
-        root = (f"secular root at {x[worst]} for coupling {-1.0 / target[worst]}"
-                if outside else f"zero of the transform at {x[worst]}")
+        # the row's coupling is -1/target, to within an ulp of the caller's
+        # (15 digits print it as given); a zero target solves K = 0
+        root = (f"secular root at {x[worst]} for coupling "
+                f"{-1.0 / target[worst]:.15g}" if outside
+                else f"zero of the transform at {x[worst]}")
         if np.isinf(resid[worst]):
             j = int(np.argmin(np.abs(t - x[worst])))
             gap = np.min(np.abs(np.delete(t, j) - t[j]), initial=np.inf)

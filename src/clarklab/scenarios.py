@@ -11,6 +11,9 @@ naming the field, e.g. ``checks[0].models[1].random.N``.  All randomness
 derives from the single scenario seed through a counter-based Philox
 generator keyed by (seed, check index, item index), so reruns are
 bit-identical and checks can execute concurrently without sharing state.
+A check over a parameter grid solves each item's grid in one stacked call
+of the route under test and one stacked call of its dense oracle, not one
+call per alpha or coupling; each row is then compared as its own measure.
 
 Report values are serialized as shortest round-trip decimal strings of the
 underlying binary64 numbers; wall-clock timings are kept out of the

@@ -273,8 +273,14 @@ class TestSecular:
             herglotz._perturbed_atoms_line(spectral_measure(model), [0.5, -2.0])
         lam = float(re.search(r"for coupling (\S+) ", str(info.value)).group(1))
         assert lam in (0.5, -2.0)
-        with pytest.raises(RootFindingError, match=f"for coupling {lam} "):
+        with pytest.raises(RootFindingError, match=f"for coupling {lam:g} "):
             perturb_selfadjoint(model, lam)
+
+    def test_coupling_is_named_as_given(self, monkeypatch):
+        # -1/(-1/49) is 48.99999999999999; the message still says 49
+        monkeypatch.setattr(herglotz, "_SECULAR_MAX_NEWTON", 0)
+        with pytest.raises(RootFindingError, match="for coupling 49 has"):
+            secular_roots_line(TWO_SYM, 49.0)
 
     def test_scalar(self):
         assert secular_roots_line(DELTA0, 3.0) == pytest.approx([3.0])
