@@ -11,15 +11,20 @@ none are formed: the zeros of an inner function are the eigenvalues of a
 small matrix (Clark / Aleksandrov: the solutions of theta = alpha are the
 spectrum of the alpha-perturbed operator).
 
-Root finding is correctness-first: each root of the secular equation on the
-line has a bracket known in closed form (the gap between two atoms, or an
-interval beside the atoms sized by the total mass), and one Newton iteration
-on the secular function times the distances to the neighbouring atoms, which
-cancels their poles, shrinks that bracket until the step is at rounding
-level.  Boundary level sets of a Blaschke product are the spectra of
-unitaries built from its unitary realization, polished by Newton in the
-boundary angle (whose derivative is an explicit positive sum of Poisson
-kernels) and checked against the branches of the boundary phase.
+Root finding is correctness-first, and one iteration serves every bracketed
+root: ``_safeguarded_newton`` runs Newton on an increasing function, lets
+the sign of each value shrink the root's bracket, replaces a step that
+leaves the bracket by its midpoint, and stops each root on its own
+tolerance.  Each root of the secular equation on the line has a bracket
+known in closed form (the gap between two atoms, or an interval beside the
+atoms sized by the total mass), and the iteration runs on the secular
+function times the distances to the neighbouring atoms, which cancels
+their poles, until the step is at rounding level.  The eigenvalue crossings
+of a curve's staged unitary (``rankn._endpoint_crossings``) run it on a
+monotone phase lift.  Boundary level sets of a Blaschke product are the
+spectra of unitaries built from its unitary realization, polished by Newton
+in the boundary angle (whose derivative is an explicit positive sum of
+Poisson kernels) and checked against the branches of the boundary phase.
 """
 
 from __future__ import annotations
@@ -312,9 +317,39 @@ def _line_pf(mu: LineAtomicMeasure) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(mu.positions), np.asarray(mu.masses)
 
 
-# Newton stops within a step of 2 eps times the bracket's magnitude; the
-# residual-floor postcondition decides whether the cap was reached in vain.
-_SECULAR_MAX_NEWTON = 64
+# Cap on the safeguarded Newton steps of one bracketed solve; each caller's
+# postcondition decides whether a root that reached it is good enough.
+_NEWTON_MAX_STEPS = 64
+
+
+def _safeguarded_newton(fn, x, lo, hi, tol, max_steps) -> np.ndarray:
+    """Newton on an increasing function, entry by entry of flat arrays, each
+    entry kept inside its bracket [lo, hi] around a root.
+
+    ``fn(x, idx)`` returns the value and the slope at the points x of the
+    entries ``idx``.  A negative value raises lo and a positive one lowers
+    hi; a Newton step outside [lo, hi] (a zero slope included) is replaced
+    by the bracket's midpoint.  An entry stops once its step is at most its
+    ``tol`` (an array or one number), after at most ``max_steps`` steps.
+    Returns the last iterates; it never raises, so each caller checks its
+    own postcondition.
+    """
+    x, lo, hi = (np.array(a, dtype=float) for a in (x, lo, hi))
+    tol = np.broadcast_to(tol, x.shape)
+    todo = np.arange(x.size)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(max_steps):
+            if not todo.size:
+                break
+            xs = x[todo]
+            value, slope = fn(xs, todo)
+            lo_t = lo[todo] = np.where(value < 0.0, xs, lo[todo])
+            hi_t = hi[todo] = np.where(value > 0.0, xs, hi[todo])
+            step = xs - value / slope
+            inside = (step >= lo_t) & (step <= hi_t)
+            x_t = x[todo] = np.where(inside, step, 0.5 * (lo_t + hi_t))
+            todo = todo[np.abs(x_t - xs) > tol[todo]]
+    return x
 
 
 def _secular_targets(lams) -> tuple[np.ndarray, np.ndarray]:
@@ -339,10 +374,13 @@ def _secular_solve(t, m, targets) -> np.ndarray:
     target < 0, below for target > 0.  Newton runs on
     h(x) = (x - a)(b - x)(K(x) - target), where a < root < b are the atoms
     next to the root (factor 1 where there is none): their terms enter h as
-    -m_a (b - x) + m_b (x - a), so h has no pole in the bracket.  The sign
-    of h is that of K - target, which shrinks the bracket; a step that
-    leaves it is replaced by the midpoint.  Every root of every row runs
-    the same iteration, independently of the others.
+    -m_a (b - x) + m_b (x - a), so h has no pole in the bracket, and the
+    sign of h is that of K - target.  Every root of every row runs
+    ``_safeguarded_newton`` from its bracket's midpoint, independently of
+    the others, until its step is at most 2 eps times the bracket's
+    magnitude.  A root whose residual |K(x) - target| exceeds the
+    attainable floor in binary64 raises RootFindingError, which names the
+    atom the root coincides with when it has landed on one.
     """
     targets = np.array(targets, dtype=float, ndmin=1)
     n, rows = t.size, targets.size
@@ -369,37 +407,27 @@ def _secular_solve(t, m, targets) -> np.ndarray:
     has_a, has_b = has_a.ravel(), has_b.ravel()
     target = np.repeat(targets, shape[1])
     eps = np.finfo(float).eps
-    tol = 2.0 * eps * np.maximum(np.abs(lo), np.abs(hi))
-
-    x = 0.5 * (lo + hi)
     m_a, m_b = np.where(has_a, m[below], 0.0), np.where(has_b, m[above], 0.0)
-    todo = np.arange(x.size)
-    # A neighbour's pole is zeroed after the division; a step with dh = 0
-    # leaves the bracket and is replaced by the midpoint.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(_SECULAR_MAX_NEWTON):
-            if todo.size == 0:
-                break
-            xs, a, b = x[todo], below[todo], above[todo]
-            pa, pb, ma, mb = has_a[todo], has_b[todo], m_a[todo], m_b[todo]
-            idx = np.arange(todo.size)
-            recip = 1.0 / (t[None, :] - xs[:, None])
-            recip[idx[pa], a[pa]] = 0.0
-            recip[idx[pb], b[pb]] = 0.0
-            rest = recip @ m - target[todo]
-            rest_prime = np.square(recip, out=recip) @ m
-            u = np.where(pa, xs - t[a], 1.0)
-            v = np.where(pb, t[b] - xs, 1.0)
-            h = u * v * rest - ma * v + mb * u
-            dh = ((pa * v - pb * u) * rest + u * v * rest_prime
-                  + ma * pb + mb * pa)
-            lo_t = lo[todo] = np.where(h < 0.0, xs, lo[todo])
-            hi_t = hi[todo] = np.where(h > 0.0, xs, hi[todo])
-            step = xs - h / dh
-            inside = (step >= lo_t) & (step <= hi_t)
-            x_t = x[todo] = np.where(inside, step, 0.5 * (lo_t + hi_t))
-            todo = todo[np.abs(x_t - xs) > tol[todo]]
 
+    def h_and_slope(xs, idx):
+        # A neighbour's pole is zeroed after the division.
+        a, b, pa, pb = below[idx], above[idx], has_a[idx], has_b[idx]
+        ma, mb, pos = m_a[idx], m_b[idx], np.arange(idx.size)
+        recip = 1.0 / (t[None, :] - xs[:, None])
+        recip[pos[pa], a[pa]] = 0.0
+        recip[pos[pb], b[pb]] = 0.0
+        rest = recip @ m - target[idx]
+        rest_prime = np.square(recip, out=recip) @ m
+        u = np.where(pa, xs - t[a], 1.0)
+        v = np.where(pb, t[b] - xs, 1.0)
+        return (u * v * rest - ma * v + mb * u,
+                (pa * v - pb * u) * rest + u * v * rest_prime
+                + ma * pb + mb * pa)
+
+    x = _safeguarded_newton(h_and_slope, 0.5 * (lo + hi), lo, hi,
+                            2.0 * eps * np.maximum(np.abs(lo), np.abs(hi)),
+                            _NEWTON_MAX_STEPS)
+    with np.errstate(divide="ignore", invalid="ignore"):
         # Attainable floor in binary64: summation noise plus the jump of K
         # across one ulp of root position (K' can be huge next to a pole).
         # A root on an atom has an infinite residual and fails.

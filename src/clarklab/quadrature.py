@@ -48,6 +48,10 @@ _GAUSS_W = np.zeros_like(_KRONROD_W)
 _GAUSS_W[1:-1:2] = np.concatenate([_WG[:-1], _WG[::-1]])
 
 
+# Panels one integrate_line call may hold before it gives up.
+_MAX_PANELS = 4000
+
+
 def _gk15(f, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """GK15 on each panel [lo, hi] with one call of ``f`` on all their
     nodes: returns (Kronrod values, |Kronrod - Gauss|)."""
@@ -65,7 +69,6 @@ def integrate_line(
     b: float,
     tol: float = 1e-9,
     breakpoints: Sequence[float] = (),
-    max_panels: int = 4000,
 ) -> tuple[float, float]:
     """Integrate ``f`` over [a, b] adaptively to absolute tolerance ``tol``.
 
@@ -74,14 +77,14 @@ def integrate_line(
     be non-smooth; panels never straddle them.  For a > b the result over
     [b, a] is negated.  Returns ``(value, err)`` where ``err`` is the
     a-posteriori estimate; raises QuadratureError if the estimate cannot be
-    pushed below ``tol`` within ``max_panels``.
+    pushed below ``tol`` within ``_MAX_PANELS`` panels.
     """
     if not tol > 0.0:
         raise QuadratureError("tolerance must be positive")
     if a == b:
         return 0.0, 0.0
     if a > b:
-        value, err = integrate_line(f, b, a, tol, breakpoints, max_panels)
+        value, err = integrate_line(f, b, a, tol, breakpoints)
         return -value, err
     pts = np.array([a] + sorted(p for p in set(breakpoints) if a < p < b) + [b],
                    dtype=float)
@@ -93,7 +96,7 @@ def integrate_line(
         total_err = math.fsum(err)
         if total_err <= tol:
             return math.fsum(panels[:, 2]), total_err
-        if len(panels) >= max_panels:
+        if len(panels) >= _MAX_PANELS:
             raise QuadratureError(
                 f"line quadrature stalled at error {total_err:.3e} > {tol:.3e} "
                 f"with {len(panels)} panels on [{a}, {b}]"
@@ -102,7 +105,7 @@ def integrate_line(
         # error; the stable sort breaks ties by insertion order.
         order = np.argsort(-err, kind="stable")
         count = np.count_nonzero(total_err - np.cumsum(err[order]) > tol) + 1
-        split = order[:min(count, max_panels - len(panels))]
+        split = order[:min(count, _MAX_PANELS - len(panels))]
         lo, hi = panels[split, 0], panels[split, 1]
         mid = 0.5 * (lo + hi)
         stuck = (mid <= lo) | (mid >= hi)

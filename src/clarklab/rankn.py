@@ -40,8 +40,9 @@ import numpy as np
 
 from .errors import ConstructionError, CyclicityError, DomainError
 from .fields import _complexes, _field, _list
-from .herglotz import (BlaschkeProduct, _boundary_phase, _require_unimodular,
-                       _shaped_like, blaschke_eval, boundary_derivative_modulus)
+from .herglotz import (BlaschkeProduct, _NEWTON_MAX_STEPS, _boundary_phase,
+                       _require_unimodular, _safeguarded_newton, _shaped_like,
+                       blaschke_eval, boundary_derivative_modulus)
 from .measures import (BorelSetSpec, CircleAtomicMeasure, TWO_PI,
                        simon_wolff_integral_circle)
 from .modelspace import (ModelSpace, ModelVector, _require_in_disk,
@@ -286,7 +287,6 @@ class CurveDisintegrationResult:
 
 
 _CROSSING_GRID = 16         # lift samples per expected crossing
-_CROSSING_MAX_NEWTON = 60
 _CROSSING_STEP = 1e-12      # a Newton step this short is the last one
 _CROSSING_PROBE = 1e-9      # offset at which the dense oracle vets a hint
 
@@ -311,11 +311,11 @@ def _endpoint_crossings(family: RankNPerturbationFamily, curve: AnalyticCurve,
     arg of the two affine factors u_0 + u_1 alpha, each lifted through its
     larger coefficient.  The lift increases strictly, by 2 pi (d_1 + d_2)
     over a period; the crossings are its passes through multiples of 2 pi,
-    bracketed on a grid and polished by safeguarded Newton, every endpoint
-    in the same grid lift and the same Newton, each endpoint's Newton
-    stopping when all of its crossings have.  An endpoint within 1e-8 of a
-    base site, a factor with |u_0| ~ |u_1|, or a lift that does not rise by
-    2 pi (d_1 + d_2) gives no hints for that endpoint.
+    bracketed on a grid and polished by ``_safeguarded_newton``, every
+    endpoint in the same grid lift and the same Newton, each crossing
+    stopping on its own.  An endpoint within 1e-8 of a base site, a factor
+    with |u_0| ~ |u_1|, or a lift that does not rise by 2 pi (d_1 + d_2)
+    gives no hints for that endpoint.
     """
     ends = np.atleast_1d(np.asarray(ends, dtype=float))
     sites = np.asarray(family.base.sites, dtype=float)
@@ -340,7 +340,8 @@ def _endpoint_crossings(family: RankNPerturbationFamily, curve: AnalyticCurve,
     first, second = curve.components
 
     def lift(s, factors):
-        # s broadcasts against the (endpoints, 1) columns of ``factors``
+        # s broadcasts against the trailing axes of ``factors``: one column
+        # per endpoint on the grid, one per crossing in the Newton
         u0, u1, big, arg0, arg1 = factors
         xi = np.exp(1j * s)
         arg_alpha = _boundary_phase(first, s)
@@ -373,26 +374,17 @@ def _endpoint_crossings(family: RankNPerturbationFamily, curve: AnalyticCurve,
     above = np.take_along_axis(values, j + 1, axis=1)
     lo, hi = grid[j], grid[j + 1]
     s = lo + (hi - lo) * (targets - below) / (above - below)
-    # an endpoint leaves the iteration once all its crossings have converged
-    todo = np.arange(rows.size)
-    factors = [f[:, rows] for f in factors]
-    for _ in range(_CROSSING_MAX_NEWTON):
-        if not todo.size:
-            break
-        s_t = s[todo]
-        value, slope = lift(s_t, factors)
-        value -= targets[todo]
-        lo_t = lo[todo] = np.where(value < 0.0, s_t, lo[todo])
-        hi_t = hi[todo] = np.where(value > 0.0, s_t, hi[todo])
-        newton = s_t - value / slope
-        close = np.abs(newton - s_t) <= _CROSSING_STEP
-        s[todo] = np.where(close | ((newton > lo_t) & (newton < hi_t)), newton,
-                           0.5 * (lo_t + hi_t))
-        going = ~close.all(axis=1)
-        if not going.all():
-            todo = todo[going]
-            factors = [f[:, going] for f in factors]
-    return (s % TWO_PI).ravel()
+    # one column per crossing, endpoint by endpoint as s.ravel() orders them
+    factors = [np.repeat(f[:, rows, 0], count, axis=1) for f in factors]
+    targets = targets.ravel()
+
+    def shifted_lift(s, idx):
+        value, slope = lift(s, [f[:, idx] for f in factors])
+        return value - targets[idx], slope
+
+    s = _safeguarded_newton(shifted_lift, s.ravel(), lo.ravel(), hi.ravel(),
+                            _CROSSING_STEP, _NEWTON_MAX_STEPS)
+    return s % TWO_PI
 
 
 def _curve_breakpoints(family: RankNPerturbationFamily, curve: AnalyticCurve,

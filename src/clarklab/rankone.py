@@ -38,6 +38,7 @@ from .measures import (BorelSetSpec, CircleAtomicMeasure, LineAtomicMeasure,
 from .quadrature import integrate_circle, integrate_line
 
 WEIGHT_SUM_TOL = 1e-12
+ORACLE_MAX_DIMENSION = 4096     # largest model the dense line oracle takes
 
 
 @dataclass(frozen=True)
@@ -150,15 +151,15 @@ def perturb_selfadjoint(model: CyclicOperatorModel, lam: float) -> LineAtomicMea
     return _perturbed_selfadjoint(model, [lam])[0]
 
 
-def _selfadjoint_oracle(model: CyclicOperatorModel, lams,
-                        max_dimension: int = 4096
+def _selfadjoint_oracle(model: CyclicOperatorModel, lams
                         ) -> tuple[np.ndarray, np.ndarray]:
     """``matrix_oracle_selfadjoint`` at each coupling of a list: eigenvalues
     and masses, (L, N) arrays, from one stacked ``eigh``."""
     if model.kind != "line":
         raise DomainError("self-adjoint oracle needs a line model")
-    if model.dimension > max_dimension:
-        raise DomainError(f"dimension {model.dimension} exceeds {max_dimension}")
+    if model.dimension > ORACLE_MAX_DIMENSION:
+        raise DomainError(
+            f"dimension {model.dimension} exceeds {ORACLE_MAX_DIMENSION}")
     phi = model.cyclic_vector()
     lams = np.array(lams, dtype=float, ndmin=1)
     a = (np.diag(np.asarray(model.sites, dtype=float))
@@ -167,10 +168,11 @@ def _selfadjoint_oracle(model: CyclicOperatorModel, lams,
     return evals, (np.swapaxes(evecs, -1, -2) @ phi) ** 2
 
 
-def matrix_oracle_selfadjoint(model: CyclicOperatorModel, lam: float,
-                              max_dimension: int = 4096) -> LineAtomicMeasure:
-    """Independent oracle: dense eigendecomposition of diag + lam phi phi*."""
-    (evals,), (masses,) = _selfadjoint_oracle(model, [lam], max_dimension)
+def matrix_oracle_selfadjoint(model: CyclicOperatorModel, lam: float
+                              ) -> LineAtomicMeasure:
+    """Independent oracle: dense eigendecomposition of diag + lam phi phi*;
+    a model above ORACLE_MAX_DIMENSION raises DomainError."""
+    (evals,), (masses,) = _selfadjoint_oracle(model, [lam])
     return LineAtomicMeasure.from_atoms(zip(evals, masses))
 
 
@@ -211,21 +213,28 @@ def _unitary_eigenbasis(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.sum(q.conj() * (matrix @ q), axis=-2), q
 
 
-def _unitary_spectra(matrices: np.ndarray, vector: np.ndarray
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalue angles in [0, 2 pi) and the masses |<vector, q_j>|^2 of
-    each unitary of an (L, N, N) stack, (L, N) arrays, in the orthonormal
-    eigenbasis of ``_unitary_eigenbasis``; a matrix whose U*U is more than
-    1e-9 from I (Frobenius, which bounds the spectral norm from above)
+def _require_unitary(stack: np.ndarray) -> np.ndarray:
+    """The (L, N, N) stack as a complex array; a matrix whose U*U is more
+    than 1e-9 from I (Frobenius, which bounds the spectral norm from above)
     raises DomainError naming its row."""
-    matrices = np.asarray(matrices, dtype=complex)
-    defect = np.linalg.norm(np.swapaxes(matrices.conj(), -1, -2) @ matrices
-                            - np.eye(matrices.shape[-1]), axis=(-2, -1))
+    stack = np.asarray(stack, dtype=complex)
+    defect = np.linalg.norm(np.swapaxes(stack.conj(), -1, -2) @ stack
+                            - np.eye(stack.shape[-1]), axis=(-2, -1))
     if not np.all(defect <= 1e-9):
         row = int(np.argmax(~(defect <= 1e-9)))
         raise DomainError(f"matrix {row} of the stack is not unitary: "
                           f"||U*U - I|| = {defect[row]:.3e}")
-    evals, q = _unitary_eigenbasis(matrices)
+    return stack
+
+
+def _unitary_spectra(matrices: np.ndarray, vector: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalue angles in [0, 2 pi) and the masses |<vector, q_j>|^2 of
+    each unitary of an (L, N, N) stack, (L, N) arrays, in the orthonormal
+    eigenbasis of ``_unitary_eigenbasis``.  The stack is not checked here:
+    its builder checks it (``_require_unitary``, or every stage in
+    ``rankn._staged_unitaries``)."""
+    evals, q = _unitary_eigenbasis(np.asarray(matrices, dtype=complex))
     masses = np.abs(np.swapaxes(q.conj(), -1, -2)
                     @ np.asarray(vector, dtype=complex)) ** 2
     return np.angle(evals) % TWO_PI, masses
@@ -246,8 +255,8 @@ def unitary_spectral_measure(matrix: np.ndarray, vector: np.ndarray
     Uses the orthonormal eigenbasis of ``_unitary_eigenbasis``, which keeps
     masses accurate even for clustered eigenvalues.
     """
-    return _circle_measures(*_unitary_spectra(np.asarray(matrix)[None],
-                                              vector))[0]
+    return _circle_measures(*_unitary_spectra(
+        _require_unitary(np.asarray(matrix)[None]), vector))[0]
 
 
 def rank_one_unitary_update(matrix: np.ndarray, vector: np.ndarray,
@@ -271,7 +280,8 @@ def _unitary_oracle(model: CyclicOperatorModel, alphas
         raise DomainError("unitary oracle needs a circle model")
     v = model.cyclic_vector().astype(complex)
     alphas = np.array(alphas, dtype=complex, ndmin=1)
-    return _unitary_spectra(rank_one_unitary_update(model.dense(), v, alphas), v)
+    return _unitary_spectra(
+        _require_unitary(rank_one_unitary_update(model.dense(), v, alphas)), v)
 
 
 def matrix_oracle_unitary(model: CyclicOperatorModel, alpha: complex

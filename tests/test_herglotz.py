@@ -278,7 +278,7 @@ class TestSecular:
 
     def test_coupling_is_named_as_given(self, monkeypatch):
         # -1/(-1/49) is 48.99999999999999; the message still says 49
-        monkeypatch.setattr(herglotz, "_SECULAR_MAX_NEWTON", 0)
+        monkeypatch.setattr(herglotz, "_NEWTON_MAX_STEPS", 0)
         with pytest.raises(RootFindingError, match="for coupling 49 has"):
             secular_roots_line(TWO_SYM, 49.0)
 
@@ -358,6 +358,125 @@ class TestSecular:
         interior = roots[:-1] if lam > 0 else roots[1:]
         assert np.all((interior > t[:-1]) & (interior < t[1:]))
         assert roots[-1] > t[-1] if lam > 0 else roots[0] < t[0]
+
+
+def _bisection(root):
+    """Value x - root with slope 0: every Newton step leaves the bracket,
+    so each step of the driver is the bracket's midpoint."""
+    return lambda x, idx: (x - root, np.zeros_like(x))
+
+
+def _secular_solve_loop(t, m, targets):
+    """The secular roots as the solver found them with its own Newton loop,
+    before it shared ``_safeguarded_newton``; the reference for bit
+    identity (no postcondition)."""
+    targets = np.array(targets, dtype=float, ndmin=1)
+    n, outside = t.size, bool(targets[0])
+    below = np.arange(n - 1 + outside) - (targets > 0.0)[:, None]
+    above = below + 1
+    has_a, has_b = below >= 0, above < n
+    below, above = np.maximum(below, 0), np.minimum(above, n - 1)
+    lo, hi = t[below], t[above]
+    if outside:
+        total, first, last = math.fsum(m), float(t[0]), float(t[-1])
+        for r, target in enumerate(targets.tolist()):
+            reach = total / abs(target)
+            if target < 0.0:
+                lo[r, -1], hi[r, -1] = max(last, first + reach), last + reach
+            else:
+                lo[r, 0], hi[r, 0] = first - reach, min(first, last - reach)
+    shape = lo.shape
+    lo, hi, below, above = lo.ravel(), hi.ravel(), below.ravel(), above.ravel()
+    has_a, has_b = has_a.ravel(), has_b.ravel()
+    target = np.repeat(targets, shape[1])
+    tol = 2.0 * np.finfo(float).eps * np.maximum(np.abs(lo), np.abs(hi))
+    x = 0.5 * (lo + hi)
+    m_a, m_b = np.where(has_a, m[below], 0.0), np.where(has_b, m[above], 0.0)
+    todo = np.arange(x.size)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(64):
+            if todo.size == 0:
+                break
+            xs, a, b = x[todo], below[todo], above[todo]
+            pa, pb, ma, mb = has_a[todo], has_b[todo], m_a[todo], m_b[todo]
+            idx = np.arange(todo.size)
+            recip = 1.0 / (t[None, :] - xs[:, None])
+            recip[idx[pa], a[pa]] = 0.0
+            recip[idx[pb], b[pb]] = 0.0
+            rest = recip @ m - target[todo]
+            rest_prime = np.square(recip, out=recip) @ m
+            u = np.where(pa, xs - t[a], 1.0)
+            v = np.where(pb, t[b] - xs, 1.0)
+            h = u * v * rest - ma * v + mb * u
+            dh = ((pa * v - pb * u) * rest + u * v * rest_prime
+                  + ma * pb + mb * pa)
+            lo_t = lo[todo] = np.where(h < 0.0, xs, lo[todo])
+            hi_t = hi[todo] = np.where(h > 0.0, xs, hi[todo])
+            step = xs - h / dh
+            inside = (step >= lo_t) & (step <= hi_t)
+            x_t = x[todo] = np.where(inside, step, 0.5 * (lo_t + hi_t))
+            todo = todo[np.abs(x_t - xs) > tol[todo]]
+    return x.reshape(shape)
+
+
+def _couplings(seed):
+    """Four couplings of each sign, magnitudes from 1e-3 to 1e3."""
+    rng = np.random.default_rng(seed)
+    return np.tile([-1.0, 1.0], 4) * 10.0 ** rng.uniform(-3.0, 3.0, 8)
+
+
+class TestSafeguardedNewton:
+    def test_step_leaving_the_bracket_becomes_the_midpoint(self):
+        # values -1, +1, -0.5 and 0 at x = 0.5 with slopes 0.1, 0, 1, 0:
+        # a step past hi, a zero slope, a step onto hi (inside, kept) and
+        # 0/0 (no bracket change)
+        values = np.array([-1.0, 1.0, -0.5, 0.0])
+        slopes = np.array([0.1, 0.0, 1.0, 0.0])
+        x, lo, hi = np.full(4, 0.5), np.zeros(4), np.ones(4)
+        got = herglotz._safeguarded_newton(lambda xs, idx: (values[idx],
+                                                            slopes[idx]),
+                                           x, lo, hi, 0.0, 1)
+        assert got.tolist() == [0.75, 0.25, 1.0, 0.5]
+        assert x.tolist() == [0.5] * 4 and lo.tolist() == [0.0] * 4
+        assert hi.tolist() == [1.0] * 4
+
+    def test_each_entry_stops_on_its_own_tol(self):
+        # bisection towards 1/3 from [0, 1]: step k is 2^-(k+1), so an
+        # entry with tol 0.1 stops after 3 steps and one with 1e-3 after 9
+        seen = []
+        bisect = _bisection(1.0 / 3.0)
+
+        def fn(x, idx):
+            seen.append(idx.tolist())
+            return bisect(x, idx)
+
+        got = herglotz._safeguarded_newton(fn, np.full(2, 0.5), np.zeros(2),
+                                           np.ones(2), np.array([0.1, 1e-3]),
+                                           64)
+        assert seen == [[0, 1]] * 3 + [[1]] * 6
+        assert got[0] == 0.3125
+        alone = herglotz._safeguarded_newton(bisect, [0.5], [0.0], [1.0],
+                                             1e-3, 64)
+        assert got[1] == alone[0]
+        assert abs(got[1] - 1.0 / 3.0) <= 2e-3
+
+    def test_cap_returns_the_last_iterate(self):
+        bisect = _bisection(1.0 / 3.0)
+        for steps, want in ((0, 0.5), (1, 0.25), (2, 0.375)):
+            got = herglotz._safeguarded_newton(bisect, [0.5], [0.0], [1.0],
+                                               0.0, steps)
+            assert got.tolist() == [want]
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 32, 128])
+    def test_secular_roots_bit_for_bit_as_the_own_loop(self, n):
+        for seed in range(4):
+            mu = spectral_measure(random_model(100 * n + seed, n, "line"))
+            t, m = np.asarray(mu.positions), np.asarray(mu.masses)
+            lams = _couplings(seed)
+            for targets in ([0.0], -1.0 / lams, -1.0 / lams[lams > 0],
+                            -1.0 / lams[lams < 0]):
+                got = herglotz._secular_solve(t, m, targets)
+                assert np.array_equal(got, _secular_solve_loop(t, m, targets))
 
 
 class TestBatchedSecular:

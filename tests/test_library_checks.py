@@ -7,9 +7,9 @@ by name, so every name it traces must still resolve, and each check entry
 yields as many records as it counts for that entry.  No scenario check
 solves the same level set, or builds the same T_alpha, twice; each check
 over a parameter grid solves an item's grid in one call, and a model space
-solves one level set, of theta itself.  The curve average
-integrates between its jumps.  Every name the package exports has a caller
-or a stated role."""
+solves one level set, of theta itself.  Every bracketed solve runs one
+safeguarded Newton.  The curve average integrates between its jumps.
+Every name the package exports has a caller or a stated role."""
 
 import ast
 import importlib
@@ -276,6 +276,37 @@ def test_each_check_solves_its_grid_in_one_call(monkeypatch):
     assert all(items[check] for check in field)
     assert {key: calls[key] for key in per_item} == \
         {key: n * items[key[0]] for key, n in per_item.items()}
+
+
+def test_bracketed_solves_share_one_newton(monkeypatch):
+    # Over the bundled scenarios, every secular solve and every endpoint
+    # crossing solve runs its roots through one _safeguarded_newton call.
+    newtons, solves = [0], Counter()
+    newton = herglotz._safeguarded_newton
+
+    def counted_newton(*args):
+        newtons[0] += 1
+        return newton(*args)
+
+    def one_newton_each(module, name):
+        original = getattr(module, name)
+
+        def solve(*args):
+            before = newtons[0]
+            out = original(*args)
+            solves[name, newtons[0] - before] += 1
+            return out
+
+        monkeypatch.setattr(module, name, solve)
+
+    one_newton_each(herglotz, "_secular_solve")
+    one_newton_each(rankn, "_endpoint_crossings")
+    monkeypatch.setattr(rankn, "_safeguarded_newton", counted_newton)
+    monkeypatch.setattr(herglotz, "_safeguarded_newton", counted_newton)
+    for path in sorted((PACKAGE / "scenarios").glob("*.json")):
+        assert scenarios.run_scenario(path, workers=1).all_passed
+    assert sorted(solves) == [("_endpoint_crossings", 1),
+                              ("_secular_solve", 1)]
 
 
 def test_model_space_solves_one_level_set_of_theta(monkeypatch):

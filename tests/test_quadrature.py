@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from clarklab import quadrature
 from clarklab.errors import QuadratureError
 from clarklab.quadrature import (_GAUSS_W, _KRONROD_W, integrate_circle,
                                  integrate_line)
@@ -48,10 +49,11 @@ class TestLine:
         val, _ = integrate_line(step, 0.0, 1.0, tol=1e-12, breakpoints=[0.25])
         assert val == pytest.approx(0.25 + 3.0 * 0.75, abs=1e-12)
 
-    def test_nonconvergence_reported(self):
+    def test_nonconvergence_reported(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "_MAX_PANELS", 30)
         wild = lambda x: np.sin(1.0 / np.maximum(np.abs(x), 1e-300))
         with pytest.raises(QuadratureError):
-            integrate_line(wild, 0.0, 1.0, tol=1e-13, max_panels=30)
+            integrate_line(wild, 0.0, 1.0, tol=1e-13)
 
     def test_empty_interval(self):
         assert integrate_line(lambda x: x, 1.0, 1.0) == (0.0, 0.0)
@@ -93,7 +95,8 @@ class TestRefinementRounds:
         assert len(sizes) < panels
         assert max(sizes) >= 60
 
-    def test_no_round_overshoots_max_panels(self):
+    def test_no_round_overshoots_max_panels(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "_MAX_PANELS", 30)
         sizes = []
 
         def wild(x):
@@ -101,7 +104,7 @@ class TestRefinementRounds:
             return np.sin(1.0 / np.maximum(np.abs(x), 1e-300))
 
         with pytest.raises(QuadratureError, match="with 30 panels"):
-            integrate_line(wild, 0.0, 1.0, tol=1e-13, max_panels=30,
+            integrate_line(wild, 0.0, 1.0, tol=1e-13,
                            breakpoints=[0.25, 0.5])
         counts = _panel_counts(sizes, 3)
         assert max(counts) == 30

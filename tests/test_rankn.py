@@ -560,6 +560,64 @@ class TestCurveCrossings:
         res = curve_disintegration_check(fam, curve, borel, tol=1e-4)
         assert res.defect <= 1e-4
 
+    def test_hints_match_the_endpoint_wise_newton(self, monkeypatch):
+        # the inputs of the two tests above, solved by the shared Newton and
+        # by the crossing finder's own earlier rule (a close step taken even
+        # outside the bracket, other steps strictly inside, and an endpoint
+        # stopping when all its crossings are close)
+        cases = []
+        for salt, dims in ((23, (2, 3, 8, 32)), (99, (2, 3, 8))):
+            for dim in dims:
+                for seed in range(10):
+                    rng = _rng(seed, dim, salt)
+                    fam = random_family(rng, dim, 2)
+                    curve = AnalyticCurve(tuple(
+                        random_blaschke(rng, int(rng.integers(1, 4)),
+                                        max_radius=0.9) for _ in range(2)))
+                    if salt == 23:
+                        start = rng.uniform(0.0, 2 * math.pi)
+                        ends = [start, start + rng.uniform(0.2, 3.0)]
+                    else:
+                        (ends,), _ = rankn._staged_spectra(
+                            fam, curve_sample(curve, np.ones(1)),
+                            fam.vectors[1])
+                    cases.append((fam, curve, np.remainder(ends, 2 * math.pi)))
+
+        def endpoint_wise(count):
+            def newton(fn, x, lo, hi, tol, max_steps):
+                s, lo, hi = (np.array(a, dtype=float).reshape(-1, count)
+                             for a in (x, lo, hi))
+                todo = np.arange(s.shape[0])
+                for _ in range(60):
+                    if not todo.size:
+                        break
+                    s_t = s[todo]
+                    idx = (todo[:, None] * count + np.arange(count)).ravel()
+                    value, slope = (a.reshape(s_t.shape)
+                                    for a in fn(s_t.ravel(), idx))
+                    lo_t = lo[todo] = np.where(value < 0.0, s_t, lo[todo])
+                    hi_t = hi[todo] = np.where(value > 0.0, s_t, hi[todo])
+                    step = s_t - value / slope
+                    close = np.abs(step - s_t) <= 1e-12
+                    s[todo] = np.where(close | ((step > lo_t) & (step < hi_t)),
+                                       step, 0.5 * (lo_t + hi_t))
+                    todo = todo[~close.all(axis=1)]
+                return s.ravel()
+            return newton
+
+        worst = 0.0
+        for fam, curve, ends in cases:
+            shared = rankn._endpoint_crossings(fam, curve, ends)
+            count = sum(c.degree for c in curve.components)
+            with monkeypatch.context() as patch:
+                patch.setattr(rankn, "_safeguarded_newton",
+                              endpoint_wise(count))
+                own = rankn._endpoint_crossings(fam, curve, ends)
+            assert shared.size == own.size == count * len(ends)
+            gap = np.remainder(shared - own + math.pi, 2 * math.pi) - math.pi
+            worst = max(worst, np.max(np.abs(gap)))
+        assert worst <= 1e-14
+
     def test_hint_without_a_jump_is_dropped(self, monkeypatch):
         true = rankn._curve_breakpoints(*NONCONSTANT)
         crossings = rankn._endpoint_crossings

@@ -112,9 +112,10 @@ class TestPerturbSelfadjoint:
             assert np.max(np.abs(np.asarray(got.masses)
                                  - np.asarray(want.masses))) < 1e-8
 
-    def test_dimension_guard(self):
+    def test_dimension_guard(self, monkeypatch):
+        monkeypatch.setattr(rankone, "ORACLE_MAX_DIMENSION", 1)
         with pytest.raises(DomainError):
-            matrix_oracle_selfadjoint(TWO_LINE, 1.0, max_dimension=1)
+            matrix_oracle_selfadjoint(TWO_LINE, 1.0)
 
 
 UPPER = (1j, 0.5 + 0.2j, -3.0 + 0.01j, 2.0 + 5.0j)
@@ -850,16 +851,17 @@ class TestBatchedOracles:
         stack = rank_one_unitary_update(model.dense(), v,
                                         np.exp(1j * np.arange(4.0)))
         stack[2] *= 1.01
-        rankone._unitary_spectra(stack[:2], v)
+        rankone._require_unitary(stack[:2])
         with pytest.raises(DomainError, match="matrix 2 of the stack"):
-            rankone._unitary_spectra(stack, v)
+            rankone._require_unitary(stack)
         with pytest.raises(DomainError, match="not unitary"):
             rankone.unitary_spectral_measure(stack[2], v)
 
-    def test_oracles_keep_their_guards(self):
+    def test_oracles_keep_their_guards(self, monkeypatch):
         line, circle = random_model(5, 6, "line"), random_model(5, 6, "circle")
+        monkeypatch.setattr(rankone, "ORACLE_MAX_DIMENSION", 4)
         with pytest.raises(DomainError, match="exceeds 4"):
-            rankone._selfadjoint_oracle(line, self.LAMS, max_dimension=4)
+            rankone._selfadjoint_oracle(line, self.LAMS)
         with pytest.raises(DomainError):
             rankone._selfadjoint_oracle(circle, self.LAMS)
         with pytest.raises(DomainError):
