@@ -442,7 +442,8 @@ class TestSafeguardedNewton:
 
     def test_each_entry_stops_on_its_own_tol(self):
         # bisection towards 1/3 from [0, 1]: step k is 2^-(k+1), so an
-        # entry with tol 0.1 stops after 3 steps and one with 1e-3 after 9
+        # entry with tol 1/8 stops after 2 steps (a step equal to its tol
+        # is its last) and one with 1e-3 after 9
         seen = []
         bisect = _bisection(1.0 / 3.0)
 
@@ -451,10 +452,10 @@ class TestSafeguardedNewton:
             return bisect(x, idx)
 
         got = herglotz._safeguarded_newton(fn, np.full(2, 0.5), np.zeros(2),
-                                           np.ones(2), np.array([0.1, 1e-3]),
+                                           np.ones(2), np.array([0.125, 1e-3]),
                                            64)
-        assert seen == [[0, 1]] * 3 + [[1]] * 6
-        assert got[0] == 0.3125
+        assert seen == [[0, 1]] * 2 + [[1]] * 7
+        assert got[0] == 0.375
         alone = herglotz._safeguarded_newton(bisect, [0.5], [0.0], [1.0],
                                              1e-3, 64)
         assert got[1] == alone[0]

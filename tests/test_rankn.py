@@ -453,9 +453,9 @@ class TestCurveDisintegration:
 class TestEndpointsTogether:
     @pytest.mark.parametrize("dim", [2, 3, 8])
     def test_one_call_equals_one_call_per_endpoint(self, dim):
-        # every endpoint in one grid lift and one Newton, each endpoint
-        # stopping when its crossings have: the same bits as one endpoint
-        # per call, an endpoint on a base site adding no hints
+        # every endpoint in one grid lift and one Newton, each crossing
+        # stopping on its own: the same bits as one endpoint per call, an
+        # endpoint on a base site adding no hints
         for seed in range(10):
             rng = _rng(seed, dim, 24)
             fam = random_family(rng, dim, 2)
