@@ -322,7 +322,7 @@ def _line_pf(mu: LineAtomicMeasure) -> tuple[np.ndarray, np.ndarray]:
 _NEWTON_MAX_STEPS = 64
 
 
-def _safeguarded_newton(fn, x, lo, hi, tol, max_steps) -> np.ndarray:
+def _safeguarded_newton(fn, x, lo, hi, tol) -> np.ndarray:
     """Newton on an increasing function, entry by entry of flat arrays, each
     entry kept inside its bracket [lo, hi] around a root.
 
@@ -330,7 +330,8 @@ def _safeguarded_newton(fn, x, lo, hi, tol, max_steps) -> np.ndarray:
     entries ``idx``.  A negative value raises lo and a positive one lowers
     hi; a Newton step outside [lo, hi] (a zero slope included) is replaced
     by the bracket's midpoint.  An entry stops once its step is at most its
-    ``tol`` (an array or one number), after at most ``max_steps`` steps.
+    ``tol`` (an array or one number), after at most ``_NEWTON_MAX_STEPS``
+    steps.
     Returns the last iterates; it never raises, so each caller checks its
     own postcondition.
     """
@@ -338,7 +339,7 @@ def _safeguarded_newton(fn, x, lo, hi, tol, max_steps) -> np.ndarray:
     tol = np.broadcast_to(tol, x.shape)
     todo = np.arange(x.size)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(max_steps):
+        for _ in range(_NEWTON_MAX_STEPS):
             if not todo.size:
                 break
             xs = x[todo]
@@ -425,8 +426,7 @@ def _secular_solve(t, m, targets) -> np.ndarray:
                 + ma * pb + mb * pa)
 
     x = _safeguarded_newton(h_and_slope, 0.5 * (lo + hi), lo, hi,
-                            2.0 * eps * np.maximum(np.abs(lo), np.abs(hi)),
-                            _NEWTON_MAX_STEPS)
+                            2.0 * eps * np.maximum(np.abs(lo), np.abs(hi)))
     with np.errstate(divide="ignore", invalid="ignore"):
         # Attainable floor in binary64: summation noise plus the jump of K
         # across one ulp of root position (K' can be huge next to a pole).

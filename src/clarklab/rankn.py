@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import ConstructionError, CyclicityError, DomainError
 from .fields import _complexes, _field, _list
-from .herglotz import (BlaschkeProduct, _NEWTON_MAX_STEPS, _boundary_phase,
+from .herglotz import (BlaschkeProduct, _boundary_phase,
                        _require_unimodular, _safeguarded_newton, _shaped_like,
                        blaschke_eval, boundary_derivative_modulus)
 from .measures import (BorelSetSpec, CircleAtomicMeasure, TWO_PI,
@@ -383,7 +383,7 @@ def _endpoint_crossings(family: RankNPerturbationFamily, curve: AnalyticCurve,
         return value - targets[idx], slope
 
     s = _safeguarded_newton(shifted_lift, s.ravel(), lo.ravel(), hi.ravel(),
-                            _CROSSING_STEP, _NEWTON_MAX_STEPS)
+                            _CROSSING_STEP)
     return s % TWO_PI
 
 

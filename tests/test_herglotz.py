@@ -426,16 +426,17 @@ def _couplings(seed):
 
 
 class TestSafeguardedNewton:
-    def test_step_leaving_the_bracket_becomes_the_midpoint(self):
-        # values -1, +1, -0.5 and 0 at x = 0.5 with slopes 0.1, 0, 1, 0:
-        # a step past hi, a zero slope, a step onto hi (inside, kept) and
-        # 0/0 (no bracket change)
+    def test_step_leaving_the_bracket_becomes_the_midpoint(self, monkeypatch):
+        # one step from x = 0.5 with values -1, +1, -0.5 and 0 and slopes
+        # 0.1, 0, 1, 0: a step past hi, a zero slope, a step onto hi
+        # (inside, kept) and 0/0 (no bracket change)
+        monkeypatch.setattr(herglotz, "_NEWTON_MAX_STEPS", 1)
         values = np.array([-1.0, 1.0, -0.5, 0.0])
         slopes = np.array([0.1, 0.0, 1.0, 0.0])
         x, lo, hi = np.full(4, 0.5), np.zeros(4), np.ones(4)
         got = herglotz._safeguarded_newton(lambda xs, idx: (values[idx],
                                                             slopes[idx]),
-                                           x, lo, hi, 0.0, 1)
+                                           x, lo, hi, 0.0)
         assert got.tolist() == [0.75, 0.25, 1.0, 0.5]
         assert x.tolist() == [0.5] * 4 and lo.tolist() == [0.0] * 4
         assert hi.tolist() == [1.0] * 4
@@ -452,20 +453,20 @@ class TestSafeguardedNewton:
             return bisect(x, idx)
 
         got = herglotz._safeguarded_newton(fn, np.full(2, 0.5), np.zeros(2),
-                                           np.ones(2), np.array([0.125, 1e-3]),
-                                           64)
+                                           np.ones(2), np.array([0.125, 1e-3]))
         assert seen == [[0, 1]] * 2 + [[1]] * 7
         assert got[0] == 0.375
         alone = herglotz._safeguarded_newton(bisect, [0.5], [0.0], [1.0],
-                                             1e-3, 64)
+                                             1e-3)
         assert got[1] == alone[0]
         assert abs(got[1] - 1.0 / 3.0) <= 2e-3
 
-    def test_cap_returns_the_last_iterate(self):
+    def test_cap_returns_the_last_iterate(self, monkeypatch):
         bisect = _bisection(1.0 / 3.0)
         for steps, want in ((0, 0.5), (1, 0.25), (2, 0.375)):
+            monkeypatch.setattr(herglotz, "_NEWTON_MAX_STEPS", steps)
             got = herglotz._safeguarded_newton(bisect, [0.5], [0.0], [1.0],
-                                               0.0, steps)
+                                               0.0)
             assert got.tolist() == [want]
 
     @pytest.mark.parametrize("n", [1, 2, 8, 32, 128])

@@ -584,7 +584,7 @@ class TestCurveCrossings:
                     cases.append((fam, curve, np.remainder(ends, 2 * math.pi)))
 
         def endpoint_wise(count):
-            def newton(fn, x, lo, hi, tol, max_steps):
+            def newton(fn, x, lo, hi, tol):
                 s, lo, hi = (np.array(a, dtype=float).reshape(-1, count)
                              for a in (x, lo, hi))
                 todo = np.arange(s.shape[0])
