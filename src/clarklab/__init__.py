@@ -17,7 +17,7 @@ from .measures import (BorelSetSpec, CircleAtomicMeasure, LineAtomicMeasure,
                        total_mass)
 from .herglotz import (BlaschkeProduct, blaschke_eval,
                        boundary_derivative_modulus, cauchy_rational_line,
-                       cauchy_zeros_line, level_set_batch, residue_masses_line,
+                       level_set_batch, residue_masses_line,
                        secular_roots_line)
 from .rankone import (CyclicOperatorModel, clark_measure,
                       disintegration_check_circle, disintegration_check_line,

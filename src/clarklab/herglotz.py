@@ -364,10 +364,9 @@ def _secular_targets(lams) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _secular_solve(t, m, targets) -> np.ndarray:
-    """All real roots of K(x) = target for each target, an (L, roots) array
-    with ascending rows: one root in each gap (t_j, t_{j+1}) and, when the
-    targets are nonzero, one outside the atoms.  The targets must be all
-    zero or all nonzero.
+    """All N real roots of K(x) = target for each nonzero target, an (L, N)
+    array with ascending rows: one root in each gap (t_j, t_{j+1}) and one
+    outside the atoms.
 
     With M the total mass, M/(x - t_1) <= |K(x)| <= M/(x - t_N) above the
     atoms and the mirrored bounds below them give the outside root a closed
@@ -384,25 +383,21 @@ def _secular_solve(t, m, targets) -> np.ndarray:
     atom the root coincides with when it has landed on one.
     """
     targets = np.array(targets, dtype=float, ndmin=1)
-    n, rows = t.size, targets.size
-    outside = bool(targets[0])
-    if np.count_nonzero(targets) != rows * outside:
-        raise DomainError("secular targets must be all zero or all nonzero")
+    n = t.size
     # Root k of a row lies above atom k, or above atom k - 1 when the row has
     # its outside root below the atoms (index -1: no atom below).
-    below = np.arange(n - 1 + outside) - (targets > 0.0)[:, None]
+    below = np.arange(n) - (targets > 0.0)[:, None]
     above = below + 1
     has_a, has_b = below >= 0, above < n
     below, above = np.maximum(below, 0), np.minimum(above, n - 1)
     lo, hi = t[below], t[above]
-    if outside:
-        total, first, last = math.fsum(m), float(t[0]), float(t[-1])
-        for r, target in enumerate(targets.tolist()):
-            reach = total / abs(target)
-            if target < 0.0:
-                lo[r, -1], hi[r, -1] = max(last, first + reach), last + reach
-            else:
-                lo[r, 0], hi[r, 0] = first - reach, min(first, last - reach)
+    total, first, last = math.fsum(m), float(t[0]), float(t[-1])
+    for r, target in enumerate(targets.tolist()):
+        reach = total / abs(target)
+        if target < 0.0:
+            lo[r, -1], hi[r, -1] = max(last, first + reach), last + reach
+        else:
+            lo[r, 0], hi[r, 0] = first - reach, min(first, last - reach)
     shape = lo.shape
     lo, hi, below, above = lo.ravel(), hi.ravel(), below.ravel(), above.ravel()
     has_a, has_b = has_a.ravel(), has_b.ravel()
@@ -441,10 +436,9 @@ def _secular_solve(t, m, targets) -> np.ndarray:
     if np.any(excess > 0.0):
         worst = int(np.argmax(excess))
         # the row's coupling is -1/target, to within an ulp of the caller's
-        # (15 digits print it as given); a zero target solves K = 0
+        # (15 digits print it as given)
         root = (f"secular root at {x[worst]} for coupling "
-                f"{-1.0 / target[worst]:.15g}" if outside
-                else f"zero of the transform at {x[worst]}")
+                f"{-1.0 / target[worst]:.15g}")
         if np.isinf(resid[worst]):
             j = int(np.argmin(np.abs(t - x[worst])))
             gap = np.min(np.abs(np.delete(t, j) - t[j]), initial=np.inf)
@@ -489,13 +483,6 @@ def _perturbed_atoms_line(mu: LineAtomicMeasure, lams
     lams, targets = _secular_targets(lams)
     roots = _secular_solve(t, m, targets)
     return roots, _residue_masses(t, m, lams, roots)
-
-
-def cauchy_zeros_line(mu: LineAtomicMeasure) -> np.ndarray:
-    """The N-1 real zeros of the Cauchy transform of mu, one strictly inside
-    each gap."""
-    t, m = _line_pf(mu)
-    return _secular_solve(t, m, 0.0)[0]
 
 
 def secular_roots_line(mu: LineAtomicMeasure, lam: float) -> np.ndarray:

@@ -238,14 +238,6 @@ class BorelSetSpec:
             inside |= (t - start) % TWO_PI <= length
         return inside
 
-    def intersect_interval_length(self, a: float, b: float) -> float:
-        """Length of the intersection of this (line) set with [a, b]."""
-        if self.space != "line":
-            raise DomainError("intersect_interval_length is line-only")
-        if b < a:
-            a, b = b, a
-        return math.fsum(max(0.0, min(b, q) - max(a, p)) for p, q in self.pieces)
-
 
 # ---------------------------------------------------------------------------
 # Operations

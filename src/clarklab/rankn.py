@@ -123,13 +123,18 @@ class RankNPerturbationFamily:
         object.__setattr__(self, "vectors", vecs)
         if not vecs:
             raise ConstructionError("at least one perturbation vector required")
-        u = self.base.dense()
+        # The base is diagonal, so is_cyclic's test reads off its sites and
+        # the vectors' components: sites (the seam included) more than
+        # CYCLIC_TOL apart, and every |v_j| > CYCLIC_TOL ||v||.
+        sites = np.asarray(self.base.sites)
+        separated = np.min(np.diff(sites, append=sites[0] + TWO_PI)) > CYCLIC_TOL
         for i, v in enumerate(vecs):
             if v.shape != (self.base.dimension,):
                 raise ConstructionError(f"vector {i} has shape {v.shape}")
             if abs(np.linalg.norm(v) - 1.0) > 1e-12:
                 raise ConstructionError(f"vector {i} is not a unit vector")
-            if not is_cyclic(u, v):
+            if not (separated and np.min(np.abs(v))
+                    > CYCLIC_TOL * np.linalg.norm(v)):
                 raise CyclicityError(f"vector {i} is not cyclic for the base")
 
     @property
@@ -419,8 +424,9 @@ def curve_disintegration_check(family: RankNPerturbationFamily,
     endpoints (``_curve_breakpoints``): found from a 2x2 determinant and a
     monotone lift, and never trusted until the dense oracle's count of
     atoms in B changes across them.  The integrand's values come from the
-    dense oracle only, so a dropped hint costs refinement, not accuracy, and
-    the left side shares nothing with the closed form it judges.
+    dense oracle only, so the left side shares nothing with the closed form
+    it judges.  A dropped hint leaves a jump inside a panel, where GK15's
+    error estimate is no bound: it can report less error than it makes.
     Right side: the integral over B of the positive boundary density
     2 Re(phi) - 1 of the averaged measure (the real/Poisson pairing of the
     closed-form phi; equal to phi when the curve passes through the origin

@@ -31,7 +31,7 @@ from .errors import ConstructionError, DomainError
 from .fields import _field, _kind, _reals
 from .herglotz import (BlaschkeProduct, _blaschke_with_value, _clark_atoms,
                        _perturbed_atoms_line, _require_unimodular,
-                       blaschke_eval, cauchy_zeros_line, secular_roots_line)
+                       blaschke_eval)
 from .measures import (BorelSetSpec, CircleAtomicMeasure, LineAtomicMeasure,
                        TWO_PI, _wrap_angle, cauchy_transform_disk,
                        cauchy_transform_line, simon_wolff_integral)
@@ -394,7 +394,6 @@ class DisintegrationResult:
     estimate: float
     expected: float
     quadrature_error: float
-    tail: float = 0.0
 
     @property
     def defect(self) -> float:
@@ -402,23 +401,28 @@ class DisintegrationResult:
 
 
 def disintegration_check_line(model: CyclicOperatorModel, borel: BorelSetSpec,
-                              window: float = 100.0, tol: float = 1e-3
-                              ) -> DisintegrationResult:
-    """Verify that integrating lam -> mu_lam(B) over the coupling recovers |B|.
+                              tol: float = 1e-3) -> DisintegrationResult:
+    """Verify that integrating lam -> mu_lam(B) over every coupling recovers |B|.
 
-    The window [-window, window] is integrated adaptively with breakpoints
-    at the couplings where a secular root crosses an endpoint of B (the
-    integrand jumps there).  Each quadrature refinement round is one
-    batched secular solve and one residue extraction for all of its
-    couplings, with the checks of ``perturb_selfadjoint`` per coupling:
-    finite roots, positive finite masses, and the total mass conserved.
-    Beyond the window each root branch sweeps a computable interval, so the
-    two tails are added exactly: the branch through gap i sweeps from its
-    position at lam = +/-window to the zero of the transform in that gap,
-    and the outside branch sweeps off to infinity.
+    With lam = tan s the integral over the real line is the integral of
+    s -> mu_{tan s}(B) (1 + tan^2 s) over (-pi/2, pi/2).  That integrand is
+    bounded: a root that stays near the atoms carries mass 1/(lam^2 K'),
+    and the root that escapes to infinity leaves the bounded set B.  It is
+    integrated adaptively with breakpoints at s = 0 and at the couplings
+    where a secular root crosses an endpoint e of B, s = atan(-1/K(e))
+    (the integrand jumps there; a crossing at lam = +/-infinity is an end
+    of the interval).  Each quadrature refinement round is one batched
+    secular solve and one residue extraction for all of its couplings,
+    with the checks of ``perturb_selfadjoint`` per coupling: finite roots,
+    positive finite masses, and the total mass conserved.  One ulp of s
+    near +/-pi/2 is about lam^2 eps of coupling, so a set far out on the
+    line is resolved less finely ([1e4, 1e4 + 1] comes out 5.5e-10 off
+    for atoms at +/-1).
     """
     if borel.space != "line":
         raise DomainError("line disintegration needs a line Borel set")
+    if model.kind != "line":
+        raise DomainError("line disintegration needs a line model")
     mu0 = spectral_measure(model)
 
     breakpoints = [0.0]
@@ -428,29 +432,17 @@ def disintegration_check_line(model: CyclicOperatorModel, borel: BorelSetSpec,
                 continue
             kval = cauchy_transform_line(mu0, endpoint).real
             if kval != 0.0:
-                breakpoints.append(-1.0 / kval)
+                breakpoints.append(math.atan(-1.0 / kval))
 
-    def integrand(lams: np.ndarray) -> np.ndarray:
+    def integrand(s: np.ndarray) -> np.ndarray:
+        lams = np.tan(s)
         roots, masses = _perturbed_atoms_line(mu0, lams)
-        return _mass_inside(masses, borel.mask(roots))
+        return _mass_inside(masses, borel.mask(roots)) * (1.0 + lams * lams)
 
-    value, err = integrate_line(integrand, -window, window,
+    value, err = integrate_line(integrand, -0.5 * math.pi, 0.5 * math.pi,
                                 tol=0.5 * tol, breakpoints=breakpoints)
-
-    zeros = cauchy_zeros_line(mu0)
-    roots_plus = secular_roots_line(mu0, window)
-    roots_minus = secular_roots_line(mu0, -window)
-    tail = 0.0
-    for r, zero in zip(roots_plus[:-1], zeros):
-        tail += borel.intersect_interval_length(r, zero)
-    tail += borel.intersect_interval_length(roots_plus[-1], math.inf)
-    for zero, r in zip(zeros, roots_minus[1:]):
-        tail += borel.intersect_interval_length(zero, r)
-    tail += borel.intersect_interval_length(-math.inf, roots_minus[0])
-
-    return DisintegrationResult(estimate=value + tail,
-                                expected=borel.total_length(),
-                                quadrature_error=err, tail=tail)
+    return DisintegrationResult(estimate=value, expected=borel.total_length(),
+                                quadrature_error=err)
 
 
 def _mass_inside(masses: np.ndarray, inside: np.ndarray) -> np.ndarray:

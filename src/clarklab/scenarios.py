@@ -362,14 +362,13 @@ def _check_clark_correspondence(item, spec, tol) -> list[CheckRecord]:
 
 def _check_disintegration_line(item, spec, tol) -> list[CheckRecord]:
     records = []
-    window = _real(spec.get("window", 100.0), f"{item.check}.window", 0)
     check_tol = _real(spec.get("tol", 1e-3), f"{item.check}.tol", 0)
     model, label = _resolve_model(item.spec, item.rng, item.where)
     sets = _list(spec.get("borel_sets"), f"{item.check}.borel_sets")
     for j, bspec in enumerate(sets):
         borel = _resolve_borel(bspec, f"{item.check}.borel_sets[{j}]")
-        res = disintegration_check_line(model, borel, window=window, tol=check_tol)
-        params = {"model": label, "index": item.index, "borel": j, "window": window}
+        res = disintegration_check_line(model, borel, tol=check_tol)
+        params = {"model": label, "index": item.index, "borel": j}
         records.append(CheckRecord("disintegration_line", params, res.estimate,
                                    res.expected, check_tol, res.defect <= check_tol))
     return records

@@ -108,8 +108,7 @@ def test_criterion_3_disintegration_identities():
                  BorelSetSpec("line", ((-2.0, -0.25),))]
     for model in models:
         for interval in intervals:
-            res = disintegration_check_line(model, interval, window=100.0,
-                                            tol=1e-3)
+            res = disintegration_check_line(model, interval, tol=1e-3)
             worst_line = max(worst_line, res.defect)
 
     worst_curve = 0.0

@@ -12,9 +12,8 @@ from clarklab.errors import (ConstructionError, DomainError, PoleError,
                              ResidueError, RootFindingError)
 from clarklab.herglotz import (BlaschkeProduct, blaschke_eval,
                                boundary_derivative_modulus,
-                               cauchy_rational_line, cauchy_zeros_line,
-                               level_set_batch, residue_masses_line,
-                               secular_roots_line)
+                               cauchy_rational_line, level_set_batch,
+                               residue_masses_line, secular_roots_line)
 from clarklab.measures import LineAtomicMeasure, cauchy_transform_line
 from clarklab.rankone import (CyclicOperatorModel, inner_from_unitary,
                               perturb_selfadjoint, rank_one_unitary_update,
@@ -34,7 +33,6 @@ class TestLineTransform:
     def test_zero_measure_has_no_poles(self):
         zero = LineAtomicMeasure((), ())
         for route in (lambda: secular_roots_line(zero, 1.0),
-                      lambda: cauchy_zeros_line(zero),
                       lambda: residue_masses_line(zero, 1.0, [])):
             with pytest.raises(DomainError):
                 route()
@@ -371,20 +369,19 @@ def _secular_solve_loop(t, m, targets):
     before it shared ``_safeguarded_newton``; the reference for bit
     identity (no postcondition)."""
     targets = np.array(targets, dtype=float, ndmin=1)
-    n, outside = t.size, bool(targets[0])
-    below = np.arange(n - 1 + outside) - (targets > 0.0)[:, None]
+    n = t.size
+    below = np.arange(n) - (targets > 0.0)[:, None]
     above = below + 1
     has_a, has_b = below >= 0, above < n
     below, above = np.maximum(below, 0), np.minimum(above, n - 1)
     lo, hi = t[below], t[above]
-    if outside:
-        total, first, last = math.fsum(m), float(t[0]), float(t[-1])
-        for r, target in enumerate(targets.tolist()):
-            reach = total / abs(target)
-            if target < 0.0:
-                lo[r, -1], hi[r, -1] = max(last, first + reach), last + reach
-            else:
-                lo[r, 0], hi[r, 0] = first - reach, min(first, last - reach)
+    total, first, last = math.fsum(m), float(t[0]), float(t[-1])
+    for r, target in enumerate(targets.tolist()):
+        reach = total / abs(target)
+        if target < 0.0:
+            lo[r, -1], hi[r, -1] = max(last, first + reach), last + reach
+        else:
+            lo[r, 0], hi[r, 0] = first - reach, min(first, last - reach)
     shape = lo.shape
     lo, hi, below, above = lo.ravel(), hi.ravel(), below.ravel(), above.ravel()
     has_a, has_b = has_a.ravel(), has_b.ravel()
@@ -475,7 +472,7 @@ class TestSafeguardedNewton:
             mu = spectral_measure(random_model(100 * n + seed, n, "line"))
             t, m = np.asarray(mu.positions), np.asarray(mu.masses)
             lams = _couplings(seed)
-            for targets in ([0.0], -1.0 / lams, -1.0 / lams[lams > 0],
+            for targets in (-1.0 / lams, -1.0 / lams[lams > 0],
                             -1.0 / lams[lams < 0]):
                 got = herglotz._secular_solve(t, m, targets)
                 assert np.array_equal(got, _secular_solve_loop(t, m, targets))
@@ -494,11 +491,6 @@ class TestBatchedSecular:
             np.testing.assert_allclose(row, want, rtol=1e-14, atol=1e-15)
             np.testing.assert_allclose(
                 mrow, residue_masses_line(mu, lam, want), rtol=1e-12)
-
-    def test_mixed_zero_and_nonzero_targets_rejected(self):
-        t, m = np.array([0.0, 1.0]), np.array([0.5, 0.5])
-        with pytest.raises(DomainError):
-            herglotz._secular_solve(t, m, [0.0, -1.0])
 
     def test_row_missing_total_mass_rejected(self, monkeypatch):
         # one coupling's roots moved off the secular equation: its residue
@@ -538,38 +530,3 @@ class TestResidues:
         masses = residue_masses_line(mu, lam, roots)
         assert np.all(masses > 0.0)
         assert math.fsum(masses) == pytest.approx(math.fsum(mu.masses), abs=1e-10)
-
-
-class TestCauchyZeros:
-    def test_symmetric_two_atom(self):
-        assert cauchy_zeros_line(TWO_SYM) == pytest.approx([0.0], abs=1e-14)
-
-    @given(line_measures())
-    def test_one_zero_per_gap(self, mu):
-        zeros = cauchy_zeros_line(mu)
-        t = np.asarray(mu.positions)
-        assert zeros.shape == (len(t) - 1,)
-        assert np.all((zeros > t[:-1]) & (zeros < t[1:]))
-
-    def test_single_atom_and_symmetric_atoms(self):
-        assert cauchy_zeros_line(DELTA0).size == 0
-        # K(x) = 2x (0.1/(4 - x^2) + 0.3/(1 - x^2)) vanishes at 0 exactly
-        K = LineAtomicMeasure((-2.0, -1.0, 1.0, 2.0), (0.1, 0.3, 0.3, 0.1))
-        zeros = cauchy_zeros_line(K)
-        t = np.asarray(K.positions)
-        assert zeros[1] == 0.0
-        assert zeros[2] == -zeros[0]
-        assert np.all((zeros > t[:-1]) & (zeros < t[1:]))
-        assert np.all(np.abs([cauchy_transform_line(K, x) for x in zeros]) <= 1e-15)
-
-    def test_zeros_are_infinite_coupling_limit(self):
-        # as lam -> +-inf one secular root escapes and the others tend to the
-        # zeros of the transform, at distance about 1/(lam K')
-        for seed in range(3):
-            mu = spectral_measure(random_model(seed, 16, "line"))
-            zeros = cauchy_zeros_line(mu)
-            assert secular_roots_line(mu, 1e12)[:-1] == pytest.approx(
-                zeros, abs=1e-9)
-            assert secular_roots_line(mu, -1e12)[1:] == pytest.approx(
-                zeros, abs=1e-9)
-

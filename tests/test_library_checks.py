@@ -8,18 +8,21 @@ yields as many records as it counts for that entry.  No scenario check
 solves the same level set, or builds the same T_alpha, twice; each check
 over a parameter grid solves an item's grid in one call, and a model space
 solves one level set, of theta itself.  Every bracketed solve runs one
-safeguarded Newton.  The curve average integrates between its jumps.
-Every name the package exports has a caller or a stated role."""
+safeguarded Newton.  The curve average integrates between its jumps, and
+the coupling average over the whole line between its own.  Every name the
+package exports has a caller or a stated role, and every field of every
+bundled check entry is read by its handler."""
 
 import ast
 import importlib
+import json
 import sys
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 
-from clarklab import herglotz, modelspace, rankn, scenarios
+from clarklab import herglotz, modelspace, rankn, rankone, scenarios
 from clarklab.herglotz import BlaschkeProduct
 from clarklab.modelspace import build_model_space
 
@@ -360,6 +363,82 @@ def test_curve_average_integrates_between_its_jumps(monkeypatch):
     left = [calls[0][0] for calls in cases]
     assert len(left) == 3
     assert max(left) <= 150
+
+
+def test_coupling_average_integrates_between_its_jumps(monkeypatch):
+    # disintegration_check_line integrates over every coupling, lam = tan s
+    # on (-pi/2, pi/2), with breakpoints at s = 0 and at the crossings of
+    # the set's endpoints: each bundled record sees a few smooth panels
+    # (the windowed average with exact tails took 150 to 360 nodes).
+    nodes = []
+    integrate = rankone.integrate_line
+
+    def counting(f, *args, **kwargs):
+        nodes.append(0)
+
+        def counted(s):
+            nodes[-1] += np.size(s)
+            return f(s)
+
+        return integrate(counted, *args, **kwargs)
+
+    monkeypatch.setattr(rankone, "integrate_line", counting)
+    for name in ("disintegration", "secular-sweep"):
+        assert scenarios.run_scenario(PACKAGE / "scenarios" / f"{name}.json",
+                                      workers=1).all_passed
+    assert len(nodes) == 5
+    assert max(nodes) <= 120
+
+
+class _ReadLog(dict):
+    """A JSON object that logs the path of every field read from it; its
+    objects and lists, at any depth, log theirs too."""
+
+    def __init__(self, obj, where, read):
+        super().__init__((key, _logged(value, f"{where}.{key}", read))
+                         for key, value in obj.items())
+        self.where, self.read = where, read
+
+    def __getitem__(self, key):
+        self.read.add(f"{self.where}.{key}")
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(f"{self.where}.{key}")
+        return super().get(key, default)
+
+
+def _logged(value, where, read):
+    if isinstance(value, dict):
+        return _ReadLog(value, where, read)
+    if isinstance(value, list):
+        return [_logged(v, f"{where}[{k}]", read) for k, v in enumerate(value)]
+    return value
+
+
+def _field_paths(value, where):
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield f"{where}.{key}"
+            yield from _field_paths(item, f"{where}.{key}")
+    elif isinstance(value, list):
+        for k, item in enumerate(value):
+            yield from _field_paths(item, f"{where}[{k}]")
+
+
+def test_every_bundled_field_is_read():
+    # A field no handler reads is an option that went away, or a typo; it
+    # would sit in the shipped files doing nothing.
+    paths = sorted((PACKAGE / "scenarios").glob("*.json"))
+    assert paths
+    for path in paths:
+        obj = json.loads(path.read_text())
+        read = set()
+        checks = _logged(obj["checks"], "checks", read)
+        assert scenarios.run_scenario(dict(obj, checks=checks),
+                                      workers=1).all_passed
+        unread = sorted(set(_field_paths(obj["checks"], "checks")) - read)
+        assert unread == [], path.name
 
 
 def test_record_counts_follow_the_benchmark_rule(monkeypatch):

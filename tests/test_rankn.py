@@ -12,11 +12,11 @@ from clarklab import rankn, scenarios
 from clarklab.errors import (ConstructionError, CyclicityError, DomainError,
                              ResidueError)
 from clarklab.herglotz import BlaschkeProduct, blaschke_eval
-from clarklab.measures import (BorelSetSpec, cauchy_transform_disk, measure_of,
-                               total_mass)
+from clarklab.measures import (TWO_PI, BorelSetSpec, cauchy_transform_disk,
+                               measure_of, total_mass)
 from clarklab.rankone import (CyclicOperatorModel, rank_one_unitary_update,
                               unitary_spectral_measure)
-from clarklab.rankn import (AnalyticCurve, RankNPerturbationFamily,
+from clarklab.rankn import (CYCLIC_TOL, AnalyticCurve, RankNPerturbationFamily,
                             curve_disintegration_check, curve_sample,
                             family_from_json_dict, family_model_space,
                             herglotz_positivity_check,
@@ -91,6 +91,43 @@ class TestFamily:
         verdicts = [is_cyclic(m, v) for m, v in cases]
         assert verdicts == [schur_verdict(m, v.astype(complex)) for m, v in cases]
         assert verdicts == [True, False, False] + [True] * 6
+
+    def test_diagonal_verdict_matches_is_cyclic(self):
+        # the family reads cyclicity off the base's sites and the vector's
+        # components; the verdict is is_cyclic's, also at half and twice
+        # CYCLIC_TOL for a site gap (the seam's included) and a component
+        def family_verdict(base, v):
+            try:
+                RankNPerturbationFamily(base, (v,))
+            except CyclicityError:
+                return False
+            return True
+
+        rng = np.random.default_rng(7)
+        cases = []
+        for seed in range(40):
+            n = int(rng.integers(1, 40))
+            v = rng.normal(size=n) + 1j * rng.normal(size=n)
+            if seed % 3 == 0 and n > 1:
+                v[rng.integers(n)] = 0.0
+            cases.append((random_model(seed, n, "circle"),
+                          v / np.linalg.norm(v)))
+        weights = [0.3, 0.3, 0.4]
+        flat = np.ones(3) / math.sqrt(3.0)
+        for factor in (0.5, 2.0):
+            tiny = factor * CYCLIC_TOL
+            for sites in ([1.0, 1.0 + tiny, 3.0], [0.0, 2.0, TWO_PI - tiny]):
+                cases.append((CyclicOperatorModel.from_data("circle", sites,
+                                                            weights), flat))
+            cases.append((CyclicOperatorModel.from_data("circle",
+                                                        [0.0, 2.0, 4.0],
+                                                        weights),
+                          np.array([math.sqrt(1.0 - 2.0 * tiny ** 2),
+                                    tiny, tiny])))
+        verdicts = [family_verdict(base, v) for base, v in cases]
+        assert verdicts == [is_cyclic(base.dense(), v) for base, v in cases]
+        assert verdicts[-6:] == [False] * 3 + [True] * 3
+        assert verdicts.count(False) > 6
 
     def test_from_json_dict(self):
         h = math.sqrt(0.5)

@@ -637,16 +637,47 @@ class TestMeasureDeviation:
 class TestDisintegrationLine:
     def test_scalar_exact(self):
         res = disintegration_check_line(SCALAR_LINE,
-                                        BorelSetSpec("line", ((0.0, 1.0),)),
-                                        window=50.0)
+                                        BorelSetSpec("line", ((0.0, 1.0),)))
         assert res.estimate == pytest.approx(1.0, abs=1e-10)
 
     def test_two_atom(self):
         res = disintegration_check_line(TWO_LINE,
                                         BorelSetSpec("line", ((-0.5, 0.5),)),
-                                        window=100.0, tol=1e-3)
+                                        tol=1e-3)
         assert res.defect <= 1e-3
         assert res.expected == 1.0
+
+    @pytest.mark.parametrize("model, pieces", [
+        (TWO_LINE, ((50.0, 60.0),)),          # crossed only by the outside root
+        (TWO_LINE, ((1e4, 1e4 + 1.0),)),
+        (TWO_LINE, ((-0.5, 0.0),)),           # ends at the zero of K
+        (TWO_LINE, ((-1.0, -0.3),)),          # starts on an atom
+        (SCALAR_LINE, ((0.0, 1.0),)),
+        (TWO_LINE, ()),
+    ])
+    def test_every_coupling_counts(self, model, pieces):
+        # crossings at large |lam| sit near s = +-pi/2; one at lam = +-inf
+        # (the zero of K) is an end of (-pi/2, pi/2)
+        borel = BorelSetSpec("line", pieces)
+        res = disintegration_check_line(model, borel)
+        assert res.expected == borel.total_length()
+        assert res.defect <= 1e-8
+
+    def test_random_sets_within_tol(self):
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            for n in (1, 2, 8, 32, 128):
+                ends = np.sort(rng.uniform(-1.5, 1.5, 4))
+                borel = BorelSetSpec("line", ((ends[0], ends[1]),
+                                              (ends[2], ends[3])))
+                res = disintegration_check_line(random_model(seed, n, "line"),
+                                                borel, tol=1e-3)
+                assert res.defect <= 1e-3, (seed, n)
+
+    def test_circle_model_rejected(self):
+        with pytest.raises(DomainError, match="needs a line model"):
+            disintegration_check_line(TWO_CIRCLE,
+                                      BorelSetSpec("line", ((0.0, 1.0),)))
 
     @pytest.mark.parametrize("n", [2, 4, 16])
     def test_batched_integrand_matches_scalar_route(self, monkeypatch, n):
@@ -660,23 +691,25 @@ class TestDisintegrationLine:
         monkeypatch.setattr(rankone, "integrate_line", recording)
         model = random_model(40 + n, n, "line")
         borel = BorelSetSpec("line", ((-0.6, -0.1), (0.2, 0.9)))
-        disintegration_check_line(model, borel, window=30.0, tol=1e-2)
+        disintegration_check_line(model, borel, tol=1e-2)
         rng = np.random.default_rng(n)
         lams = np.concatenate([-np.logspace(-3, 2, 15), np.logspace(-3, 2, 15)])
         lams *= rng.uniform(0.9, 1.1, lams.size)
-        got = integrands[0](lams)
+        s = np.arctan(lams)
+        got = integrands[0](s)
+        # the integrand in s = arctan(lam) is mu_lam(B) (1 + lam^2)
         want = [measure_of(perturb_selfadjoint(model, lam), borel)
-                for lam in lams]
+                * (1 + lam ** 2) for lam in np.tan(s)]
         assert got.shape == lams.shape
-        assert np.max(np.abs(got - want)) <= 1e-13
+        assert np.max(np.abs(got - want) / (1 + lams ** 2)) <= 1e-13
 
     def test_additive_over_disjoint_pieces(self):
         b1 = BorelSetSpec("line", ((-0.5, 0.0),))
         b2 = BorelSetSpec("line", ((0.25, 0.5),))
         both = BorelSetSpec("line", ((-0.5, 0.0), (0.25, 0.5)))
-        r1 = disintegration_check_line(TWO_LINE, b1, window=60.0)
-        r2 = disintegration_check_line(TWO_LINE, b2, window=60.0)
-        r12 = disintegration_check_line(TWO_LINE, both, window=60.0)
+        r1 = disintegration_check_line(TWO_LINE, b1)
+        r2 = disintegration_check_line(TWO_LINE, b2)
+        r12 = disintegration_check_line(TWO_LINE, both)
         assert r12.estimate == pytest.approx(r1.estimate + r2.estimate, abs=2e-3)
 
 

@@ -561,16 +561,6 @@ class TestCountValidation:
         assert report.all_passed
         assert [r.parameters["alphas"] for r in report.records] == [2] * 4
 
-    @pytest.mark.parametrize("text", ["true", "0", "-1e-3", "Infinity"])
-    def test_bad_window_names_the_check(self, text):
-        obj = {"name": "x", "seed": 1,
-               "checks": [SMOKE["checks"][2],
-                          dict(_bundled_check("secular-sweep", 1),
-                               window=json.loads(text))]}
-        with pytest.raises(ScenarioError, match=r"checks\[1\]\.window: must "
-                           "be a positive finite number"):
-            run_scenario(obj)
-
     def test_bool_seed_rejected(self):
         with pytest.raises(ScenarioError, match="seed"):
             load_scenario(dict(SMOKE, seed=True))
@@ -860,6 +850,19 @@ class TestFailedRecordInput:
             "index": 0, "error": "DomainError",
             "message": "inner_from_unitary needs a circle model",
             "input": "checks[0].models[1]"}
+
+    def test_circle_model_in_line_average(self):
+        obj = {"name": "x", "seed": 1, "checks": [
+            {"check": "disintegration_line", "tol": 1e-3,
+             "models": [{"random": {"N": 3, "kind": "circle"}}],
+             "borel_sets": [{"space": "line", "pieces": [[0.0, 1.0]]}]}]}
+        records = json.loads(report_to_json(run_scenario(obj)))["records"]
+        assert len(records) == 1
+        assert records[0]["pass"] is False
+        assert records[0]["parameters"] == {
+            "index": 0, "error": "DomainError",
+            "message": "line disintegration needs a line model",
+            "input": "checks[0].models[0]"}
 
 
 class Format(NamedTuple):
