@@ -457,11 +457,10 @@ def _residue_masses(t, m, lams, roots) -> np.ndarray:
     """Masses 1/(lam^2 K'(x)) at an (L, N) array of secular roots, one row
     per coupling.  Every mass must be positive and finite, and each row
     must sum to the unperturbed total mass within 1e-10 (the cyclic
-    vector's norm is conserved)."""
+    vector's norm is conserved).  K' is a sum of positive terms, so it is
+    accurate however small it is: a small K' only means a root far from
+    the atoms, as the outside root is at a large coupling."""
     kp = np.sum(m / (t - roots[..., None]) ** 2, axis=-1)
-    if (kp < 1e-14).any():
-        raise ResidueError(f"K' = {kp.min():.3e} too small at a root; "
-                           "degenerate clustering")
     masses = 1.0 / (lams[:, None] ** 2 * kp)
     if not (np.isfinite(masses) & (masses > 0.0)).all():
         raise ResidueError("non-positive or non-finite residue mass")

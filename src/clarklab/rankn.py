@@ -98,12 +98,19 @@ def is_cyclic(matrix: np.ndarray, vector: np.ndarray) -> bool:
     test would be conditioned like a Vandermonde matrix and fail from N of
     about 28."""
     evals, q = _unitary_eigenbasis(np.asarray(matrix, dtype=complex))
-    angles = np.sort(np.angle(evals), axis=-1)
-    gaps = np.diff(angles, axis=-1, append=angles[..., :1] + TWO_PI)
     v = np.asarray(vector, dtype=complex)
-    components = np.abs(np.swapaxes(q.conj(), -1, -2) @ v)
+    return _cyclic_verdict(np.sort(np.angle(evals), axis=-1),
+                           np.abs(np.swapaxes(q.conj(), -1, -2) @ v),
+                           np.linalg.norm(v))
+
+
+def _cyclic_verdict(angles, components, norm) -> bool:
+    """Cyclicity read off sorted eigen-angles (last axis) and the vector's
+    eigen-components: gaps, the seam included, above CYCLIC_TOL and every
+    |component| above CYCLIC_TOL times the vector's norm."""
+    gaps = np.diff(angles, axis=-1, append=angles[..., :1] + TWO_PI)
     return bool(np.min(gaps) > CYCLIC_TOL
-                and np.min(components) > CYCLIC_TOL * np.linalg.norm(v))
+                and np.min(components) > CYCLIC_TOL * norm)
 
 
 @dataclass(frozen=True)
@@ -123,18 +130,15 @@ class RankNPerturbationFamily:
         object.__setattr__(self, "vectors", vecs)
         if not vecs:
             raise ConstructionError("at least one perturbation vector required")
-        # The base is diagonal, so is_cyclic's test reads off its sites and
-        # the vectors' components: sites (the seam included) more than
-        # CYCLIC_TOL apart, and every |v_j| > CYCLIC_TOL ||v||.
+        # The base is diagonal: its eigen-angles are its sites and a
+        # vector's eigen-components are its entries.
         sites = np.asarray(self.base.sites)
-        separated = np.min(np.diff(sites, append=sites[0] + TWO_PI)) > CYCLIC_TOL
         for i, v in enumerate(vecs):
             if v.shape != (self.base.dimension,):
                 raise ConstructionError(f"vector {i} has shape {v.shape}")
             if abs(np.linalg.norm(v) - 1.0) > 1e-12:
                 raise ConstructionError(f"vector {i} is not a unit vector")
-            if not (separated and np.min(np.abs(v))
-                    > CYCLIC_TOL * np.linalg.norm(v)):
+            if not _cyclic_verdict(sites, np.abs(v), np.linalg.norm(v)):
                 raise CyclicityError(f"vector {i} is not cyclic for the base")
 
     @property

@@ -404,20 +404,22 @@ def disintegration_check_line(model: CyclicOperatorModel, borel: BorelSetSpec,
                               tol: float = 1e-3) -> DisintegrationResult:
     """Verify that integrating lam -> mu_lam(B) over every coupling recovers |B|.
 
-    With lam = tan s the integral over the real line is the integral of
-    s -> mu_{tan s}(B) (1 + tan^2 s) over (-pi/2, pi/2).  That integrand is
-    bounded: a root that stays near the atoms carries mass 1/(lam^2 K'),
-    and the root that escapes to infinity leaves the bounded set B.  It is
-    integrated adaptively with breakpoints at s = 0 and at the couplings
-    where a secular root crosses an endpoint e of B, s = atan(-1/K(e))
-    (the integrand jumps there; a crossing at lam = +/-infinity is an end
-    of the interval).  Each quadrature refinement round is one batched
-    secular solve and one residue extraction for all of its couplings,
-    with the checks of ``perturb_selfadjoint`` per coupling: finite roots,
-    positive finite masses, and the total mass conserved.  One ulp of s
-    near +/-pi/2 is about lam^2 eps of coupling, so a set far out on the
-    line is resolved less finely ([1e4, 1e4 + 1] comes out 5.5e-10 off
-    for atoms at +/-1).
+    The line of couplings is covered by two charts on [-1, 1]: lam itself
+    for |lam| <= 1, and u = 1/lam for |lam| >= 1, where the integrand is
+    mu_{1/u}(B) / u^2.  Both integrands are bounded: a root that stays
+    near the atoms carries mass 1/(lam^2 K'), and the root that escapes
+    to infinity leaves the bounded set B.  A single chart such as
+    lam = tan s would place the crossings of a set far out on the line
+    within 1/|lam| of +/-pi/2, where binary64 spaces s evenly and cannot
+    resolve them; in u they sit near 0 with full relative precision, so a
+    piece near x comes out within about |x| eps, the spacing of its own
+    endpoints.  Each chart is integrated adaptively with breakpoints at 0
+    and at the couplings where a secular root crosses an endpoint e of B,
+    lam = -1/K(e) or u = -K(e) (the integrand jumps there; a crossing at
+    lam = +/-infinity is u = 0).  Each quadrature refinement round is one
+    batched secular solve and one residue extraction for all of its
+    couplings, with the checks of ``perturb_selfadjoint`` per coupling:
+    finite roots, positive finite masses, and the total mass conserved.
     """
     if borel.space != "line":
         raise DomainError("line disintegration needs a line Borel set")
@@ -425,22 +427,28 @@ def disintegration_check_line(model: CyclicOperatorModel, borel: BorelSetSpec,
         raise DomainError("line disintegration needs a line model")
     mu0 = spectral_measure(model)
 
-    breakpoints = [0.0]
+    near, far = [0.0], [0.0]
     for a, b in borel.pieces:
         for endpoint in (a, b):
             if any(endpoint == t for t in mu0.positions):
                 continue
             kval = cauchy_transform_line(mu0, endpoint).real
-            if kval != 0.0:
-                breakpoints.append(math.atan(-1.0 / kval))
+            if abs(kval) > 1.0:
+                near.append(-1.0 / kval)
+            else:
+                far.append(-kval)
 
-    def integrand(s: np.ndarray) -> np.ndarray:
-        lams = np.tan(s)
+    def mass_inside(lams: np.ndarray) -> np.ndarray:
         roots, masses = _perturbed_atoms_line(mu0, lams)
-        return _mass_inside(masses, borel.mask(roots)) * (1.0 + lams * lams)
+        return _mass_inside(masses, borel.mask(roots))
 
-    value, err = integrate_line(integrand, -0.5 * math.pi, 0.5 * math.pi,
-                                tol=0.5 * tol, breakpoints=breakpoints)
+    value, err = integrate_line(mass_inside, -1.0, 1.0, tol=0.25 * tol,
+                                breakpoints=near)
+    far_value, far_err = integrate_line(
+        lambda u: mass_inside(1.0 / u) / (u * u), -1.0, 1.0,
+        tol=0.25 * tol, breakpoints=far)
+    value += far_value
+    err += far_err
     return DisintegrationResult(estimate=value, expected=borel.total_length(),
                                 quadrature_error=err)
 

@@ -530,3 +530,19 @@ class TestResidues:
         masses = residue_masses_line(mu, lam, roots)
         assert np.all(masses > 0.0)
         assert math.fsum(masses) == pytest.approx(math.fsum(mu.masses), abs=1e-10)
+
+    def test_large_couplings_share_the_zeros_of_the_transform(self):
+        # as lam -> +-inf one root escapes and the others tend to the zeros
+        # of K from either side, at distance about 1/(lam K'); the small K'
+        # of the escaped root is no reason to refuse its mass
+        for seed in range(3):
+            mu = spectral_measure(random_model(seed, 16, "line"))
+            plus = secular_roots_line(mu, 1e12)
+            minus = secular_roots_line(mu, -1e12)
+            assert plus[:-1] == pytest.approx(minus[1:], abs=1e-9)
+            t = np.asarray(mu.positions)
+            assert np.all((plus[:-1] > t[:-1]) & (plus[:-1] < t[1:]))
+            for lam, roots in ((1e12, plus), (-1e12, minus)):
+                masses = residue_masses_line(mu, lam, roots)
+                assert math.fsum(masses) == pytest.approx(
+                    math.fsum(mu.masses), abs=1e-10)

@@ -366,10 +366,11 @@ def test_curve_average_integrates_between_its_jumps(monkeypatch):
 
 
 def test_coupling_average_integrates_between_its_jumps(monkeypatch):
-    # disintegration_check_line integrates over every coupling, lam = tan s
-    # on (-pi/2, pi/2), with breakpoints at s = 0 and at the crossings of
-    # the set's endpoints: each bundled record sees a few smooth panels
-    # (the windowed average with exact tails took 150 to 360 nodes).
+    # disintegration_check_line integrates over every coupling in two
+    # charts, lam and 1/lam on [-1, 1], with breakpoints at 0 and at the
+    # crossings of the set's endpoints: each bundled record sees a few
+    # smooth panels (the windowed average with exact tails took 150 to 360
+    # nodes).
     nodes = []
     integrate = rankone.integrate_line
 
@@ -386,8 +387,9 @@ def test_coupling_average_integrates_between_its_jumps(monkeypatch):
     for name in ("disintegration", "secular-sweep"):
         assert scenarios.run_scenario(PACKAGE / "scenarios" / f"{name}.json",
                                       workers=1).all_passed
-    assert len(nodes) == 5
-    assert max(nodes) <= 120
+    assert len(nodes) == 10
+    per_record = [near + far for near, far in zip(nodes[::2], nodes[1::2])]
+    assert max(per_record) <= 120, per_record
 
 
 class _ReadLog(dict):

@@ -89,6 +89,17 @@ class TestPerturbSelfadjoint:
         assert np.asarray(got.masses) == pytest.approx(
             np.asarray(want.masses), abs=1e-12)
 
+    @pytest.mark.parametrize("lam", [1e8, -1e12, 1e15])
+    def test_large_coupling_against_oracle(self, lam):
+        # the escaped root sits near lam, where K' is about 1/lam^2
+        for model in (TWO_LINE, random_model(5, 8, "line")):
+            got = perturb_selfadjoint(model, lam)
+            want = matrix_oracle_selfadjoint(model, lam)
+            assert np.max(np.abs(np.subtract(got.positions, want.positions))
+                          ) <= 1e-14 * (1.0 + abs(lam))
+            assert np.max(np.abs(np.subtract(got.masses, want.masses))
+                          ) <= 1e-14
+
     def test_mass_conserved(self):
         for lam in (0.1, -5.0, 42.0):
             assert total_mass(perturb_selfadjoint(TWO_LINE, lam)) == pytest.approx(
@@ -650,18 +661,32 @@ class TestDisintegrationLine:
     @pytest.mark.parametrize("model, pieces", [
         (TWO_LINE, ((50.0, 60.0),)),          # crossed only by the outside root
         (TWO_LINE, ((1e4, 1e4 + 1.0),)),
+        (TWO_LINE, ((1e5, 1e5 + 1.0),)),
         (TWO_LINE, ((-0.5, 0.0),)),           # ends at the zero of K
+        (TWO_LINE, ((1e-5, 0.5),)),           # ends near it: crossed at 1e5
+        (TWO_LINE, ((-0.5, -1e-7),)),
         (TWO_LINE, ((-1.0, -0.3),)),          # starts on an atom
         (SCALAR_LINE, ((0.0, 1.0),)),
         (TWO_LINE, ()),
     ])
     def test_every_coupling_counts(self, model, pieces):
-        # crossings at large |lam| sit near s = +-pi/2; one at lam = +-inf
-        # (the zero of K) is an end of (-pi/2, pi/2)
+        # crossings at |lam| > 1 are integrated in u = 1/lam; one at
+        # lam = +-inf (the zero of K) is u = 0
         borel = BorelSetSpec("line", pieces)
         res = disintegration_check_line(model, borel)
         assert res.expected == borel.total_length()
         assert res.defect <= 1e-8
+
+    @pytest.mark.parametrize("model", [TWO_LINE, random_model(5, 8, "line")])
+    def test_far_pieces_resolved_to_their_spacing(self, model):
+        # a piece near x is crossed at u = -K(x), about 1/x; in u = 1/lam
+        # it is resolved to about x eps, the spacing of its own endpoints
+        eps = np.finfo(float).eps
+        for x in 10.0 ** np.arange(2, 13):
+            for pieces in (((x, x + 1.0),), ((-x - 1.0, -x),)):
+                res = disintegration_check_line(model,
+                                                BorelSetSpec("line", pieces))
+                assert res.defect <= 4.0 * x * eps, pieces
 
     def test_random_sets_within_tol(self):
         for seed in range(10):
@@ -692,16 +717,19 @@ class TestDisintegrationLine:
         model = random_model(40 + n, n, "line")
         borel = BorelSetSpec("line", ((-0.6, -0.1), (0.2, 0.9)))
         disintegration_check_line(model, borel, tol=1e-2)
+        assert len(integrands) == 2
         rng = np.random.default_rng(n)
-        lams = np.concatenate([-np.logspace(-3, 2, 15), np.logspace(-3, 2, 15)])
+        lams = np.concatenate([-np.logspace(-3, 2, 16), np.logspace(-3, 2, 16)])
         lams *= rng.uniform(0.9, 1.1, lams.size)
-        s = np.arctan(lams)
-        got = integrands[0](s)
-        # the integrand in s = arctan(lam) is mu_lam(B) (1 + lam^2)
+        near = np.abs(lams) <= 1.0
+        # lam itself for |lam| <= 1; u = 1/lam beyond, weighted by lam^2
+        got = np.empty_like(lams)
+        got[near] = integrands[0](lams[near])
+        got[~near] = integrands[1](1.0 / lams[~near])
+        weight = np.where(near, 1.0, lams ** 2)
         want = [measure_of(perturb_selfadjoint(model, lam), borel)
-                * (1 + lam ** 2) for lam in np.tan(s)]
-        assert got.shape == lams.shape
-        assert np.max(np.abs(got - want) / (1 + lams ** 2)) <= 1e-13
+                for lam in lams]
+        assert np.max(np.abs(got / weight - want)) <= 1e-13
 
     def test_additive_over_disjoint_pieces(self):
         b1 = BorelSetSpec("line", ((-0.5, 0.0),))
