@@ -43,7 +43,8 @@ def main():
             continue
         roots = np.asarray(perturb_selfadjoint(model, lam).positions)
         interior = roots[1:] if lam < 0 else roots[:-1]
-        assert np.all((interior > sites[:-1]) & (interior < sites[1:]))
+        if not np.all((interior > sites[:-1]) & (interior < sites[1:])):
+            raise SystemExit(f"interlacing fails at coupling {lam}")
     print("interlacing verified for every nonzero coupling")
 
 

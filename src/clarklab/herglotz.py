@@ -37,7 +37,7 @@ import numpy as np
 from .errors import (ConstructionError, DomainError, PoleError, ResidueError,
                      RootFindingError)
 from .fields import _complexes, _field, _pair
-from .measures import LineAtomicMeasure
+from .measures import LineAtomicMeasure, _require_unimodular, _shaped_like
 
 
 def cauchy_rational_line(mu: LineAtomicMeasure) -> LineAtomicMeasure:
@@ -121,13 +121,6 @@ def _blaschke_eval_array(zeros, c, z):
     return out
 
 
-def _shaped_like(z, values):
-    """A complex for scalar z, else the array of values."""
-    if np.ndim(z) == 0:
-        return complex(values)
-    return values
-
-
 def blaschke_eval(theta: BlaschkeProduct, z):
     """Evaluate theta at z (scalar or array).
 
@@ -179,31 +172,15 @@ def blaschke_from_json_dict(obj, where: str = "theta") -> BlaschkeProduct:
     return BlaschkeProduct(tuple(zeros), c)
 
 
-_ARRAY_LIKE = (np.ndarray, list, tuple)
-
-
-def _require_unimodular(alpha):
-    """alpha / |alpha|, elementwise for an array; raises DomainError naming
-    the first value (NaN included) off the unit circle by more than 1e-9."""
-    if not isinstance(alpha, _ARRAY_LIKE):
-        alpha = complex(alpha)
-        if not abs(abs(alpha) - 1.0) <= 1e-9:
-            raise DomainError(f"|{alpha}| = {abs(alpha)} is not unimodular")
-        return alpha / abs(alpha)
-    alpha = np.asarray(alpha, dtype=complex)
-    # hypot and per-part division round as abs and / do on a Python complex
-    mod = np.hypot(alpha.real, alpha.imag)
-    bad = ~(np.abs(mod - 1.0) <= 1e-9)
-    if bad.any():
-        first = complex(alpha[bad][0])
-        raise DomainError(f"|{first}| = {abs(first)} is not unimodular")
-    return alpha.real / mod + 1j * (alpha.imag / mod)
-
+# Cap on the Newton steps of one root solve: a bracketed solve
+# (``_safeguarded_newton``) or the polish of a level set
+# (``level_set_batch``).  Each caller's postcondition decides whether a
+# root that reached it is good enough.
+_NEWTON_MAX_STEPS = 64
 
 # Newton stops at |theta(xi) - alpha| <= max(1e-12, 4 eps (N + 2 pi |theta'|)):
 # rounding of the N-factor product plus theta's change over one ulp of angle.
 _LEVEL_SET_TOL = 1e-12
-_LEVEL_SET_MAX_NEWTON = 50
 
 
 def _realization(theta: BlaschkeProduct) -> tuple:
@@ -245,7 +222,8 @@ def level_set_batch(theta: BlaschkeProduct, alphas) -> np.ndarray:
     sorted by angle.  theta(xi) = alpha exactly when conj(xi) is an
     eigenvalue of the Clark unitary W(alpha) (``_clark_unitaries``).  The
     eigenvalues are polished by Newton in the boundary angle, dividing by
-    |theta'| > 0.  The boundary phase arg c + N t - 2 sum_j
+    |theta'| > 0, for at most ``_NEWTON_MAX_STEPS`` steps; a polish that
+    stalls raises RootFindingError.  The boundary phase arg c + N t - 2 sum_j
     arg(1 - conj(z_j) e^{it}) increases by 2 pi N over [0, 2 pi), so the
     sorted points must lie in N consecutive branches of it
     (``_boundary_phase``); a repeated or missing point raises
@@ -257,7 +235,7 @@ def level_set_batch(theta: BlaschkeProduct, alphas) -> np.ndarray:
     t = -np.angle(np.linalg.eigvals(_clark_unitaries(theta, alphas)))
 
     n = theta.degree
-    for _ in range(_LEVEL_SET_MAX_NEWTON):
+    for _ in range(_NEWTON_MAX_STEPS):
         xi = np.exp(1j * t)
         vals = _blaschke_eval_array(theta.zeros, theta.c, xi)
         deriv = boundary_derivative_modulus(theta, xi)
@@ -315,11 +293,6 @@ def _line_pf(mu: LineAtomicMeasure) -> tuple[np.ndarray, np.ndarray]:
     if not mu.positions:
         raise DomainError("the transform of the zero measure has no poles")
     return np.asarray(mu.positions), np.asarray(mu.masses)
-
-
-# Cap on the safeguarded Newton steps of one bracketed solve; each caller's
-# postcondition decides whether a root that reached it is good enough.
-_NEWTON_MAX_STEPS = 64
 
 
 def _safeguarded_newton(fn, x, lo, hi, tol) -> np.ndarray:

@@ -4,7 +4,8 @@ Every spectral object in this package is a finite positive atomic measure:
 at desk scale all operators are finite matrices, so all spectral data is a
 finite list of (position, mass) atoms.  This module provides the two
 containers, Borel test sets built from closed intervals/arcs, the Cauchy
-transforms, and the Simon-Wolff second-moment integral.
+transforms, the Simon-Wolff second-moment integral, and the unimodular and
+disk checks that every module applies to its inputs.
 
 Conventions fixed here and relied on everywhere else:
 
@@ -240,8 +241,48 @@ class BorelSetSpec:
 
 
 # ---------------------------------------------------------------------------
-# Operations
+# Operations.  The domain checks and the result shape come first; every
+# module takes them from here.
 # ---------------------------------------------------------------------------
+
+_ARRAY_LIKE = (np.ndarray, list, tuple)
+
+
+def _shaped_like(z, values):
+    """A complex for scalar z, else the array of values."""
+    if np.ndim(z) == 0:
+        return complex(values)
+    return values
+
+
+def _require_unimodular(alpha):
+    """alpha / |alpha|, elementwise for an array; raises DomainError naming
+    the first value (NaN included) off the unit circle by more than 1e-9."""
+    if not isinstance(alpha, _ARRAY_LIKE):
+        alpha = complex(alpha)
+        if not abs(abs(alpha) - 1.0) <= 1e-9:
+            raise DomainError(f"|{alpha}| = {abs(alpha)} is not unimodular")
+        return alpha / abs(alpha)
+    alpha = np.asarray(alpha, dtype=complex)
+    # hypot and per-part division round as abs and / do on a Python complex
+    mod = np.hypot(alpha.real, alpha.imag)
+    bad = ~(np.abs(mod - 1.0) <= 1e-9)
+    if bad.any():
+        first = complex(alpha[bad][0])
+        raise DomainError(f"|{first}| = {abs(first)} is not unimodular")
+    return alpha.real / mod + 1j * (alpha.imag / mod)
+
+
+def _require_in_disk(z, closed: bool = False) -> np.ndarray:
+    """z as a complex array, inside the open unit disk (or, when ``closed``,
+    the closed disk up to rounding), else DomainError."""
+    zarr = np.asarray(z, dtype=complex)
+    modulus = np.abs(zarr)
+    if np.any(modulus > 1.0 + 1e-12 if closed else modulus >= 1.0):
+        raise DomainError(f"|z| = {np.max(modulus)} not inside the "
+                          f"{'closed ' if closed else ''}unit disk")
+    return zarr
+
 
 def total_mass(mu: AtomicMeasure) -> float:
     """Sum of the atom masses."""
@@ -275,14 +316,14 @@ def cauchy_transform_line(mu: LineAtomicMeasure, z: complex) -> complex:
     return complex(np.sum(m / (t - z)))
 
 
-def cauchy_transform_disk(nu: CircleAtomicMeasure, z: complex) -> complex:
-    """Disk Cauchy transform sum_j m_j / (1 - conj(xi_j) z), |z| < 1."""
-    z = complex(z)
-    if abs(z) >= 1.0:
-        raise DomainError(f"|z| = {abs(z)} not inside the unit disk")
+def cauchy_transform_disk(nu: CircleAtomicMeasure, z):
+    """Disk Cauchy transform sum_j m_j / (1 - conj(xi_j) z) at |z| < 1 (a
+    scalar or an array of points)."""
+    zarr = _require_in_disk(z)
     xi = nu.points()
     m = np.asarray(nu.masses)
-    return complex(np.sum(m / (1.0 - np.conj(xi) * z)))
+    return _shaped_like(z, np.sum(m / (1.0 - np.conj(xi) * zarr[..., None]),
+                                  axis=-1))
 
 
 def simon_wolff_integral(mu: LineAtomicMeasure, y: float) -> float:
@@ -301,12 +342,10 @@ def simon_wolff_integral(mu: LineAtomicMeasure, y: float) -> float:
 
 
 def simon_wolff_integral_circle(nu: CircleAtomicMeasure, xi: complex) -> float:
-    """Circle variant sum_j m_j / |xi - xi_j|^2 for |xi| = 1 (within 1e-8)."""
-    xi = complex(xi)
-    r = abs(xi)
-    if not abs(r - 1.0) <= 1e-8:
-        raise DomainError(f"|xi| = {r} is not unimodular within 1e-8")
-    xi = xi / r
+    """Circle variant sum_j m_j / |xi - xi_j|^2 for |xi| = 1 within 1e-9,
+    the unimodular rule of every module (``_require_unimodular``); the probe
+    is normalized to the circle first."""
+    xi = _require_unimodular(xi)
     angle = cmath.phase(xi) % TWO_PI
     if any(angle == a for a in nu.angles):
         return math.inf

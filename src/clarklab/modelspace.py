@@ -56,9 +56,9 @@ import numpy as np
 
 from .errors import ConstructionError, DomainError, ResidueError
 from .herglotz import (BlaschkeProduct, _clark_atoms, _clark_unitaries,
-                       _require_unimodular, _shaped_like, blaschke_eval,
-                       blaschke_to_json_dict)
-from .measures import CircleAtomicMeasure, TWO_PI
+                       blaschke_eval, blaschke_to_json_dict)
+from .measures import (CircleAtomicMeasure, TWO_PI, _require_in_disk,
+                       _require_unimodular, _shaped_like)
 from .rankone import clark_measure
 
 GRAM_TOL = 1e-10
@@ -337,17 +337,6 @@ def lemma7_decompose(ms: ModelSpace, vec: ModelVector
     """
     _, _, g, h = _transform_context(ms, vec).coeffs
     return ms.vector(g), ms.vector(h)
-
-
-def _require_in_disk(z, closed: bool = False) -> np.ndarray:
-    """z as a complex array, inside the open unit disk (or, when ``closed``,
-    the closed disk up to rounding), else DomainError."""
-    zarr = np.asarray(z, dtype=complex)
-    modulus = np.abs(zarr)
-    if np.any(modulus > 1.0 + 1e-12 if closed else modulus >= 1.0):
-        raise DomainError(f"|z| = {np.max(modulus)} not inside the "
-                          f"{'closed ' if closed else ''}unit disk")
-    return zarr
 
 
 def knu_alpha(ms: ModelSpace, vec: ModelVector, alpha: complex, z):

@@ -40,13 +40,13 @@ import numpy as np
 
 from .errors import ConstructionError, CyclicityError, DomainError
 from .fields import _complexes, _field, _list
-from .herglotz import (BlaschkeProduct, _boundary_phase,
-                       _require_unimodular, _safeguarded_newton, _shaped_like,
+from .herglotz import (BlaschkeProduct, _boundary_phase, _safeguarded_newton,
                        blaschke_eval, boundary_derivative_modulus)
 from .measures import (BorelSetSpec, CircleAtomicMeasure, TWO_PI,
+                       _require_in_disk, _require_unimodular, _shaped_like,
                        simon_wolff_integral_circle)
-from .modelspace import (ModelSpace, ModelVector, _require_in_disk,
-                         _transform_context, build_model_space, v_alpha)
+from .modelspace import (ModelSpace, ModelVector, _transform_context,
+                         build_model_space, v_alpha)
 from .rankone import (CyclicOperatorModel, _mass_inside, _unitary_eigenbasis,
                       _unitary_spectra, inner_from_unitary,
                       model_from_json_dict, rank_one_unitary_update,
@@ -212,12 +212,16 @@ def _staged_spectra(family: RankNPerturbationFamily, points, vector
 def family_model_space(family: RankNPerturbationFamily
                        ) -> tuple[ModelSpace, ModelVector]:
     """Model space of the base operator plus the model-space function of
-    the second perturbation vector.
+    the second perturbation vector: the (space, vector) pair of every closed
+    form, which exists for two-vector families only (else DomainError).
 
     The base cyclic vector corresponds to the constant 1; vector entries
     divided by the cyclic-vector components give its boundary values at the
     base atoms.
     """
+    if family.n != 2:
+        raise DomainError(f"the closed forms need a two-vector family, got "
+                          f"n = {family.n}")
     theta = inner_from_unitary(family.base)
     ms = build_model_space(theta)
     w = np.asarray(family.base.weights)
@@ -436,8 +440,8 @@ def curve_disintegration_check(family: RankNPerturbationFamily,
     closed-form phi; equal to phi when the curve passes through the origin
     of the torus, where phi = 1).
     """
-    if family.n != 2 or curve.n != 2:
-        raise DomainError("curve disintegration check is the n = 2 harness")
+    if curve.n != 2:
+        raise DomainError("curve disintegration needs a 2-component curve")
     if borel.space != "circle":
         raise DomainError("needs a circle Borel set")
     ms, f = family_model_space(family)

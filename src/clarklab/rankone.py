@@ -30,11 +30,11 @@ import numpy as np
 from .errors import ConstructionError, DomainError
 from .fields import _field, _kind, _reals
 from .herglotz import (BlaschkeProduct, _blaschke_with_value, _clark_atoms,
-                       _perturbed_atoms_line, _require_unimodular,
-                       blaschke_eval)
+                       _perturbed_atoms_line, blaschke_eval)
 from .measures import (BorelSetSpec, CircleAtomicMeasure, LineAtomicMeasure,
-                       TWO_PI, _wrap_angle, cauchy_transform_disk,
-                       cauchy_transform_line, simon_wolff_integral)
+                       TWO_PI, _require_unimodular, _wrap_angle,
+                       cauchy_transform_disk, cauchy_transform_line,
+                       simon_wolff_integral)
 from .quadrature import integrate_circle, integrate_line
 
 WEIGHT_SUM_TOL = 1e-12
@@ -314,7 +314,7 @@ def inner_from_unitary(model: CyclicOperatorModel) -> BlaschkeProduct:
         zeros, lambda w0: 1.0 - 1.0 / cauchy_transform_disk(nu1, w0))
 
     sample = 0.6 * np.exp(2j * np.pi * np.arange(16) / 16.0)
-    kvals = np.array([cauchy_transform_disk(nu1, z) for z in sample])
+    kvals = cauchy_transform_disk(nu1, sample)
     tvals = blaschke_eval(theta, sample)
     defect = np.max(np.abs(kvals * (1.0 - tvals) - 1.0))
     if defect > 1e-10:

@@ -56,7 +56,6 @@ from .rankn import (AnalyticCurve, RankNPerturbationFamily, _staged_spectra,
 DEFAULT_TOLERANCES = {
     "algebraic": 1e-9,   # exact identities evaluated in closed form
     "oracle": 1e-8,      # cross-checks against dense eigendecompositions
-    "quadrature": 1e-4,  # identities with nested numerical integration
 }
 
 
@@ -165,8 +164,7 @@ def _resolve_theta(spec: Any, rng: np.random.Generator, where: str,
     if isinstance(spec, dict) and "random_degree" in spec:
         deg = _count(spec["random_degree"], f"{where}.random_degree")
         radius = _real(spec.get("max_radius", 0.8), f"{where}.max_radius", 0, 1)
-        theta = random_blaschke(rng, deg, radius,
-                                zero_at_origin or bool(spec.get("zero_at_origin", False)))
+        theta = random_blaschke(rng, deg, radius, zero_at_origin)
         return theta, f"random(degree={deg})"
     if isinstance(spec, dict) and "zeros" in spec:
         theta = blaschke_from_json_dict(spec, where)
@@ -360,31 +358,27 @@ def _check_clark_correspondence(item, spec, tol) -> list[CheckRecord]:
             _within("clark_correspondence.masses", params, mass_dev, tol["oracle"])]
 
 
-def _check_disintegration_line(item, spec, tol) -> list[CheckRecord]:
+def _check_disintegration(item, spec, tol) -> list[CheckRecord]:
+    """disintegration_line on a model or disintegration_circle on an inner
+    function: one record per Borel set of the check, each against the
+    check's own ``tol``."""
+    check = spec["check"]
+    if check == "disintegration_line":
+        default, subject, resolve, route = (1e-3, "model", _resolve_model,
+                                            disintegration_check_line)
+    else:
+        default, subject, resolve, route = (1e-6, "theta", _resolve_theta,
+                                            disintegration_check_circle)
+    check_tol = _real(spec.get("tol", default), f"{item.check}.tol", 0)
+    value, label = resolve(item.spec, item.rng, item.where)
     records = []
-    check_tol = _real(spec.get("tol", 1e-3), f"{item.check}.tol", 0)
-    model, label = _resolve_model(item.spec, item.rng, item.where)
-    sets = _list(spec.get("borel_sets"), f"{item.check}.borel_sets")
-    for j, bspec in enumerate(sets):
+    for j, bspec in enumerate(_list(spec.get("borel_sets"),
+                                    f"{item.check}.borel_sets")):
         borel = _resolve_borel(bspec, f"{item.check}.borel_sets[{j}]")
-        res = disintegration_check_line(model, borel, tol=check_tol)
-        params = {"model": label, "index": item.index, "borel": j}
-        records.append(CheckRecord("disintegration_line", params, res.estimate,
-                                   res.expected, check_tol, res.defect <= check_tol))
-    return records
-
-
-def _check_disintegration_circle(item, spec, tol) -> list[CheckRecord]:
-    records = []
-    check_tol = _real(spec.get("tol", 1e-6), f"{item.check}.tol", 0)
-    theta, label = _resolve_theta(item.spec, item.rng, item.where)
-    sets = _list(spec.get("borel_sets"), f"{item.check}.borel_sets")
-    for j, bspec in enumerate(sets):
-        borel = _resolve_borel(bspec, f"{item.check}.borel_sets[{j}]")
-        res = disintegration_check_circle(theta, borel, tol=check_tol)
-        params = {"theta": label, "index": item.index, "borel": j}
-        records.append(CheckRecord("disintegration_circle", params, res.estimate,
-                                   res.expected, check_tol, res.defect <= check_tol))
+        res = route(value, borel, tol=check_tol)
+        params = {subject: label, "index": item.index, "borel": j}
+        records.append(CheckRecord(check, params, res.estimate, res.expected,
+                                   check_tol, res.defect <= check_tol))
     return records
 
 
@@ -497,8 +491,8 @@ def _check_positivity_bounds(item, spec, tol) -> list[CheckRecord]:
     for j, cspec in enumerate(curves):
         curve, clabel = _resolve_curve(cspec, _rng(*item.key, j),
                                        f"{item.check}.curves[{j}]")
-        bound = 1.0 / (1.0 - abs(blaschke_eval(curve.components[1], 0.0)))
         worst = float(np.max(np.abs(phi_density(ms, f, curve, zs)), initial=0.0))
+        bound = 1.0 / (1.0 - abs(blaschke_eval(curve.components[1], 0.0)))
         params = {"family": label, "curve": clabel, "index": item.index}
         records.append(_within("positivity.phi_bound", params, worst - bound, 1e-9))
     return records
@@ -567,8 +561,8 @@ def _check_theorem9_nullset(item, spec, tol) -> list[CheckRecord]:
 CHECKS: dict[str, Callable] = {
     "secular_oracle": _each("models", _check_secular_oracle),
     "clark_correspondence": _each("models", _check_clark_correspondence),
-    "disintegration_line": _each("models", _check_disintegration_line),
-    "disintegration_circle": _each("thetas", _check_disintegration_circle),
+    "disintegration_line": _each("models", _check_disintegration),
+    "disintegration_circle": _each("thetas", _check_disintegration),
     "modelspace_suite": _each("degrees", _check_modelspace_suite),
     "lemma7_suite": _each("thetas", _check_lemma7_suite),
     "two_parameter_oracle": _each("families", _check_two_parameter_oracle),

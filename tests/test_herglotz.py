@@ -14,7 +14,8 @@ from clarklab.herglotz import (BlaschkeProduct, blaschke_eval,
                                boundary_derivative_modulus,
                                cauchy_rational_line, level_set_batch,
                                residue_masses_line, secular_roots_line)
-from clarklab.measures import LineAtomicMeasure, cauchy_transform_line
+from clarklab.measures import (LineAtomicMeasure, _require_unimodular,
+                               cauchy_transform_line)
 from clarklab.rankone import (CyclicOperatorModel, inner_from_unitary,
                               perturb_selfadjoint, rank_one_unitary_update,
                               spectral_measure)
@@ -168,8 +169,8 @@ class TestLevelSet:
             return w
 
         monkeypatch.setattr(herglotz, "_clark_unitaries", rotated)
-        monkeypatch.setattr(herglotz, "_LEVEL_SET_MAX_NEWTON", 1)
-        named = f"alpha = {herglotz._require_unimodular(alphas)[1]:.6f}: Newton"
+        monkeypatch.setattr(herglotz, "_NEWTON_MAX_STEPS", 1)
+        named = f"alpha = {_require_unimodular(alphas)[1]:.6f}: Newton"
         with pytest.raises(RootFindingError, match=re.escape(named)):
             level_set_batch(theta, alphas)
 
@@ -207,30 +208,30 @@ class TestRequireUnimodular:
     def test_array_matches_scalar_bitwise(self, rng):
         alphas = np.exp(1j * rng.uniform(0, 7, (40, 3))) * (
             1.0 + rng.uniform(-1e-10, 1e-10, (40, 3)))
-        got = herglotz._require_unimodular(alphas)
+        got = _require_unimodular(alphas)
         assert got.shape == alphas.shape
-        want = [[herglotz._require_unimodular(complex(a)) for a in row]
+        want = [[_require_unimodular(complex(a)) for a in row]
                 for row in alphas]
         assert np.array_equal(got, np.array(want))
 
     def test_sequences_are_arrays(self):
-        got = herglotz._require_unimodular([1.0, 1j, (0.6 - 0.8j)])
+        got = _require_unimodular([1.0, 1j, (0.6 - 0.8j)])
         assert isinstance(got, np.ndarray)
         assert np.array_equal(got, [1.0, 1j, 0.6 - 0.8j])
 
     def test_scalar_stays_a_complex(self):
-        assert type(herglotz._require_unimodular(np.complex128(1j))) is complex
+        assert type(_require_unimodular(np.complex128(1j))) is complex
 
     @pytest.mark.parametrize("bad", [1.1, 0.5j, math.nan, complex(math.nan, 0.0),
                                      math.inf])
     def test_first_bad_value_named(self, bad):
         alphas = np.array([1.0, 1j, bad, 2.0], dtype=complex)
         with pytest.raises(DomainError, match="not unimodular") as info:
-            herglotz._require_unimodular(alphas)
+            _require_unimodular(alphas)
         assert str(complex(bad)) in str(info.value)
         assert "(2+0j)" not in str(info.value)
         with pytest.raises(DomainError, match="not unimodular"):
-            herglotz._require_unimodular(bad)
+            _require_unimodular(bad)
 
     def test_level_set_batch_rejects_bad_alpha(self):
         theta = BlaschkeProduct((0.3 + 0.2j, -0.5j), 1.0)

@@ -1,19 +1,21 @@
-"""Library checks raise typed errors; none may rely on ``assert``, which
-``python -O`` strips.  Transforms and inner functions are held in pole or
-zero form only; monomial coefficients misrepresent high-degree roots, so the
-library forms none.  The library needs numpy alone; scipy is a test-only
-dependency.  The benchmark under ``perfbench/`` traces library functions
-by name, so every name it traces must still resolve, and each check entry
-yields as many records as it counts for that entry.  No scenario check
-solves the same level set, or builds the same T_alpha, twice; each check
-over a parameter grid solves an item's grid in one call, and a model space
-solves one level set, of theta itself.  Every bracketed solve runs one
-safeguarded Newton.  The curve average integrates between its jumps, and
-the coupling average over the whole line between its own.  Every name the
-package exports has a caller or a stated role, and every field of every
-bundled check entry is read by its handler."""
+"""Library checks raise typed errors and the experiment scripts exit non-zero;
+none may rely on ``assert``, which ``python -O`` strips.  Transforms and
+inner functions are held in pole or zero form only; monomial coefficients
+misrepresent high-degree roots, so the library forms none.  The library
+needs numpy alone; scipy is a test-only dependency.  The benchmark under
+``perfbench/`` traces library functions by name, so every name it traces
+must still resolve, and each check entry yields as many records as it counts
+for that entry.  No scenario check solves the same level set, or builds the
+same T_alpha, twice; each check over a parameter grid solves an item's grid
+in one call, and a model space solves one level set, of theta itself.  Every
+bracketed solve runs one safeguarded Newton.  The curve average integrates
+between its jumps, and the coupling average over the whole line between its
+own.  Every name the package exports has a caller or a stated role, every
+field of every bundled check entry is read by its handler, and every
+tolerance class is read by some bundled check."""
 
 import ast
+import dataclasses
 import importlib
 import json
 import sys
@@ -31,12 +33,14 @@ PACKAGE = ROOT / "src" / "clarklab"
 
 
 def test_no_assert_in_library():
-    modules = sorted(PACKAGE.rglob("*.py"))
+    # the experiment scripts check their results too, and must not print a
+    # verdict under ``python -O`` that they never checked
+    modules = sorted(PACKAGE.rglob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
     assert modules, f"no modules found under {PACKAGE}"
     offenders = []
     for path in modules:
         tree = ast.parse(path.read_text(), filename=str(path))
-        offenders += [f"{path.relative_to(PACKAGE)}:{node.lineno}"
+        offenders += [f"{path.relative_to(ROOT)}:{node.lineno}"
                       for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert offenders == []
 
@@ -441,6 +445,27 @@ def test_every_bundled_field_is_read():
                                       workers=1).all_passed
         unread = sorted(set(_field_paths(obj["checks"], "checks")) - read)
         assert unread == [], path.name
+
+
+def test_every_tolerance_class_is_read(monkeypatch):
+    # A class no check reads would be validated and overridable, and do
+    # nothing.
+    read = set()
+    load = scenarios.load_scenario
+
+    def logged(source):
+        scen = load(source)
+        return dataclasses.replace(
+            scen, tolerances=_ReadLog(scen.tolerances, "tolerances", read))
+
+    monkeypatch.setattr(scenarios, "load_scenario", logged)
+    paths = sorted((PACKAGE / "scenarios").glob("*.json"))
+    assert paths
+    for path in paths:
+        assert scenarios.run_scenario(path, workers=1).all_passed
+    unread = sorted(f"tolerances.{name}" for name in scenarios.DEFAULT_TOLERANCES
+                    if f"tolerances.{name}" not in read)
+    assert unread == []
 
 
 def test_record_counts_follow_the_benchmark_rule(monkeypatch):

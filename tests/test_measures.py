@@ -119,6 +119,22 @@ class TestCauchyDisk:
         with pytest.raises(DomainError):
             cauchy_transform_disk(DELTA1_C, 1.0 + 0j)
 
+    def test_array_matches_scalar_bitwise(self, rng):
+        nu = CircleAtomicMeasure.from_atoms(zip(rng.uniform(0, 6, 9),
+                                                rng.uniform(0.1, 1, 9)))
+        zs = (0.99 * np.sqrt(rng.uniform(0, 1, (4, 5)))
+              * np.exp(1j * rng.uniform(0, 7, (4, 5))))
+        got = cauchy_transform_disk(nu, zs)
+        assert got.shape == zs.shape
+        want = [[cauchy_transform_disk(nu, complex(z)) for z in row]
+                for row in zs]
+        assert np.array_equal(got, np.array(want))
+        assert type(cauchy_transform_disk(nu, zs[0, 0])) is complex
+
+    def test_array_domain(self):
+        with pytest.raises(DomainError, match="not inside the unit disk"):
+            cauchy_transform_disk(TWO_C, [0.0, 0.5j, -1.0, 0.3])
+
     @given(circle_measures())
     def test_center_is_total_mass(self, nu):
         assert cauchy_transform_disk(nu, 0.0) == pytest.approx(
@@ -175,6 +191,12 @@ class TestSimonWolff:
             simon_wolff_integral_circle(DELTA1_C, 0.5)
         with pytest.raises(DomainError):
             simon_wolff_integral_circle(DELTA1_C, complex(math.nan))
+
+    def test_circle_unimodular_within_1e9(self):
+        # the 1e-9 rule of every unimodular check, normalized as they are
+        assert simon_wolff_integral_circle(DELTA1_C, -(1.0 + 5e-10)) == 0.25
+        with pytest.raises(DomainError, match="not unimodular"):
+            simon_wolff_integral_circle(DELTA1_C, -(1.0 + 5e-9))
 
 
 class TestConstruction:

@@ -8,7 +8,8 @@ from clarklab import herglotz, modelspace
 from clarklab.errors import ConstructionError, DomainError
 from clarklab.herglotz import (BlaschkeProduct, blaschke_eval,
                                boundary_derivative_modulus, level_set_batch)
-from clarklab.measures import cauchy_transform_disk, CircleAtomicMeasure
+from clarklab.measures import (CircleAtomicMeasure, _require_unimodular,
+                               cauchy_transform_disk)
 from clarklab.modelspace import (build_model_space,
                                  hat_conjugate, intertwine_check, knu_alpha,
                                  lemma7_decompose, t_alpha_matrix,
@@ -214,7 +215,7 @@ class TestTAlpha:
             assert stack.shape == (3, degree, degree)
             for alpha, row in zip(alphas, stack):
                 want = np.conj(_rebuilt_clark_unitary(
-                    theta, herglotz._require_unimodular(complex(alpha))))
+                    theta, _require_unimodular(complex(alpha))))
                 assert np.array_equal(t_alpha_matrix(ms, alpha), want)
                 assert np.array_equal(row, want)
             assert herglotz._realization(theta) is kept

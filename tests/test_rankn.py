@@ -199,6 +199,11 @@ class TestSpectralMeasureOfVector:
 
 
 class TestTwoParameterTransform:
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_model_space_needs_two_vectors(self, n):
+        with pytest.raises(DomainError, match=f"two-vector family, got n = {n}"):
+            family_model_space(random_family(_rng(8), 5, n))
+
     def test_beta_one_reduces(self):
         ms, f = family_model_space(FAMILY2)
         alpha = cmath.exp(0.4j)

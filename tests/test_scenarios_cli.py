@@ -71,6 +71,22 @@ class TestScenarioValidation:
             load_scenario({"name": "x", "seed": 1, "tolerances":
                            {"algebraic": -1}, "checks": [{"check": "simon_wolff"}]})
 
+    def test_no_quadrature_tolerance_class(self):
+        # each average check reads its own ``tol``
+        with pytest.raises(ScenarioError, match="tolerances.quadrature: "
+                           "unknown tolerance class"):
+            load_scenario({"name": "x", "seed": 1, "tolerances":
+                           {"quadrature": 1e-4}, "checks": [{"check": "simon_wolff"}]})
+
+    @pytest.mark.parametrize("flag", ["false", "no", {"x": 1}, True])
+    def test_theta_spec_has_no_zero_at_origin_field(self, flag):
+        spec = {"random_degree": 3, "zero_at_origin": flag}
+        theta, _ = scenarios._resolve_theta(spec, scenarios._rng(5), "t")
+        assert 0j not in theta.zeros
+        plain, _ = scenarios._resolve_theta({"random_degree": 3},
+                                            scenarios._rng(5), "t")
+        assert theta == plain
+
     @pytest.mark.parametrize("text", ["NaN", "Infinity"])
     def test_non_finite_tolerance(self, text):
         # json.loads accepts these literals
@@ -834,7 +850,40 @@ class TestStructureValidation:
         _assert_exits_two(tmp_path, capsys, text, where)
 
 
+# (check entry, the closed-form rule it breaks) for families and curves of
+# the wrong rank: each is one failed record naming its item
+RANK_TABLE = [
+    ({"check": "two_parameter_oracle",
+      "families": [{"random": {"N": 4, "n": 1}}]}, "two-vector family, got n = 1"),
+    ({"check": "two_parameter_oracle",
+      "families": [{"random": {"N": 4, "n": 3}}]}, "two-vector family, got n = 3"),
+    ({"check": "positivity_bounds",
+      "families": [{"random": {"N": 4, "n": 1}}]}, "two-vector family, got n = 1"),
+    ({"check": "positivity_bounds",
+      "families": [{"random": {"N": 4, "n": 3}}]}, "two-vector family, got n = 3"),
+    ({"check": "positivity_bounds", "families": [{"random": {"N": 4}}],
+      "curves": [{"components": [{"power": 1}]}]}, "2-component curves"),
+    ({"check": "curve_disintegration",
+      "cases": [{"family": {"random": {"N": 4, "n": 3}}, "curve": CURVE,
+                 "borel": CIRCLE_SET}]}, "two-vector family, got n = 3"),
+]
+
+
 class TestFailedRecordInput:
+    @pytest.mark.parametrize("entry, rule", RANK_TABLE, ids=[
+        "oracle-n1", "oracle-n3", "positivity-n1", "positivity-n3",
+        "positivity-curve1", "curve-n3"])
+    def test_wrong_rank_is_one_failed_record(self, entry, rule):
+        obj = {"name": "x", "seed": 1, "checks": [entry]}
+        records = json.loads(report_to_json(run_scenario(obj)))["records"]
+        assert len(records) == 1
+        assert records[0]["pass"] is False
+        params = records[0]["parameters"]
+        assert params["error"] == "DomainError"
+        assert rule in params["message"]
+        field = "cases" if "cases" in entry else "families"
+        assert params["input"] == f"checks[0].{field}[0]"
+
     def test_names_the_item_that_raised(self):
         # the circle model checks; the line model has no inner function
         obj = {"name": "x", "seed": 1, "checks": [
